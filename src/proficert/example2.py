@@ -238,21 +238,19 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
     built = []
     forbidden = []
     recip = Fraction(0)
-    prev_index = 1
+    index = 1  # order of the K-image of ``quotient``, carried from its table
     draws = 0
     for n in range(1, steps + 1):
         f_n = f_values[n - 1]
         # reduced K-words of length exactly f_n; the K-image must outgrow
         # this count before "outside the f_n-ball" can have solutions
         sphere_count = 2 * kk * (2 * kk - 1) ** (f_n - 1)
-        need = prev_index + 1
+        need = index + 1
         need = max(need, sphere_count + 1 if n == 1 else 2 * sphere_count + 1)
         slack = Fraction(1, 2) - recip
         need = max(need, int(1 / slack) + 1)
         r_n = None
         while r_n is None:
-            index = (len(generated_image_table(quotient, k_words))
-                     if quotient is not None else 1)
             if index >= need:
                 try:
                     r_n = choose_r(quotient, forbidden, f_n,
@@ -271,14 +269,12 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
             except CapExceededError:
                 continue
             if quotient is None or cand_index > index:
-                quotient = candidate
-        index = len(generated_image_table(quotient, k_words))
+                quotient, index = candidate, cand_index
         s_n, e_n = make_s(r_n, quotient)
         recip += Fraction(1, index)
         assert recip < Fraction(1, 2)
         built.append(Ex2Step(quotient, r_n, s_n, e_n, f_n, index))
         forbidden.append((quotient, r_n))
-        prev_index = index
     params = Ex2Params(partition, steps, f_values, source.describe(),
                        enumeration_cap, max_source_draws)
     return Ex2Certificate(params, tuple(built), recip)
@@ -336,7 +332,7 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
                                  f"expected {n_steps} steps, found {len(cert.steps)}"))
         return Ex2Report(tuple(clauses))
 
-    indices = []
+    tables = []  # K-image table of each step, read again by chain-descent
     for m in range(1, n_steps + 1):
         st = cert.steps[m - 1]
         q = st.quotient
@@ -348,8 +344,8 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
             problems.append(f"e = {st.e} but image(b) has order {order_b}")
         if st.s != multiply(st.r, power(b, st.e)):
             problems.append("s does not equal r * b^e")
-        index = len(generated_image_table(q, k_words))
-        indices.append(index)
+        tables.append(generated_image_table(q, k_words))
+        index = len(tables[-1])
         if st.k_index != index:
             problems.append(f"recorded K-index {st.k_index}, recomputed {index}")
         if st.f_value != f_values[m - 1]:
@@ -385,9 +381,9 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
 
     kk = p.k_size
     bound = 2 * kk * (2 * kk - 1) ** (f_values[0] - 1)
-    ok = indices[0] > bound
+    ok = len(tables[0]) > bound
     clauses.append(Ex2Clause("step1-index-bound", 1, None, ok,
-                             f"[K-image] = {indices[0]} vs required > {bound}"))
+                             f"[K-image] = {len(tables[0])} vs required > {bound}"))
 
     for n in range(1, n_steps):
         q_next = cert.steps[n].quotient
@@ -406,15 +402,10 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
                                  f"{2 * (n_steps - n)} kernel probes descend into ker Q_{n}"))
 
         witness = None
-        capped = False
-        try:
-            table = generated_image_table(q_next, k_words)
-            for element, word in table.items():
-                if element != q_next.identity_element() and q_this.in_kernel(word):
-                    witness = word
-                    break
-        except CapExceededError:
-            capped = True
+        for element, word in tables[n].items():
+            if element != q_next.identity_element() and q_this.in_kernel(word):
+                witness = word
+                break
         if witness is not None:
             detail = (f"K-word {format_word(witness, p)} in ker Q_{n} "
                       f"but not in ker Q_{n + 1}")
@@ -422,22 +413,19 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
         else:
             proven_equal = False
             note = "no K-side witness found"
-            if not capped:
-                try:
-                    o_this, o_next = q_this.order(), q_next.order()
-                    if o_next > o_this:
-                        note = (f"no K-side witness, but the quotient order grows "
-                                f"{o_this} -> {o_next}")
-                    elif o_next == o_this:
-                        proven_equal = True
-                        note = f"quotient orders coincide at {o_this}"
-                except CapExceededError:
-                    note = "no K-side witness; quotient orders exceed the cap (unwitnessed)"
-            else:
-                note = "K-image enumeration exceeded the cap (unwitnessed)"
+            try:
+                o_this, o_next = q_this.order(), q_next.order()
+                if o_next > o_this:
+                    note = (f"no K-side witness, but the quotient order grows "
+                            f"{o_this} -> {o_next}")
+                elif o_next == o_this:
+                    proven_equal = True
+                    note = f"quotient orders coincide at {o_this}"
+            except CapExceededError:
+                note = "no K-side witness; quotient orders exceed the cap (unwitnessed)"
             clauses.append(Ex2Clause("chain-descent", n, None, not proven_equal, note))
 
-    recomputed = sum((Fraction(1, i) for i in indices), Fraction(0))
+    recomputed = sum((Fraction(1, len(t)) for t in tables), Fraction(0))
     ok = recomputed == cert.reciprocal_sum and recomputed < Fraction(1, 2)
     clauses.append(Ex2Clause("reciprocal-sum", None, None, ok,
                              f"sum of reciprocal K-indices = {recomputed}, "

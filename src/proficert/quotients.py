@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceededError, SchemaError
 from .words import FactorPartition, Generator, Word, identity as identity_word, invert, multiply
@@ -24,15 +24,45 @@ PERM = "perm"
 ABELIAN = "abelian"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {0, ..., d-1}, stored as the tuple of images."""
+_IDENTITY_BYTES = bytes(range(256))
 
-    mapping: tuple
+
+class Permutation:
+    """A bijection of {0, ..., d-1}, stored as the sequence of images.
+
+    The storage is chosen from the degree alone: ``bytes`` up to degree 256,
+    so that composition is one ``bytes.translate`` call, and a tuple of ints
+    above it.  Either way ``mapping[i]`` and ``list(mapping)`` give ints.
+    Instances are immutable; equality and hashing go by ``mapping``.
+    """
+
+    __slots__ = ("mapping", "_table")
+
+    def __init__(self, mapping):
+        mapping = tuple(mapping)
+        _set_mapping(self, bytes(mapping) if len(mapping) <= 256 else mapping)
+        _set_table(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Permutation, (self.mapping,)
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.mapping == other.mapping
+
+    def __hash__(self):
+        return hash(self.mapping)
+
+    def __repr__(self):
+        return f"Permutation({tuple(self.mapping)!r})"
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
+        return _wrap(_IDENTITY_BYTES[:degree] if degree <= 256 else tuple(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -43,14 +73,23 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composite acting as self first, then other."""
-        om = other.mapping
-        return Permutation(tuple(om[x] for x in self.mapping))
+        sm = self.mapping
+        if len(sm) > 256:
+            return _wrap(itemgetter(*sm)(other.mapping))
+        table = other._table
+        if table is None:
+            # translate needs all 256 byte values; points past the degree
+            # are fixed, and the right operand keeps its table for reuse
+            om = other.mapping
+            table = om + _IDENTITY_BYTES[len(om):]
+            _set_table(other, table)
+        return _wrap(sm.translate(table))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, x in enumerate(self.mapping):
-            inv[x] = i
-        return Permutation(tuple(inv))
+        m = self.mapping
+        # the points sorted by their images: position x holds the preimage of x
+        inv = sorted(range(len(m)), key=m.__getitem__)
+        return _wrap(bytes(inv) if len(m) <= 256 else tuple(inv))
 
     def __pow__(self, e: int) -> "Permutation":
         if e < 0:
@@ -82,6 +121,19 @@ class Permutation:
 
     def order(self) -> int:
         return math.lcm(*self.cycle_lengths()) if self.mapping else 1
+
+
+_set_mapping = Permutation.__dict__["mapping"].__set__
+_set_table = Permutation.__dict__["_table"].__set__
+_new_permutation = object.__new__
+
+
+def _wrap(mapping) -> Permutation:
+    """Fast constructor for images already in the storage their degree picks."""
+    p = _new_permutation(Permutation)
+    _set_mapping(p, mapping)
+    _set_table(p, None)
+    return p
 
 
 def _check_permutation(values, degree: int, where: str) -> Permutation:
@@ -158,12 +210,7 @@ class FiniteQuotient:
 
     def _generator_image_order(self, gen: Generator) -> int:
         if gen not in self._image_orders:
-            x = self.generator_image(gen)
-            if self.kind == PERM:
-                self._image_orders[gen] = x.order()
-            else:
-                n = self.modulus
-                self._image_orders[gen] = n // math.gcd(n, 1)
+            self._image_orders[gen] = self.generator_image(gen).order()
         return self._image_orders[gen]
 
     # --- homomorphism -------------------------------------------------------
@@ -381,7 +428,7 @@ def as_permutation_quotient(q: FiniteQuotient) -> FiniteQuotient:
         mapping = list(range(n * rank))
         for j in range(n):
             mapping[i * n + j] = i * n + (j + 1) % n
-        images[g] = Permutation(tuple(mapping))
+        images[g] = Permutation(mapping)
     return make_permutation_quotient(q.partition, images, enumeration_cap=q.enumeration_cap)
 
 
@@ -400,7 +447,7 @@ def direct_product(q1: FiniteQuotient, q2: FiniteQuotient) -> FiniteQuotient:
     for g in q1.partition.generators():
         left = p1.images[g].mapping
         right = p2.images[g].mapping
-        images[g] = Permutation(left + tuple(x + shift for x in right))
+        images[g] = Permutation((*left, *(x + shift for x in right)))
     cap = max(q1.enumeration_cap, q2.enumeration_cap)
     return make_permutation_quotient(q1.partition, images, enumeration_cap=cap)
 

@@ -306,14 +306,29 @@ def check_reduce_across_process(*command):
     assert "error" in result.stderr
 
 
-def test_console_script():
-    import tomllib  # Python 3.11+; imported here so the other CLI tests run on 3.10
+def declared_script(name):
+    """The ``name = "module:function"`` target under ``[project.scripts]``.
 
+    A line scan rather than ``tomllib``, which only exists from Python 3.11
+    while the project supports 3.10.
+    """
+    section = None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == name:
+                return value.strip("\"'")
+    return None
+
+
+def test_console_script():
     # The target pyproject.toml declares, called the way the setuptools
     # console-script wrapper calls it; read from the file itself, not from
     # importlib.metadata, which reports whatever build metadata lies on the path.
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["proficert"]
+    target = declared_script("proficert")
     assert target == "proficert.cli:main"
     wrapper = "import sys; from proficert.cli import main; sys.exit(main())"
     check_reduce_across_process(sys.executable, "-c", wrapper)

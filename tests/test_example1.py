@@ -1,11 +1,13 @@
 """The factorial family: residue target, tail certificates, not-closed witnesses."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
 import pytest
 
+from proficert.cli import emit_certificate
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import (
     EX1_PARTITION,
@@ -339,6 +341,16 @@ def test_tail_certificate_round_trip():
     assert loaded == cert
     assert ex1_tail_to_obj(loaded) == obj
     assert verify_ex1(loaded)
+
+
+def test_tail_certificate_bytes_pinned():
+    # the composite has 380 points, past the 256 at which permutations stop
+    # being stored as bytes; the kernel must not move certificate bytes
+    cert = separate_from_S(word("b^33"))
+    assert cert.composite_quotient.degree == 380
+    text = emit_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a5ff684069ed8b5488b0f2cf1fc6839d24a1a97d2282ce41c8668c0c20342800")
 
 
 def test_witness_round_trip():

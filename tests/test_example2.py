@@ -1,11 +1,14 @@
 """Chain certificates in a free product: construction, verification, witnesses."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from proficert import example2
+from proficert.cli import emit_certificate
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example2 import (
     Ex2Certificate,
@@ -167,6 +170,23 @@ def test_verify_default_run(default_cert):
                      "chain-containment", "chain-descent", "reciprocal-sum"}
 
 
+def test_k_image_tables_built_once_per_quotient(monkeypatch, default_cert):
+    # construct carries each accepted candidate's K-index instead of rebuilding
+    # its table, and verify reads each step's table again in chain-descent
+    built = []
+
+    def counting(q, gens, cap=None):
+        built.append(q)
+        return generated_image_table(q, gens, cap=cap)
+
+    monkeypatch.setattr(example2, "generated_image_table", counting)
+    assert verify_ex2(default_cert).ok
+    assert built == [st.quotient for st in default_cert.steps]
+    built.clear()
+    assert construct_ex2() == default_cert
+    assert len(built) == 5  # one per drawn factor; the source is drawn 5 times
+
+
 def test_counting_soundness_invariant(default_cert):
     # the K-image never meets the f-ball in more points than the free-group
     # sphere count allows, so "outside the ball" can never be vacuous
@@ -314,6 +334,13 @@ def test_round_trip(default_cert):
     assert loaded == default_cert
     assert ex2_to_obj(loaded) == obj
     assert verify_ex2(loaded)
+
+
+def test_default_certificate_bytes_pinned(default_cert):
+    # any change to the permutation kernel must leave certificate bytes alone
+    text = emit_certificate(default_cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2eae17985ffbd3d1a987316875f1117775bb110ec33605a22680c928c4e7bc1f")
 
 
 def test_loading_is_not_verification(default_cert):

@@ -1,5 +1,6 @@
 """Finite quotients: homomorphism laws, naive oracles, BFS distances, caps."""
 
+import json
 import math
 import random
 from collections import deque
@@ -14,6 +15,7 @@ from proficert.quotients import (
     as_permutation_quotient,
     direct_product,
     element_order,
+    element_to_obj,
     generated_image_table,
     make_abelian_quotient,
     make_permutation_quotient,
@@ -233,6 +235,29 @@ def test_direct_product_coset_and_order():
     assert element_order(prod, parse_word("a", P11)) == 6
 
 
+def test_direct_product_across_byte_storage():
+    rng = random.Random(29)
+    q1 = make_permutation_quotient(P11, {g: random_perm(rng, 200) for g in P11.generators()})
+    q2 = make_permutation_quotient(P11, {g: random_perm(rng, 100) for g in P11.generators()})
+    prod = direct_product(q1, q2)
+    assert prod.degree == 300
+    for g in P11.generators():
+        left, right = tuple(q1.images[g].mapping), tuple(q2.images[g].mapping)
+        assert prod.images[g].mapping == left + tuple(x + 200 for x in right)
+    for _ in range(50):
+        w = random_word(rng, P11, max_exp=50)
+        x1, x2, x = q1.image(w), q2.image(w), prod.image(w)
+        assert tuple(x.mapping) == tuple(x1.mapping) + tuple(v + 200 for v in x2.mapping)
+        assert prod.in_kernel(w) == (q1.in_kernel(w) and q2.in_kernel(w))
+    # the JSON forms hold plain int lists on both sides of the split
+    for q in (q1, prod):
+        images = quotient_to_obj(q)["images"]
+        assert all(type(v) is list and all(type(x) is int for x in v) for v in images.values())
+        elt = element_to_obj(q, q.image(parse_word("a^3 b^-2 a", P11)))["mapping"]
+        assert type(elt) is list and all(type(x) is int for x in elt)
+        assert quotient_from_obj(json.loads(json.dumps(quotient_to_obj(q))), P11) == q
+
+
 def test_as_permutation_preserves_kernel():
     rng = random.Random(26)
     q = make_abelian_quotient(P22, 4)
@@ -308,6 +333,41 @@ def test_quotient_schema_rejections():
                            "images": {"a": [1, 0], "z": [0, 1]}}, P11)
 
 
+def compose_ref(p, q):
+    """Plain tuple composition, p first and then q: the reference for ``*``."""
+    return tuple(q[x] for x in p)
+
+
+def inverse_ref(p):
+    inv = [None] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def power_ref(p, e):
+    """Images of p^e, each point moved e steps along its cycle."""
+    out = [None] * len(p)
+    for start in range(len(p)):
+        if out[start] is None:
+            cycle = [start]
+            while p[cycle[-1]] != start:
+                cycle.append(p[cycle[-1]])
+            for i, x in enumerate(cycle):
+                out[x] = cycle[(i + e) % len(cycle)]
+    return tuple(out)
+
+
+def prime_factors(n):
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
 def test_permutation_algebra():
     rng = random.Random(28)
     for _ in range(200):
@@ -322,3 +382,32 @@ def test_permutation_algebra():
         for _ in range(p.order()):
             total = total * p
         assert total == Permutation.identity(6)
+
+    # both storages and both sides of the degree-256 split, against tuple references
+    f20 = math.factorial(20)
+    for degree in (1, 2, 255, 256, 257, 3068):
+        ident = Permutation.identity(degree)
+        assert ident.mapping == Permutation(range(degree)).mapping
+        for _ in range(3):
+            a = tuple(rng.sample(range(degree), degree))
+            b = tuple(rng.sample(range(degree), degree))
+            p, q = Permutation(a), Permutation(b)
+            assert isinstance(p.mapping, bytes if degree <= 256 else tuple)
+            assert p.degree == degree and tuple(p.mapping) == a
+            assert all(type(x) is int for x in p.mapping)
+            for _ in range(2):  # the second round reuses q's kept table
+                assert tuple((p * q).mapping) == compose_ref(a, b)
+            assert tuple((q * p).mapping) == compose_ref(b, a)
+            assert (p * q) * p == p * (q * p)
+            pq = Permutation(compose_ref(a, b))
+            assert p * q == pq and hash(p * q) == hash(pq)
+            assert len({p * q, pq, Permutation(list(compose_ref(a, b)))}) == 1
+            assert (p == q) == (a == b)
+            assert p != Permutation.identity(degree + 1)
+            assert tuple(p.inverse().mapping) == inverse_ref(a)
+            assert p * p.inverse() == ident == p.inverse() * p
+            for e in (0, 1, 2, 7, -1, -2, -7, f20, -f20, f20 + 11, -(f20 + 11)):
+                assert tuple((p ** e).mapping) == power_ref(a, e)
+            order = p.order()
+            assert p ** order == ident
+            assert all(p ** (order // r) != ident for r in prime_factors(order))
