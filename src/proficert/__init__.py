@@ -31,16 +31,10 @@ from .quotients import (
     DEFAULT_ENUMERATION_CAP,
     FiniteQuotient,
     Permutation,
-    cayley_distance,
-    coset_equal,
     direct_product,
-    element_order,
-    image,
-    in_kernel,
     make_abelian_quotient,
     make_permutation_quotient,
     quotient_from_obj,
-    quotient_order,
     quotient_to_obj,
     subgroup_image_order,
     trivial_quotient,
@@ -89,83 +83,5 @@ from .example2 import (
     not_closed_witness2,
     verify_ex2,
 )
-from .cli import emit_certificate, load_certificate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapExceededError",
-    "SchemaError",
-    "WordSyntaxError",
-    "K",
-    "L",
-    "FactorPartition",
-    "Generator",
-    "Word",
-    "exponent_sum",
-    "format_word",
-    "identity",
-    "invert",
-    "multiply",
-    "parse_word",
-    "power",
-    "reduce",
-    "syllables",
-    "word_length",
-    "DEFAULT_ENUMERATION_CAP",
-    "FiniteQuotient",
-    "Permutation",
-    "cayley_distance",
-    "coset_equal",
-    "direct_product",
-    "element_order",
-    "image",
-    "in_kernel",
-    "make_abelian_quotient",
-    "make_permutation_quotient",
-    "quotient_from_obj",
-    "quotient_order",
-    "quotient_to_obj",
-    "subgroup_image_order",
-    "trivial_quotient",
-    "SeparationCertificate",
-    "StallingsGraph",
-    "build_stallings",
-    "fold",
-    "graph_to_dot",
-    "membership",
-    "separate_from_identity",
-    "separate_from_subgroup",
-    "separation_from_obj",
-    "separation_to_obj",
-    "verify_separation",
-    "Ex1NotClosedWitness",
-    "Ex1TailCertificate",
-    "a_element",
-    "convergence_witness",
-    "m0_residue",
-    "m_sequence",
-    "not_closed_witness",
-    "s_element",
-    "separate_from_S",
-    "separate_integer_from_m0",
-    "verify_ex1",
-    "verify_ex1_witness",
-    "Ex2Certificate",
-    "Ex2Params",
-    "Ex2Report",
-    "Ex2Step",
-    "MixedQuotientSource",
-    "NoAdmissibleElementError",
-    "choose_r",
-    "construct_ex2",
-    "discreteness_witness",
-    "ex2_from_obj",
-    "ex2_to_obj",
-    "finite_intersection_witness",
-    "make_s",
-    "not_closed_witness2",
-    "verify_ex2",
-    "emit_certificate",
-    "load_certificate",
-]

@@ -22,41 +22,8 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_certificate(path, enumeration_cap=None):
-    """Read a certificate file, dispatching on its ``type`` tag."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise SchemaError(f"{path}: certificate objects carry a 'type' field")
-    kind = obj["type"]
-    if kind == "separation":
-        return separation.separation_from_obj(obj, enumeration_cap=enumeration_cap)
-    if kind == "ex1_tail":
-        return example1.ex1_tail_from_obj(obj, enumeration_cap=enumeration_cap)
-    if kind == "ex1_not_closed":
-        return example1.ex1_witness_from_obj(obj, enumeration_cap=enumeration_cap)
-    if kind == "ex2":
-        return example2.ex2_from_obj(obj, enumeration_cap=enumeration_cap)
-    raise SchemaError(f"{path}.type: unknown certificate type {kind!r}")
-
-
-def emit_certificate(cert) -> str:
-    """Canonical JSON text for any certificate or witness object."""
-    if isinstance(cert, separation.SeparationCertificate):
-        return canonical_json(separation.separation_to_obj(cert))
-    if isinstance(cert, example1.Ex1TailCertificate):
-        return canonical_json(example1.ex1_tail_to_obj(cert))
-    if isinstance(cert, example1.Ex1NotClosedWitness):
-        return canonical_json(example1.ex1_witness_to_obj(cert))
-    if isinstance(cert, example2.Ex2Certificate):
-        return canonical_json(example2.ex2_to_obj(cert))
-    raise TypeError(f"cannot serialize {type(cert).__name__}")
+def check_to_obj(result) -> dict:
+    return {"ok": result.ok, "reasons": list(result.reasons)}
 
 
 def report_to_obj(report: example2.Ex2Report) -> list:
@@ -64,30 +31,74 @@ def report_to_obj(report: example2.Ex2Report) -> list:
             for c in report.clauses]
 
 
-def check_to_obj(result) -> dict:
-    return {"ok": result.ok, "reasons": list(result.reasons)}
+# type tag -> (certificate class, from_obj, to_obj, verify, report renderer)
+CERTIFICATES = {
+    "separation": (separation.SeparationCertificate, separation.separation_from_obj,
+                   separation.separation_to_obj, separation.verify_separation, check_to_obj),
+    "ex1_tail": (example1.Ex1TailCertificate, example1.ex1_tail_from_obj,
+                 example1.ex1_tail_to_obj, example1.verify_ex1, check_to_obj),
+    "ex1_not_closed": (example1.Ex1NotClosedWitness, example1.ex1_witness_from_obj,
+                       example1.ex1_witness_to_obj, example1.verify_ex1_witness, check_to_obj),
+    "ex2": (example2.Ex2Certificate, example2.ex2_from_obj, example2.ex2_to_obj,
+            example2.verify_ex2, report_to_obj),
+}
+
+
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_certificate(path, enumeration_cap=None):
+    """Read a certificate file, dispatching on its ``type`` tag."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise SchemaError(f"{path}: certificate objects carry a 'type' field")
+    kind = obj["type"]
+    if not isinstance(kind, str) or kind not in CERTIFICATES:
+        raise SchemaError(f"{path}.type: unknown certificate type {kind!r}")
+    return CERTIFICATES[kind][1](obj, enumeration_cap=enumeration_cap)
+
+
+def _type_tag(cert) -> str:
+    for tag, (cls, *_) in CERTIFICATES.items():
+        if isinstance(cert, cls):
+            return tag
+    raise TypeError(f"cannot serialize {type(cert).__name__}")
+
+
+def emit_certificate(cert) -> str:
+    """Canonical JSON text for any certificate or witness object."""
+    return canonical_json(CERTIFICATES[_type_tag(cert)][2](cert))
+
+
+def _load_accepted(args):
+    """The certificate file of ``args``, refused unless its type is accepted."""
+    cert = load_certificate(args.certificate, enumeration_cap=args.cap)
+    tag = _type_tag(cert)
+    if tag not in args.accepts:
+        *rest, last = args.accepts
+        names = f"{', '.join(rest)}, or {last}" if rest else last
+        article = "an" if names[0] in "aeiou" else "a"
+        raise SchemaError(f"{args.command} expects {article} {names} certificate")
+    return tag, cert
 
 
 def _partition(args) -> words.FactorPartition:
     return words.FactorPartition(args.k_size, args.l_size)
 
 
-def _parse(text: str, partition: words.FactorPartition) -> words.Word:
-    return words.parse_word(text, partition)
-
-
 def _load_quotient(args, partition) -> quotients.FiniteQuotient:
-    cap_kwargs = {} if args.cap is None else {"enumeration_cap": args.cap}
     if getattr(args, "abelian", None) is not None:
-        return quotients.make_abelian_quotient(partition, args.abelian, **cap_kwargs)
+        return quotients.make_abelian_quotient(partition, args.abelian,
+                                               enumeration_cap=args.cap)
     if getattr(args, "quotient", None) is not None:
-        try:
-            obj = json.loads(Path(args.quotient).read_text())
-        except OSError as exc:
-            raise SchemaError(f"{args.quotient}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{args.quotient}: not valid JSON: {exc}") from exc
-        return quotients.quotient_from_obj(obj, partition, path="quotient", **cap_kwargs)
+        return quotients.quotient_from_obj(_read_json(args.quotient), partition,
+                                           path="quotient", enumeration_cap=args.cap)
     raise SchemaError("a quotient is required: pass --quotient FILE or --abelian N")
 
 
@@ -156,6 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ex1-verify", help="recheck a stored certificate file")
     p.add_argument("certificate")
+    p.set_defaults(accepts=("separation", "ex1_tail", "ex1_not_closed"))
     add_cap_flag(p)
 
     p = sub.add_parser("ex1-witness",
@@ -177,6 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ex2-verify", help="recheck a chain certificate file")
     p.add_argument("certificate")
+    p.set_defaults(accepts=("ex2",))
     add_cap_flag(p)
 
     p = sub.add_parser("ex2-witness",
@@ -189,12 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="the word x for --kind intersection")
     p.add_argument("--dot", action="store_true",
                    help="emit the Cayley ball of the step's quotient as DOT")
+    p.set_defaults(accepts=("ex2",))
     add_cap_flag(p)
     return parser
 
 
 def _cmd_reduce(args) -> int:
-    w = _parse(args.word, _partition(args))
+    w = words.parse_word(args.word, _partition(args))
     sys.stdout.write(words.format_word(w, _partition(args)) + "\n")
     return 0
 
@@ -202,7 +216,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_image(args) -> int:
     partition = _partition(args)
     q = _load_quotient(args, partition)
-    element = q.image(_parse(args.word, partition))
+    element = q.image(words.parse_word(args.word, partition))
     sys.stdout.write(canonical_json(quotients.element_to_obj(q, element)))
     return 0
 
@@ -210,14 +224,14 @@ def _cmd_image(args) -> int:
 def _cmd_distance(args) -> int:
     partition = _partition(args)
     q = _load_quotient(args, partition)
-    d = q.cayley_distance(_parse(args.word, partition), max_radius=args.max_radius)
+    d = q.cayley_distance(words.parse_word(args.word, partition), max_radius=args.max_radius)
     sys.stdout.write(canonical_json({"distance": d}))
     return 0
 
 
 def _cmd_stallings(args) -> int:
     partition = _partition(args)
-    gens = [_parse(g, partition) for g in args.gen]
+    gens = [words.parse_word(g, partition) for g in args.gen]
     graph = separation.build_stallings(partition, gens)
     if args.dot:
         sys.stdout.write(separation.graph_to_dot(graph))
@@ -228,8 +242,8 @@ def _cmd_stallings(args) -> int:
 
 def _cmd_separate(args) -> int:
     partition = _partition(args)
-    w = _parse(args.word, partition)
-    gens = [_parse(g, partition) for g in args.gen]
+    w = words.parse_word(args.word, partition)
+    gens = [words.parse_word(g, partition) for g in args.gen]
     if gens:
         cert = separation.separate_from_subgroup(partition, gens, w,
                                                  enumeration_cap=args.cap)
@@ -250,26 +264,19 @@ def _cmd_ex1_elem(args) -> int:
 
 
 def _cmd_ex1_separate(args) -> int:
-    w = _parse(args.word, example1.EX1_PARTITION)
+    w = words.parse_word(args.word, example1.EX1_PARTITION)
     cert = example1.separate_from_S(w, head_margin=args.head_margin,
                                     enumeration_cap=args.cap)
     sys.stdout.write(emit_certificate(cert))
     return 0
 
 
-def _cmd_ex1_verify(args) -> int:
-    cert = load_certificate(args.certificate, enumeration_cap=args.cap)
-    if isinstance(cert, example1.Ex1TailCertificate):
-        result = example1.verify_ex1(cert)
-    elif isinstance(cert, example1.Ex1NotClosedWitness):
-        result = example1.verify_ex1_witness(cert)
-    elif isinstance(cert, separation.SeparationCertificate):
-        result = separation.verify_separation(cert)
-    else:
-        raise SchemaError("ex1-verify expects a separation, ex1_tail, or "
-                          "ex1_not_closed certificate")
-    sys.stdout.write(canonical_json(check_to_obj(result)))
-    return 0 if result.ok else 1
+def _cmd_verify(args) -> int:
+    tag, cert = _load_accepted(args)
+    _, _, _, verify, render = CERTIFICATES[tag]
+    report = verify(cert)
+    sys.stdout.write(canonical_json(render(report)))
+    return 0 if report.ok else 1
 
 
 def _cmd_ex1_witness(args) -> int:
@@ -295,19 +302,8 @@ def _cmd_ex2_construct(args) -> int:
     return 0
 
 
-def _cmd_ex2_verify(args) -> int:
-    cert = load_certificate(args.certificate, enumeration_cap=args.cap)
-    if not isinstance(cert, example2.Ex2Certificate):
-        raise SchemaError("ex2-verify expects an ex2 certificate")
-    report = example2.verify_ex2(cert)
-    sys.stdout.write(canonical_json(report_to_obj(report)))
-    return 0 if report.ok else 1
-
-
 def _cmd_ex2_witness(args) -> int:
-    cert = load_certificate(args.certificate, enumeration_cap=args.cap)
-    if not isinstance(cert, example2.Ex2Certificate):
-        raise SchemaError("ex2-witness expects an ex2 certificate")
+    _, cert = _load_accepted(args)
     p = cert.params.partition
     if args.dot:
         sys.stdout.write(example2.ex2_ball_dot(cert, args.step))
@@ -320,7 +316,7 @@ def _cmd_ex2_witness(args) -> int:
     if args.kind == "intersection":
         if args.word is None:
             raise SchemaError("--kind intersection requires --word")
-        x = _parse(args.word, p)
+        x = words.parse_word(args.word, p)
         witness = example2.finite_intersection_witness(cert, x, args.step)
         sys.stdout.write(canonical_json({
             "step": witness.n,
@@ -348,10 +344,10 @@ _COMMANDS = {
     "separate": _cmd_separate,
     "ex1-elem": _cmd_ex1_elem,
     "ex1-separate": _cmd_ex1_separate,
-    "ex1-verify": _cmd_ex1_verify,
+    "ex1-verify": _cmd_verify,
     "ex1-witness": _cmd_ex1_witness,
     "ex2-construct": _cmd_ex2_construct,
-    "ex2-verify": _cmd_ex2_verify,
+    "ex2-verify": _cmd_verify,
     "ex2-witness": _cmd_ex2_witness,
 }
 

@@ -211,8 +211,7 @@ def separate_from_S(w: Word, head_margin: int = 0, head_cap: int = DEFAULT_HEAD_
             continue
         heads.append(separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)),
                                             enumeration_cap=enumeration_cap))
-    kwargs = {} if enumeration_cap is None else {"enumeration_cap": enumeration_cap}
-    composite = make_abelian_quotient(EX1_PARTITION, n, **kwargs)
+    composite = make_abelian_quotient(EX1_PARTITION, n, enumeration_cap=enumeration_cap)
     for head in heads:
         composite = direct_product(composite, head.quotient)
     return Ex1TailCertificate(w, n, head_bound, tuple(heads), composite)
@@ -232,6 +231,12 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
         return CheckResult(False, tuple(reasons))
     if n > head_bound:
         reasons.append(f"modulus {n} exceeds head bound {head_bound}")
+    if len(cert.head_certificates) < head_bound - 2:
+        # every s_j below the head bound but the target itself needs a head;
+        # stopping here keeps the work below within the file's own size
+        reasons.append(f"expected at least {head_bound - 2} head certificates, "
+                       f"found {len(cert.head_certificates)}")
+        return CheckResult(False, tuple(reasons))
 
     expected = [j for j in range(1, head_bound) if s_element(j) != w]
     if len(cert.head_certificates) != len(expected):
@@ -251,7 +256,9 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
             reasons.append(f"composite quotient cannot tell the target from s_{j}")
 
     abelian = make_abelian_quotient(EX1_PARTITION, n)
-    tail_value = (0, m0_residue(n))
+    # equals (0, m0_residue(n)) when n <= head_bound, as n then divides
+    # lcm(1..head_bound), and needs no factorization of n
+    tail_value = (0, m_sequence(head_bound) % n)
     for j in range(head_bound, head_bound + 11):
         if abelian.image(s_element(j)) != tail_value:
             reasons.append(f"s_{j} misses the expected tail value mod {n}")
@@ -330,11 +337,9 @@ def ex1_tail_to_obj(cert: Ex1TailCertificate) -> dict:
 
 
 def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailCertificate:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
     allowed = {"type", "partition", "target_word", "modulus", "head_bound",
                "head_certificates", "composite_quotient"}
-    _check_keys(obj, allowed, allowed, path)
+    _check_keys(obj, allowed, path)
     if obj["type"] != "ex1_tail":
         raise SchemaError(f"{path}.type: expected 'ex1_tail', got {obj['type']!r}")
     partition = partition_from_obj(obj["partition"], f"{path}.partition")
@@ -349,9 +354,8 @@ def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailC
     heads = tuple(
         separation_from_obj(h, f"{path}.head_certificates[{i}]", enumeration_cap=enumeration_cap)
         for i, h in enumerate(raw_heads))
-    kwargs = {} if enumeration_cap is None else {"enumeration_cap": enumeration_cap}
     composite = quotient_from_obj(obj["composite_quotient"], partition,
-                                  f"{path}.composite_quotient", **kwargs)
+                                  f"{path}.composite_quotient", enumeration_cap=enumeration_cap)
     return Ex1TailCertificate(target, modulus, head_bound, heads, composite)
 
 
@@ -368,17 +372,15 @@ def ex1_witness_to_obj(witness: Ex1NotClosedWitness) -> dict:
 
 
 def ex1_witness_from_obj(obj, path="witness", enumeration_cap=None) -> Ex1NotClosedWitness:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
     allowed = {"type", "partition", "quotient", "k", "s_element", "cofactor"}
-    _check_keys(obj, allowed, allowed, path)
+    _check_keys(obj, allowed, path)
     if obj["type"] != "ex1_not_closed":
         raise SchemaError(f"{path}.type: expected 'ex1_not_closed', got {obj['type']!r}")
     partition = partition_from_obj(obj["partition"], f"{path}.partition")
     if partition != EX1_PARTITION:
         raise SchemaError(f"{path}.partition: this family lives in the rank-2 split 1+1")
-    kwargs = {} if enumeration_cap is None else {"enumeration_cap": enumeration_cap}
-    quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient", **kwargs)
+    quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
+                                 enumeration_cap=enumeration_cap)
     k = obj["k"]
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise SchemaError(f"{path}.k: expected an integer >= 1")

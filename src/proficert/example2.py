@@ -435,17 +435,20 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
 
 # --- witnesses ----------------------------------------------------------------
 
+def _step(cert: Ex2Certificate, n: int) -> Ex2Step:
+    """Step ``n`` (1-based) of the chain; ValueError for an index outside it."""
+    if not 1 <= n <= cert.params.steps:
+        raise ValueError(f"step index must be in 1..{cert.params.steps}, got {n}")
+    return cert.steps[n - 1]
+
+
 def discreteness_witness(cert: Ex2Certificate, n: int) -> frozenset:
     """Indices m with s_m in the Q_n-coset of s_n.  For a valid certificate
     this is a subset of {1..n} containing n: the family has no repeated
     accumulation inside any single coset, which is what discreteness needs."""
-    n_steps = cert.params.steps
-    if not 1 <= n <= n_steps:
-        raise ValueError(f"step index must be in 1..{n_steps}, got {n}")
-    q = cert.steps[n - 1].quotient
-    s_n = cert.steps[n - 1].s
-    return frozenset(m for m in range(1, n_steps + 1)
-                     if q.coset_equal(cert.steps[m - 1].s, s_n))
+    step = _step(cert, n)
+    return frozenset(m for m in range(1, cert.params.steps + 1)
+                     if step.quotient.coset_equal(cert.steps[m - 1].s, step.s))
 
 
 @dataclass(frozen=True)
@@ -464,11 +467,8 @@ class FiniteIntersectionWitness:
 def finite_intersection_witness(cert: Ex2Certificate, x: Word, n: int) -> FiniteIntersectionWitness:
     """Which s_m fall in the Q_n-coset of x, plus per-member comparison of
     the step's distance requirement against the length of x."""
-    n_steps = cert.params.steps
-    if not 1 <= n <= n_steps:
-        raise ValueError(f"step index must be in 1..{n_steps}, got {n}")
-    q = cert.steps[n - 1].quotient
-    members = frozenset(m for m in range(1, n_steps + 1)
+    q = _step(cert, n).quotient
+    members = frozenset(m for m in range(1, cert.params.steps + 1)
                         if q.coset_equal(cert.steps[m - 1].s, x))
     length = word_length(x)
     distance = q.cayley_distance(x, max_radius=length)
@@ -483,14 +483,11 @@ def not_closed_witness2(cert: Ex2Certificate, n: int):
     """(s_n, r_n^-1): their product is in ker Q_n even though s_n r_n^-1
     never lies in the family times the K-subgroup at bounded length —
     the pattern that puts a limit point outside S<K-subgroup>."""
-    n_steps = cert.params.steps
-    if not 1 <= n <= n_steps:
-        raise ValueError(f"step index must be in 1..{n_steps}, got {n}")
-    step = cert.steps[n - 1]
+    step = _step(cert, n)
     if not step.quotient.in_kernel(multiply(step.s, invert(step.r))):
         raise RuntimeError("the witness product escaped the kernel")
     p = cert.params.partition
-    for m in range(1, n_steps + 1):
+    for m in range(1, cert.params.steps + 1):
         syl = syllables(cert.steps[m - 1].s, p)
         if not syl or syl[-1][0] != L:
             raise RuntimeError(f"s_{m} does not end in the L factor")
@@ -527,19 +524,15 @@ def ex2_to_obj(cert: Ex2Certificate) -> dict:
 
 
 def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificate:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
     allowed = {"type", "params", "steps", "reciprocal_sum"}
-    _check_keys(obj, allowed, allowed, path)
+    _check_keys(obj, allowed, path)
     if obj["type"] != "ex2":
         raise SchemaError(f"{path}.type: expected 'ex2', got {obj['type']!r}")
 
     raw_params = obj["params"]
-    if not isinstance(raw_params, dict):
-        raise SchemaError(f"{path}.params: expected an object")
     param_keys = {"partition", "steps", "f_values", "source",
                   "enumeration_cap", "max_source_draws"}
-    _check_keys(raw_params, param_keys, param_keys, f"{path}.params")
+    _check_keys(raw_params, param_keys, f"{path}.params")
     partition = partition_from_obj(raw_params["partition"], f"{path}.params.partition")
     n_steps = _int_field(raw_params["steps"], f"{path}.params.steps", minimum=1)
     raw_f = raw_params["f_values"]
@@ -548,9 +541,7 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
     f_values = tuple(_int_field(v, f"{path}.params.f_values[{i}]", minimum=1)
                      for i, v in enumerate(raw_f))
     source = raw_params["source"]
-    if not isinstance(source, dict):
-        raise SchemaError(f"{path}.params.source: expected an object")
-    _check_keys(source, {"kind", "seed"}, {"kind", "seed"}, f"{path}.params.source")
+    _check_keys(source, {"kind", "seed"}, f"{path}.params.source")
     if not isinstance(source["kind"], str):
         raise SchemaError(f"{path}.params.source.kind: expected a string")
     _int_field(source["seed"], f"{path}.params.source.seed", minimum=None)
@@ -567,9 +558,7 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
     step_keys = {"quotient", "r", "s", "e", "f_value", "k_index"}
     for i, raw in enumerate(raw_steps):
         where = f"{path}.steps[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: expected an object")
-        _check_keys(raw, step_keys, step_keys, where)
+        _check_keys(raw, step_keys, where)
         quotient = quotient_from_obj(raw["quotient"], partition, f"{where}.quotient",
                                      enumeration_cap=effective_cap)
         r = _parse_word_field(raw["r"], partition, f"{where}.r")
@@ -604,10 +593,7 @@ def _int_field(value, path: str, minimum=1) -> int:
 def ex2_ball_dot(cert: Ex2Certificate, n: int, extra_radius: int = 1) -> str:
     """Graphviz rendering of the Cayley ball of Q_n out to f(n) + extra,
     with the image of r_n highlighted when it lies inside."""
-    n_steps = cert.params.steps
-    if not 1 <= n <= n_steps:
-        raise ValueError(f"step index must be in 1..{n_steps}, got {n}")
-    step = cert.steps[n - 1]
+    step = _step(cert, n)
     q = step.quotient
     p = cert.params.partition
     radius = step.f_value + extra_radius

@@ -160,13 +160,14 @@ class FiniteQuotient:
     """
 
     def __init__(self, partition: FactorPartition, kind: str, *, images=None,
-                 degree=None, modulus=None, enumeration_cap=DEFAULT_ENUMERATION_CAP):
+                 degree=None, modulus=None, enumeration_cap=None):
         self.partition = partition
         self.kind = kind
         self.images = images
         self.degree = degree
         self.modulus = modulus
-        self.enumeration_cap = enumeration_cap
+        self.enumeration_cap = (DEFAULT_ENUMERATION_CAP if enumeration_cap is None
+                                else enumeration_cap)
         self._image_orders = {}
         self._table = None  # element -> BFS distance from the identity
 
@@ -310,7 +311,7 @@ class FiniteQuotient:
 
 
 def make_permutation_quotient(partition: FactorPartition, images: dict,
-                              enumeration_cap=DEFAULT_ENUMERATION_CAP) -> FiniteQuotient:
+                              enumeration_cap=None) -> FiniteQuotient:
     """Build and validate a permutation-backend quotient.
 
     ``images`` maps every generator of the partition to a bijection of
@@ -339,7 +340,7 @@ def make_permutation_quotient(partition: FactorPartition, images: dict,
 
 
 def make_abelian_quotient(partition: FactorPartition, modulus: int,
-                          enumeration_cap=DEFAULT_ENUMERATION_CAP) -> FiniteQuotient:
+                          enumeration_cap=None) -> FiniteQuotient:
     """Quotient by the kernel of exponent-sum vectors mod ``modulus``."""
     if not isinstance(modulus, int) or modulus < 2:
         raise ValueError(f"abelian modulus must be an integer >= 2, got {modulus!r}")
@@ -351,32 +352,6 @@ def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
     """Degree-1 permutation quotient (everything in the kernel)."""
     return make_permutation_quotient(
         partition, {g: Permutation.identity(1) for g in partition.generators()})
-
-
-# --- module-level operation spellings ----------------------------------------
-
-def image(q: FiniteQuotient, w: Word):
-    return q.image(w)
-
-
-def in_kernel(q: FiniteQuotient, w: Word) -> bool:
-    return q.in_kernel(w)
-
-
-def coset_equal(q: FiniteQuotient, u: Word, v: Word) -> bool:
-    return q.coset_equal(u, v)
-
-
-def quotient_order(q: FiniteQuotient) -> int:
-    return q.order()
-
-
-def element_order(q: FiniteQuotient, w: Word) -> int:
-    return q.element_order(w)
-
-
-def cayley_distance(q: FiniteQuotient, w: Word, max_radius=None):
-    return q.cayley_distance(w, max_radius=max_radius)
 
 
 def subgroup_image_order(q: FiniteQuotient, gens, cap=None) -> int:
@@ -466,13 +441,13 @@ def quotient_to_obj(q: FiniteQuotient) -> dict:
 
 
 def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
-                      enumeration_cap=DEFAULT_ENUMERATION_CAP) -> FiniteQuotient:
+                      enumeration_cap=None) -> FiniteQuotient:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = obj.get("kind")
     if kind == PERM:
         allowed = {"kind", "degree", "images"}
-        _check_keys(obj, allowed, allowed, path)
+        _check_keys(obj, allowed, path)
         degree = obj["degree"]
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise SchemaError(f"{path}.degree: expected a positive integer")
@@ -497,7 +472,7 @@ def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
             raise SchemaError(f"{path}.images: {exc}") from exc
     if kind == ABELIAN:
         allowed = {"kind", "modulus"}
-        _check_keys(obj, allowed, allowed, path)
+        _check_keys(obj, allowed, path)
         modulus = obj["modulus"]
         if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
             raise SchemaError(f"{path}.modulus: expected an integer >= 2")
@@ -511,10 +486,13 @@ def element_to_obj(q: FiniteQuotient, elt) -> dict:
     return {"kind": ABELIAN, "modulus": q.modulus, "vector": list(elt)}
 
 
-def _check_keys(obj: dict, required: set, allowed: set, path: str):
+def _check_keys(obj, keys: set, path: str):
+    """``obj`` must be an object with exactly the fields ``keys``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected an object")
     for key in obj:
-        if key not in allowed:
+        if key not in keys:
             raise SchemaError(f"{path}.{key}: unknown field")
-    for key in required:
+    for key in keys:
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing field")

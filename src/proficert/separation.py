@@ -295,8 +295,7 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
     fwd, _ = _transitions(folded)
     images = {g: _complete_to_permutation(fwd.get(g, {}), folded.num_vertices)
               for g in partition.generators()}
-    kwargs = {} if enumeration_cap is None else {"enumeration_cap": enumeration_cap}
-    quotient = make_permutation_quotient(partition, images, **kwargs)
+    quotient = make_permutation_quotient(partition, images, enumeration_cap=enumeration_cap)
     return SeparationCertificate(partition, quotient, tuple(gens), w, WITNESS_BASEPOINT)
 
 
@@ -315,8 +314,7 @@ def separate_from_identity(partition: FactorPartition, w: Word,
     if nonzero:
         for n in range(2, min(nonzero) + 2):
             if any(t % n for _, t in sums):
-                kwargs = {} if enumeration_cap is None else {"enumeration_cap": enumeration_cap}
-                quotient = make_abelian_quotient(partition, n, **kwargs)
+                quotient = make_abelian_quotient(partition, n, enumeration_cap=enumeration_cap)
                 return SeparationCertificate(partition, quotient, (), w, WITNESS_IMAGE)
         raise AssertionError("a modulus of min|sum|+1 always separates")
     return separate_from_subgroup(partition, [], w, enumeration_cap=enumeration_cap)
@@ -371,10 +369,8 @@ def partition_to_obj(p: FactorPartition) -> dict:
 
 
 def partition_from_obj(obj, path="partition") -> FactorPartition:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
     allowed = {"k_size", "l_size"}
-    _check_keys(obj, allowed, allowed, path)
+    _check_keys(obj, allowed, path)
     for key in ("k_size", "l_size"):
         v = obj[key]
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -395,15 +391,13 @@ def separation_to_obj(cert: SeparationCertificate) -> dict:
 
 
 def separation_from_obj(obj, path="certificate", enumeration_cap=None) -> SeparationCertificate:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
     allowed = {"type", "partition", "quotient", "subgroup_gens", "excluded", "witness_kind"}
-    _check_keys(obj, allowed, allowed, path)
+    _check_keys(obj, allowed, path)
     if obj["type"] != "separation":
         raise SchemaError(f"{path}.type: expected 'separation', got {obj['type']!r}")
     partition = partition_from_obj(obj["partition"], f"{path}.partition")
-    kwargs = {} if enumeration_cap is None else {"enumeration_cap": enumeration_cap}
-    quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient", **kwargs)
+    quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
+                                 enumeration_cap=enumeration_cap)
     raw_gens = obj["subgroup_gens"]
     if not isinstance(raw_gens, list):
         raise SchemaError(f"{path}.subgroup_gens: expected a list of word strings")

@@ -14,13 +14,11 @@ from proficert.quotients import (
     Permutation,
     as_permutation_quotient,
     direct_product,
-    element_order,
     element_to_obj,
     generated_image_table,
     make_abelian_quotient,
     make_permutation_quotient,
     quotient_from_obj,
-    quotient_order,
     quotient_to_obj,
     subgroup_image_order,
     trivial_quotient,
@@ -111,23 +109,23 @@ def test_fast_powering_huge_exponent():
 
 def test_element_order():
     q = make_permutation_quotient(P11, {A: Permutation((1, 2, 0)), B11: Permutation((0, 1, 2))})
-    assert element_order(q, Word(((A, 1),))) == 3
-    assert element_order(q, identity()) == 1
+    assert q.element_order(Word(((A, 1),))) == 3
+    assert q.element_order(identity()) == 1
     qa = make_abelian_quotient(P22, 12)
-    assert element_order(qa, parse_word("a", P22)) == 12
-    assert element_order(qa, parse_word("a^4", P22)) == 3
-    assert element_order(qa, parse_word("a^4 c^6", P22)) == 6
+    assert qa.element_order(parse_word("a", P22)) == 12
+    assert qa.element_order(parse_word("a^4", P22)) == 3
+    assert qa.element_order(parse_word("a^4 c^6", P22)) == 6
 
 
 def test_cyclic_image_order_three():
     q = make_permutation_quotient(P11, {A: Permutation((1, 2, 0)), B11: Permutation((0, 1, 2))})
-    assert quotient_order(q) == 3
+    assert q.order() == 3
 
 
 def test_abelian_order_is_modulus_to_rank():
     for n in (2, 3, 5):
-        assert quotient_order(make_abelian_quotient(P22, n)) == n ** 4
-        assert quotient_order(make_abelian_quotient(P11, n)) == n ** 2
+        assert make_abelian_quotient(P22, n).order() == n ** 4
+        assert make_abelian_quotient(P11, n).order() == n ** 2
 
 
 # --- BFS distances ---------------------------------------------------------------
@@ -232,7 +230,7 @@ def test_direct_product_coset_and_order():
     u, v = parse_word("a^7", P11), parse_word("a", P11)
     assert prod.coset_equal(u, v)  # 7 = 1 mod 6
     assert not prod.coset_equal(u, parse_word("a^2", P11))
-    assert element_order(prod, parse_word("a", P11)) == 6
+    assert prod.element_order(parse_word("a", P11)) == 6
 
 
 def test_direct_product_across_byte_storage():
@@ -267,12 +265,12 @@ def test_as_permutation_preserves_kernel():
     for _ in range(200):
         w = random_word(rng, P22)
         assert q.in_kernel(w) == qp.in_kernel(w)
-        assert element_order(q, w) == element_order(qp, w)
+        assert q.element_order(w) == qp.element_order(w)
 
 
 def test_trivial_quotient():
     q = trivial_quotient(P22)
-    assert quotient_order(q) == 1
+    assert q.order() == 1
     assert q.in_kernel(parse_word("a b^-1 c d", P22))
 
 
