@@ -275,6 +275,8 @@ def not_closed_witness(q: FiniteQuotient) -> Ex1NotClosedWitness:
     set itself.
     """
     k = q.element_order(WORD_A)
+    if k > DEFAULT_HEAD_CAP:
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"s_k and m_k for k = {k}")
     s_word = s_element(k)
     m_k = m_sequence(k)
     cofactor = Word(((GEN_B, -m_k),)) if m_k else identity_word()
@@ -290,6 +292,8 @@ def verify_ex1_witness(witness: Ex1NotClosedWitness) -> CheckResult:
     """Recheck a not-closed witness: the echoed pieces and the kernel claim."""
     reasons = []
     k = witness.k
+    if k > DEFAULT_HEAD_CAP:
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"s_k and m_k for k = {k}")
     if witness.s_word != s_element(k):
         reasons.append(f"s_element does not equal s_{k}")
     m_k = m_sequence(k)

@@ -13,7 +13,6 @@ while S<K-subgroup> fails to be closed.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +37,6 @@ from .words import (
     L,
     Word,
     format_word,
-    identity as identity_word,
     invert,
     multiply,
     power,
@@ -115,15 +113,11 @@ def _next_prime(n: int) -> int:
         candidate += 1
 
 
-def subgroup_k_index(q: FiniteQuotient) -> int:
-    """Order of the image of the K-factor subgroup in q."""
-    return len(generated_image_table(q, _k_letter_words(q.partition)))
-
-
-def choose_r(q: FiniteQuotient, forbidden, radius: int, enumeration_cap=None) -> Word:
-    """First K-word (by breadth-first search of the K-image) whose image
-    lies outside the radius-``radius`` ball of the full Cayley graph and
-    outside every forbidden coset.
+def choose_r(q: FiniteQuotient, table: dict, forbidden, radius: int,
+             enumeration_cap=None) -> Word:
+    """First K-word of ``table``, the K-image table of q in breadth-first
+    order, whose image lies outside the radius-``radius`` ball of the full
+    Cayley graph and outside every forbidden coset.
 
     ``forbidden`` is a sequence of (quotient, word) pairs; candidates whose
     coset in that quotient matches the word's are pruned.  The returned
@@ -131,27 +125,11 @@ def choose_r(q: FiniteQuotient, forbidden, radius: int, enumeration_cap=None) ->
     """
     cap = q.enumeration_cap if enumeration_cap is None else enumeration_cap
     ball = set(q.ball(radius, cap=cap))
-    moves = []
-    for w in _k_letter_words(q.partition):
-        moves.append((w, q.image(w)))
-    for w in _k_letter_words(q.partition):
-        moves.append((invert(w), q.elem_inv(q.image(w))))
-    start = q.identity_element()
-    seen = {start}
-    queue = deque([(start, identity_word())])
-    while queue:
-        x, wx = queue.popleft()
+    for x, wx in table.items():
         if x not in ball and all(not qm.coset_equal(wx, rm) for qm, rm in forbidden):
             return wx
-        for mw, mx in moves:
-            y = q.elem_mul(x, mx)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(cap, "K-image search in choose_r")
-                seen.add(y)
-                queue.append((y, multiply(wx, mw)))
     raise NoAdmissibleElementError(
-        f"the K-image of size {len(seen)} has no element past radius {radius} "
+        f"the K-image of size {len(table)} has no element past radius {radius} "
         f"and outside {len(forbidden)} forbidden cosets")
 
 
@@ -235,25 +213,25 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
     kk = partition.k_size
 
     quotient = None
+    table = {}  # K-image table of ``quotient``; its length is the K-index
     built = []
     forbidden = []
     recip = Fraction(0)
-    index = 1  # order of the K-image of ``quotient``, carried from its table
     draws = 0
     for n in range(1, steps + 1):
         f_n = f_values[n - 1]
         # reduced K-words of length exactly f_n; the K-image must outgrow
         # this count before "outside the f_n-ball" can have solutions
         sphere_count = 2 * kk * (2 * kk - 1) ** (f_n - 1)
-        need = index + 1
+        need = len(table) + 1
         need = max(need, sphere_count + 1 if n == 1 else 2 * sphere_count + 1)
         slack = Fraction(1, 2) - recip
         need = max(need, int(1 / slack) + 1)
         r_n = None
         while r_n is None:
-            if index >= need:
+            if len(table) >= need:
                 try:
-                    r_n = choose_r(quotient, forbidden, f_n,
+                    r_n = choose_r(quotient, table, forbidden, f_n,
                                    enumeration_cap=enumeration_cap)
                     break
                 except NoAdmissibleElementError:
@@ -265,15 +243,15 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
             candidate = (factor if quotient is None
                          else direct_product(quotient, factor))
             try:
-                cand_index = len(generated_image_table(candidate, k_words))
+                cand_table = generated_image_table(candidate, k_words)
             except CapExceededError:
                 continue
-            if quotient is None or cand_index > index:
-                quotient, index = candidate, cand_index
+            if quotient is None or len(cand_table) > len(table):
+                quotient, table = candidate, cand_table
         s_n, e_n = make_s(r_n, quotient)
-        recip += Fraction(1, index)
+        recip += Fraction(1, len(table))
         assert recip < Fraction(1, 2)
-        built.append(Ex2Step(quotient, r_n, s_n, e_n, f_n, index))
+        built.append(Ex2Step(quotient, r_n, s_n, e_n, f_n, len(table)))
         forbidden.append((quotient, r_n))
     params = Ex2Params(partition, steps, f_values, source.describe(),
                        enumeration_cap, max_source_draws)

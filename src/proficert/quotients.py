@@ -354,11 +354,6 @@ def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
         partition, {g: Permutation.identity(1) for g in partition.generators()})
 
 
-def subgroup_image_order(q: FiniteQuotient, gens, cap=None) -> int:
-    """Order of the subgroup of the image generated by the words' images."""
-    return len(generated_image_table(q, gens, cap=cap))
-
-
 def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
     """BFS over the image subgroup generated by ``gens`` (a list of words).
 

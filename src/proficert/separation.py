@@ -2,15 +2,18 @@
 
 A finitely generated subgroup is represented by its folded based graph
 (vertices 0..v-1, basepoint 0, edges labeled by generators).  Folding the
-wedge of generator loops yields an exact membership test; completing the
-folded graph's partial injections to permutations yields a finite quotient
-in which the subgroup fixes the basepoint while a chosen excluded word
-moves it — an effective form of the classical closedness of finitely
-generated subgroups in the profinite topology.
+wedge of generator loops, in one worklist pass with union-find where each
+merge touches only the half-edges of the smaller side, yields an exact
+membership test; completing the folded graph's partial injections to
+permutations yields a finite quotient in which the subgroup fixes the
+basepoint while a chosen excluded word moves it — an effective form of the
+classical closedness of finitely generated subgroups in the profinite
+topology.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -136,12 +139,21 @@ def adjoin_word_path(graph: StallingsGraph, w: Word) -> StallingsGraph:
 def fold(graph: StallingsGraph) -> StallingsGraph:
     """Fold to partial injections and renumber canonically.
 
-    Repeatedly merges the far endpoints of equal-labeled edge pairs that
-    share a source (or a target); the result is independent of merge order,
-    and the final BFS renumbering from the basepoint makes equality of
-    folded graphs coincide with based labeled-graph isomorphism.
+    A worklist holds each edge once as two half-edges ``(v, label, w)``:
+    label ``i`` reads generator ``i`` forward, label ``rank + i`` reads it
+    backward.  Every vertex keeps one far end per label; a half-edge that
+    meets a different far end merges the two ends (union-find), and the
+    side with fewer half-edges pushes its own back onto the survivor, so no
+    edge is rescanned.  The result is independent of merge order, and one
+    BFS from the basepoint (out-labels in generator order, then in-labels)
+    renumbers it, so equality of folded graphs coincides with based
+    labeled-graph isomorphism.
     """
+    gens = graph.partition.generators()
+    rank = len(gens)
+    label = {g: i for i, g in enumerate(gens)}
     parent = list(range(graph.num_vertices))
+    ends = [{} for _ in parent]  # vertex -> {label: far end, maybe not a root}
 
     def find(x):
         while parent[x] != x:
@@ -149,61 +161,35 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
+    work = []
+    for s, g, t in graph.edges:
+        work.append((s, label[g], t))
+        work.append((t, label[g] + rank, s))
+    while work:
+        v, lab, w = work.pop()
+        v, w = find(v), find(w)
+        u = find(ends[v].setdefault(lab, w))
+        if u != w:
+            if len(ends[u]) < len(ends[w]):
+                u, w = w, u
+            parent[w] = u
+            work.extend((u, k, x) for k, x in ends[w].items())
+            ends[w] = None
 
-    edges = {(find(s), g, find(t)) for s, g, t in graph.edges}
-    while True:
-        merge = None
-        out = {}
-        inn = {}
-        for s, g, t in sorted(edges):
-            key = (s, g)
-            if key in out and out[key] != t:
-                merge = (out[key], t)
-                break
-            out[key] = t
-            ikey = (t, g)
-            if ikey in inn and inn[ikey] != s:
-                merge = (inn[ikey], s)
-                break
-            inn[ikey] = s
-        if merge is None:
-            break
-        union(*merge)
-        edges = {(find(s), g, find(t)) for s, g, t in edges}
-    return _canonical(graph.partition, edges, find(0))
-
-
-def _canonical(partition: FactorPartition, edges, basepoint) -> StallingsGraph:
-    """BFS renumbering of a folded edge set from the basepoint."""
-    out = {}
-    inn = {}
-    for s, g, t in edges:
-        out[(s, g)] = t
-        inn[(t, g)] = s
-    gens = partition.generators()
-    number = {basepoint: 0}
-    queue = [basepoint]
+    root = find(0)
+    number = {root: 0}
+    queue = deque([root])
+    edges = []
     while queue:
-        v = queue.pop(0)
-        for g in gens:
-            t = out.get((v, g))
-            if t is not None and t not in number:
-                number[t] = len(number)
-                queue.append(t)
-        for g in gens:
-            s = inn.get((v, g))
-            if s is not None and s not in number:
-                number[s] = len(number)
-                queue.append(s)
-    renamed = frozenset((number[s], g, number[t]) for s, g, t in edges)
-    return StallingsGraph(partition, len(number), renamed, True)
+        v = queue.popleft()
+        for lab, x in sorted(ends[v].items()):
+            x = find(x)
+            if x not in number:
+                number[x] = len(number)
+                queue.append(x)
+            if lab < rank:
+                edges.append((number[v], gens[lab], number[x]))
+    return StallingsGraph(graph.partition, len(number), frozenset(edges), True)
 
 
 def build_stallings(partition: FactorPartition, gens) -> StallingsGraph:

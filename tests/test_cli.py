@@ -292,19 +292,28 @@ def test_schema_error_reports_field_path(capsys, tmp_path, chain):
 @pytest.mark.parametrize("field, value", [
     ("head_bound", "200000"),
     ("modulus", str(2 ** 89 - 1)),  # a prime that trial division cannot factor
+    ("k", 300000),  # of a not-closed witness rather than a tail certificate
 ])
 def test_ex1_verify_bounded_on_hostile_tail_sizes(capsys, tmp_path, field, value):
     # a verifier that trusts these fields runs for minutes: it builds a^(j!)
-    # for every j below the head bound, or trial-divides the modulus
-    _, out, _ = run(capsys, "ex1-separate", "--word", "b")
+    # for every j below the head bound, trial-divides the modulus, or builds
+    # k! and m_k
+    if field == "k":
+        _, out, _ = run(capsys, "ex1-witness", "--abelian", "4")
+    else:
+        _, out, _ = run(capsys, "ex1-separate", "--word", "b")
     obj = json.loads(out)
     obj[field] = value
     path = tmp_path / "tail.json"
     path.write_text(canonical_json(obj))
     result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
                          timeout=2)
-    assert result.returncode == 1
-    assert json.loads(result.stdout)["ok"] is False
+    if field == "k":
+        assert result.returncode == 3
+        assert "enumeration cap 4096 exceeded" in result.stderr
+    else:
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["ok"] is False
 
 
 # --- entry point, run as a separate process ------------------------------------------
@@ -320,6 +329,17 @@ def run_process(*argv, timeout=None):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(list(argv), capture_output=True, text=True, env=env,
                           timeout=timeout)
+
+
+def test_stallings_folds_long_merge_heavy_subgroup():
+    # <a^n, a^(n-1)> = <a>; a fold that rescans every edge after each of its
+    # ~2n merges needs minutes on this input
+    result = run_process(sys.executable, "-m", "proficert", "stallings",
+                         "--gen", "a^20000", "--gen", "a^19999", timeout=10)
+    assert result.returncode == 0
+    assert json.loads(result.stdout) == {
+        "edges": [[0, "a", 0]], "folded": True, "num_vertices": 1,
+        "partition": {"k_size": 1, "l_size": 1}}
 
 
 def check_reduce_across_process(*command):

@@ -26,7 +26,6 @@ from proficert.example2 import (
     finite_intersection_witness,
     make_s,
     not_closed_witness2,
-    subgroup_k_index,
     verify_ex2,
 )
 from proficert.quotients import (
@@ -92,21 +91,25 @@ def test_mixed_source_alternates_kinds():
     assert moduli == [2, 3, 5]
 
 
+def k_table(q):
+    return generated_image_table(q, k_words(q.partition))
+
+
 def test_subgroup_k_index():
-    assert subgroup_k_index(make_abelian_quotient(P22, 5)) == 25
-    assert subgroup_k_index(make_abelian_quotient(P11, 7)) == 7
-    assert subgroup_k_index(trivial_quotient(P22)) == 1
+    assert len(k_table(make_abelian_quotient(P22, 5))) == 25
+    assert len(k_table(make_abelian_quotient(P11, 7))) == 7
+    assert len(k_table(trivial_quotient(P22))) == 1
 
 
 def test_choose_r_abelian_examples():
     q = make_abelian_quotient(P11, 7)
-    assert choose_r(q, [], 1) == parse_word("a^2", P11)
-    assert choose_r(q, [], 0) == parse_word("a", P11)
+    assert choose_r(q, k_table(q), [], 1) == parse_word("a^2", P11)
+    assert choose_r(q, k_table(q), [], 0) == parse_word("a", P11)
 
 
 def test_choose_r_respects_forbidden_cosets():
     q = make_abelian_quotient(P11, 7)
-    r = choose_r(q, [(q, parse_word("a", P11))], 0)
+    r = choose_r(q, k_table(q), [(q, parse_word("a", P11))], 0)
     assert r == parse_word("a^-1", P11)
 
 
@@ -115,7 +118,7 @@ def test_choose_r_exhaustion():
     q = make_permutation_quotient(
         P11, {Generator(K, 0): Permutation((1, 0)), Generator(L, 0): Permutation((0, 1))})
     with pytest.raises(NoAdmissibleElementError):
-        choose_r(q, [], 1)
+        choose_r(q, k_table(q), [], 1)
 
 
 def test_choose_r_returns_k_word_past_radius():
@@ -123,7 +126,7 @@ def test_choose_r_returns_k_word_past_radius():
     for _ in range(10):
         q = make_abelian_quotient(P22, rng.randrange(5, 12))
         radius = rng.randrange(0, 3)
-        r = choose_r(q, [], radius)
+        r = choose_r(q, k_table(q), [], radius)
         assert all(g.factor == K for g, _ in r.runs)
         assert q.cayley_distance(r, max_radius=radius) is None
 
@@ -171,8 +174,9 @@ def test_verify_default_run(default_cert):
 
 
 def test_k_image_tables_built_once_per_quotient(monkeypatch, default_cert):
-    # construct carries each accepted candidate's K-index instead of rebuilding
-    # its table, and verify reads each step's table again in chain-descent
+    # construct carries each accepted candidate's K-image table into choose_r
+    # instead of rebuilding it, and verify reads each step's table again in
+    # chain-descent
     built = []
 
     def counting(q, gens, cap=None):

@@ -41,6 +41,7 @@ from proficert.words import (
 )
 
 P11 = FactorPartition(1, 1)
+P21 = FactorPartition(2, 1)
 P22 = FactorPartition(2, 2)
 A = Generator(K, 0)
 B11 = Generator(L, 0)
@@ -214,6 +215,50 @@ def test_fold_confluent_under_relabeling():
         baseline = fold(wedge)
         for _ in range(3):
             assert fold(_relabel(wedge, rng)) == baseline
+
+
+def rescanning_fold(graph):
+    """Reference fold: merge one conflicting pair, rescan every edge, repeat;
+    then number vertices by BFS from the basepoint, out-labels first."""
+    parent = list(range(graph.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = set(graph.edges)
+    while True:
+        far, merge = {}, None
+        for s, g, t in edges:
+            for key, end in (((s, g, 1), t), ((t, g, -1), s)):
+                if merge is None and far.setdefault(key, end) != end:
+                    merge = (far[key], end)
+        if merge is None:
+            break
+        parent[max(merge)] = min(merge)
+        edges = {(find(s), g, find(t)) for s, g, t in edges}
+    number = {find(0): 0}
+    queue = [find(0)]
+    for v in queue:  # the queue grows while it is read
+        for sign in (1, -1):
+            for g in graph.partition.generators():
+                end = far.get((v, g, sign))
+                if end is not None and end not in number:
+                    number[end] = len(number)
+                    queue.append(end)
+    renamed = frozenset((number[s], g, number[t]) for s, g, t in edges)
+    return StallingsGraph(graph.partition, len(number), renamed, True)
+
+
+def test_fold_matches_rescanning_reference():
+    rng = random.Random(37)
+    for _ in range(300):
+        partition = rng.choice([P11, P21, P22])
+        wedge = loop_wedge(partition, random_subgroup(rng, partition, max_gens=4, max_len=8))
+        assert fold(wedge) == rescanning_fold(wedge)
+        path = adjoin_word_path(wedge, random_word(rng, partition, rng.randrange(1, 9)))
+        assert fold(path) == rescanning_fold(path)
 
 
 def test_two_parallel_edges_merge():
