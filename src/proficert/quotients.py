@@ -1,12 +1,14 @@
 """Finite quotients of the free group and their certificate arithmetic.
 
-A quotient is a homomorphism onto a finite group, given either by
-permutation images of the generators (degree-d right action on 0..d-1) or
-by the abelianization modulo n.  Image computation reduces each run's
-exponent modulo the order of the generator's image, so words like
-``a^(20!)`` cost sub-millisecond time.  Enumerations (group order, Cayley
-balls, generated subgroups) are breadth-first, deterministic, and hard-fail
-on a configurable cap instead of truncating.
+A quotient is a homomorphism onto a finite group, given by permutation
+images of the generators (degree-d right action on 0..d-1).  The
+abelianization modulo n is one such quotient: generator i rotates its own
+block of n points, and only its JSON form remembers the modulus.  Image
+computation reduces each run's exponent modulo the order of the
+generator's image, so words like ``a^(20!)`` cost sub-millisecond time.
+Enumerations (group order, Cayley balls, generated subgroups) are
+breadth-first, deterministic, and hard-fail on a configurable cap instead
+of truncating.
 """
 
 from __future__ import annotations
@@ -153,10 +155,10 @@ def _check_permutation(values, degree: int, where: str) -> Permutation:
 class FiniteQuotient:
     """An immutable finite quotient; construct via the make_* factories.
 
-    Elements of the image group are :class:`Permutation` objects for the
-    permutation backend and residue tuples for the abelian backend.
-    Enumeration tables are memoized lazily and never mutate observable
-    state.
+    Elements of the image group are :class:`Permutation` objects.  ``kind``
+    and ``modulus`` only choose the serialized form: an abelian quotient
+    is stored as its modulus and acts by block rotations.  Enumeration
+    tables are memoized lazily and never mutate observable state.
     """
 
     def __init__(self, partition: FactorPartition, kind: str, *, images=None,
@@ -184,30 +186,12 @@ class FiniteQuotient:
 
     # --- element arithmetic -------------------------------------------------
 
-    def identity_element(self):
-        if self.kind == PERM:
-            return Permutation.identity(self.degree)
-        return (0,) * self.partition.rank
+    def identity_element(self) -> Permutation:
+        return Permutation.identity(self.degree)
 
-    def elem_mul(self, x, y):
-        if self.kind == PERM:
-            return x * y
-        n = self.modulus
-        return tuple((a + b) % n for a, b in zip(x, y))
-
-    def elem_inv(self, x):
-        if self.kind == PERM:
-            return x.inverse()
-        n = self.modulus
-        return tuple((-a) % n for a in x)
-
-    def generator_image(self, gen: Generator):
+    def generator_image(self, gen: Generator) -> Permutation:
         self.partition.check(gen)
-        if self.kind == PERM:
-            return self.images[gen]
-        vec = [0] * self.partition.rank
-        vec[self.partition.flat_index(gen)] = 1 % self.modulus
-        return tuple(vec)
+        return self.images[gen]
 
     def _generator_image_order(self, gen: Generator) -> int:
         if gen not in self._image_orders:
@@ -216,21 +200,11 @@ class FiniteQuotient:
 
     # --- homomorphism -------------------------------------------------------
 
-    def image(self, w: Word):
+    def image(self, w: Word) -> Permutation:
         """Image of a word; run exponents are reduced mod the image order."""
-        if self.kind == ABELIAN:
-            n = self.modulus
-            vec = [0] * self.partition.rank
-            for g, e in w.runs:
-                i = self.partition.flat_index(g)
-                vec[i] = (vec[i] + e) % n
-            return tuple(vec)
         acc = Permutation.identity(self.degree)
         for g, e in w.runs:
-            p = self.images[g]
-            if p is None:
-                raise ValueError(f"no image for generator {g!r}")
-            acc = acc * (p ** (e % self._generator_image_order(g)))
+            acc = acc * (self.images[g] ** (e % self._generator_image_order(g)))
         return acc
 
     def in_kernel(self, w: Word) -> bool:
@@ -241,11 +215,7 @@ class FiniteQuotient:
 
     def element_order(self, w: Word) -> int:
         """Least e >= 1 with w^e in the kernel (= order of the image)."""
-        x = self.image(w)
-        if self.kind == PERM:
-            return x.order()
-        n = self.modulus
-        return math.lcm(*(n // math.gcd(n, v) for v in x)) if x else 1
+        return self.image(w).order()
 
     # --- enumeration --------------------------------------------------------
 
@@ -253,7 +223,7 @@ class FiniteQuotient:
         """Images of all generators then all inverses, K block before L."""
         gens = self.partition.generators()
         moves = [self.generator_image(g) for g in gens]
-        moves += [self.elem_inv(m) for m in moves]
+        moves += [m.inverse() for m in moves]
         return moves
 
     def _bfs(self, max_radius=None, cap=None, stop_at=None):
@@ -272,7 +242,7 @@ class FiniteQuotient:
             if max_radius is not None and d >= max_radius:
                 continue
             for mv in moves:
-                y = self.elem_mul(x, mv)
+                y = x * mv
                 if y not in dist:
                     if len(dist) >= cap:
                         raise CapExceededError(cap, "image group enumeration")
@@ -341,11 +311,29 @@ def make_permutation_quotient(partition: FactorPartition, images: dict,
 
 def make_abelian_quotient(partition: FactorPartition, modulus: int,
                           enumeration_cap=None) -> FiniteQuotient:
-    """Quotient by the kernel of exponent-sum vectors mod ``modulus``."""
+    """Quotient by the kernel of exponent-sum vectors mod ``modulus``.
+
+    Generator i rotates its own block of ``modulus`` points, so the image
+    of a word holds its i-th exponent sum as the shift of block i.  The
+    ``modulus * rank`` points must fit the enumeration cap.
+    """
     if not isinstance(modulus, int) or modulus < 2:
         raise ValueError(f"abelian modulus must be an integer >= 2, got {modulus!r}")
-    return FiniteQuotient(partition, ABELIAN, modulus=modulus,
-                          enumeration_cap=enumeration_cap)
+    cap = DEFAULT_ENUMERATION_CAP if enumeration_cap is None else enumeration_cap
+    n = modulus
+    degree = n * partition.rank
+    if degree > cap:
+        raise CapExceededError(cap, f"permutation form of abelian modulus {n}")
+    # the images share these int objects; at 10^6 points a copy costs 28 MB
+    points = list(range(degree))
+    images = {}
+    for g in partition.generators():
+        start = partition.flat_index(g) * n
+        mapping = points[:]
+        mapping[start:start + n] = points[start + 1:start + n] + [points[start]]
+        images[g] = Permutation(mapping)
+    return FiniteQuotient(partition, ABELIAN, images=images, degree=degree,
+                          modulus=modulus, enumeration_cap=enumeration_cap)
 
 
 def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
@@ -363,7 +351,7 @@ def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
     """
     cap = q.enumeration_cap if cap is None else cap
     moves = [(w, q.image(w)) for w in gens]
-    moves += [(invert(w), q.elem_inv(x)) for w, x in moves]
+    moves += [(invert(w), x.inverse()) for w, x in moves]
     start = q.identity_element()
     table = {start: identity_word()}
     queue = deque([start])
@@ -371,7 +359,7 @@ def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
         x = queue.popleft()
         wx = table[x]
         for mw, mx in moves:
-            y = q.elem_mul(x, mx)
+            y = x * mx
             if y not in table:
                 if len(table) >= cap:
                     raise CapExceededError(cap, "generated subgroup enumeration")
@@ -380,43 +368,19 @@ def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
     return table
 
 
-def as_permutation_quotient(q: FiniteQuotient) -> FiniteQuotient:
-    """Re-express an abelian quotient as commuting block rotations.
-
-    Generator i rotates its own block of ``modulus`` points, so kernels,
-    orders, and coset tests are preserved exactly.
-    """
-    if q.kind == PERM:
-        return q
-    n = q.modulus
-    rank = q.partition.rank
-    if n * rank > q.enumeration_cap:
-        raise CapExceededError(q.enumeration_cap, f"permutation form of abelian modulus {n}")
-    images = {}
-    for g in q.partition.generators():
-        i = q.partition.flat_index(g)
-        mapping = list(range(n * rank))
-        for j in range(n):
-            mapping[i * n + j] = i * n + (j + 1) % n
-        images[g] = Permutation(mapping)
-    return make_permutation_quotient(q.partition, images, enumeration_cap=q.enumeration_cap)
-
-
 def direct_product(q1: FiniteQuotient, q2: FiniteQuotient) -> FiniteQuotient:
     """Quotient whose kernel is the intersection of the two kernels.
 
-    Realized as the disjoint-union permutation action, so the result stays
-    within the two serialized backend kinds.
+    Realized as the disjoint-union permutation action: q1 acts on the
+    first block of points and q2 on the block after it.
     """
     if q1.partition != q2.partition:
         raise ValueError("direct product needs matching partitions")
-    p1 = as_permutation_quotient(q1)
-    p2 = as_permutation_quotient(q2)
-    shift = p1.degree
+    shift = q1.degree
     images = {}
     for g in q1.partition.generators():
-        left = p1.images[g].mapping
-        right = p2.images[g].mapping
+        left = q1.images[g].mapping
+        right = q2.images[g].mapping
         images[g] = Permutation((*left, *(x + shift for x in right)))
     cap = max(q1.enumeration_cap, q2.enumeration_cap)
     return make_permutation_quotient(q1.partition, images, enumeration_cap=cap)
@@ -475,10 +439,13 @@ def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
     raise SchemaError(f"{path}.kind: expected 'perm' or 'abelian', got {kind!r}")
 
 
-def element_to_obj(q: FiniteQuotient, elt) -> dict:
+def element_to_obj(q: FiniteQuotient, elt: Permutation) -> dict:
     if q.kind == PERM:
         return {"kind": PERM, "mapping": list(elt.mapping)}
-    return {"kind": ABELIAN, "modulus": q.modulus, "vector": list(elt)}
+    # the shift of block i is the i-th exponent sum mod n
+    n = q.modulus
+    vector = [elt.mapping[i * n] - i * n for i in range(q.partition.rank)]
+    return {"kind": ABELIAN, "modulus": n, "vector": vector}
 
 
 def _check_keys(obj, keys: set, path: str):

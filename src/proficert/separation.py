@@ -20,7 +20,6 @@ from functools import lru_cache
 from .errors import CapExceededError, SchemaError
 from .quotients import (
     FiniteQuotient,
-    PERM,
     Permutation,
     _check_keys,
     _check_permutation,
@@ -312,33 +311,28 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
     q = cert.quotient
     if q.partition != cert.partition:
         reasons.append("quotient partition differs from certificate partition")
-    if q.kind == PERM:
-        for g in cert.partition.generators():
-            p = q.images.get(g) if q.images else None
-            if p is None:
-                reasons.append(f"images[{cert.partition.letter(g)}]: missing")
-                continue
-            try:
-                _check_permutation(p.mapping, q.degree, f"images[{cert.partition.letter(g)}]")
-            except ValueError as exc:
-                reasons.append(str(exc))
-    else:
-        if not isinstance(q.modulus, int) or q.modulus < 2:
-            reasons.append(f"modulus: expected an integer >= 2, got {q.modulus!r}")
+    for g in cert.partition.generators():
+        p = q.images.get(g)
+        if p is None:
+            reasons.append(f"images[{cert.partition.letter(g)}]: missing")
+            continue
+        try:
+            _check_permutation(p.mapping, q.degree, f"images[{cert.partition.letter(g)}]")
+        except ValueError as exc:
+            reasons.append(str(exc))
     if cert.witness_kind not in WITNESS_KINDS:
         reasons.append(f"unknown witness kind {cert.witness_kind!r}")
     if reasons:
         return CheckResult(False, tuple(reasons))
 
     if cert.witness_kind == WITNESS_BASEPOINT:
-        if q.kind != PERM:
-            reasons.append("basepoint witness requires a permutation quotient")
-        else:
-            for i, gw in enumerate(cert.subgroup_gens):
-                if q.image(gw)(0) != 0:
-                    reasons.append(f"subgroup generator {i} moves the basepoint")
-            if q.image(cert.excluded)(0) == 0:
-                reasons.append("excluded word fixes the basepoint")
+        # sound for any permutation action: the stabilizer of point 0
+        # contains the subgroup but not the excluded word
+        for i, gw in enumerate(cert.subgroup_gens):
+            if q.image(gw)(0) != 0:
+                reasons.append(f"subgroup generator {i} moves the basepoint")
+        if q.image(cert.excluded)(0) == 0:
+            reasons.append("excluded word fixes the basepoint")
     else:
         for i, gw in enumerate(cert.subgroup_gens):
             if not q.in_kernel(gw):

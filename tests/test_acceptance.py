@@ -197,9 +197,9 @@ def test_criterion_quotient_laws_and_fast_powering():
         for g, e in word.runs:
             step = q.generator_image(g)
             if e < 0:
-                step = q.elem_inv(step)
+                step = step.inverse()
             for _ in range(abs(e)):
-                acc = q.elem_mul(acc, step)
+                acc = acc * step
         return acc
 
     for _ in range(10 ** 3):

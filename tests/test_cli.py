@@ -48,6 +48,12 @@ def test_image_abelian(capsys):
     assert json.loads(out) == {"kind": "abelian", "modulus": 5, "vector": [2, 0]}
 
 
+def test_image_abelian_modulus_past_cap_exits_3(capsys):
+    code, out, err = run(capsys, "image", "--word", "a", "--abelian", "1000000000")
+    assert code == 3 and out == ""
+    assert "enumeration cap" in err
+
+
 def test_image_from_quotient_file(capsys, tmp_path):
     path = tmp_path / "q.json"
     path.write_text(canonical_json(quotient_to_obj(make_abelian_quotient(P11, 5))))
@@ -392,7 +398,9 @@ def test_installed_console_script():
 # stdout, exact stderr or None).  "{name}" in an argument is the path of a
 # file saved by an earlier row or derived from one by ``DERIVED``.  The
 # digests were recorded before the certificate types shared one table in
-# the CLI, and pin that every command still prints the same bytes.
+# the CLI, and pin that every command still prints the same bytes.  The two
+# ``ex2-verify`` rows were recorded again when "chain-containment" became an
+# exact block-restriction check; only that clause's details changed.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
 
 
@@ -462,9 +470,9 @@ PINNED = (
     (None, ("ex2-construct", "--steps", "2", "--cap", "50"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     (None, ("ex2-verify", "{chain}"), 0,
-     "ba6ff5e0663974dc13c60e9b3196364a01a4b0cd71bc2de1d73c022ab1aca734", None),
+     "80dc7b8e09468283d7bb680477954dc23dbf2b7e0f2805da8a0432ebf5aab1c3", None),
     (None, ("ex2-verify", "{bad_chain}"), 1,
-     "a441f11408edaf187f1ba7eb7c6f4dac06f1786ced92b159ef49be87f276a95e", None),
+     "01abc15e9acc39e52224c02957a803b950dda4a13f9055a5b45067786bf13c38", None),
     (None, ("ex2-witness", "{chain}", "--step", "3"), 0,
      "fc4caa327b7382067d613201df946dd0867b2bbeb93f7d58f81e0d408870d27b", None),
     (None, ("ex2-witness", "{chain}", "--step", "2", "--kind", "intersection",

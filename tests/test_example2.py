@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,10 +30,13 @@ from proficert.example2 import (
     verify_ex2,
 )
 from proficert.quotients import (
+    DEFAULT_ENUMERATION_CAP,
     Permutation,
+    direct_product,
     generated_image_table,
     make_abelian_quotient,
     make_permutation_quotient,
+    quotient_from_obj,
     quotient_to_obj,
     trivial_quotient,
 )
@@ -42,9 +46,11 @@ from proficert.words import (
     FactorPartition,
     Generator,
     Word,
+    format_word,
     invert,
     multiply,
     parse_word,
+    power,
     word_length,
 )
 
@@ -287,6 +293,85 @@ def test_verify_detects_bad_params(default_cert):
     bad = dataclasses.replace(default_cert, params=params)
     report = verify_ex2(bad)
     assert any(c.clause == "params-structure" and not c.ok for c in report.clauses)
+
+
+def failing_clauses(report):
+    return {(c.clause, c.m) for c in report.failures()}
+
+
+def test_verify_rejects_spliced_chain(default_cert):
+    # Swap the L-generator images of Q_1 and repair e_1 and s_1; the K-index
+    # and the reciprocal sum only read the K images.  Q_2 still carries the
+    # original Q_1 as its first block, so (a c)^k with k the order of a c in
+    # Q_2 lies in ker Q_2 but not in ker Q_1: the chain does not descend,
+    # although every kernel probe on powers of b does.
+    obj = ex2_to_obj(default_cert)
+    step1 = obj["steps"][0]
+    images = step1["quotient"]["images"]
+    images["c"], images["d"] = images["d"], images["c"]
+    q1 = quotient_from_obj(step1["quotient"], P22)
+    r1 = parse_word(step1["r"], P22)
+    s1, step1["e"] = make_s(r1, q1)
+    step1["s"] = format_word(s1, P22)
+    cert = ex2_from_obj(obj)
+    q2 = cert.steps[1].quotient
+    ac = parse_word("a c", P22)
+    probe = power(ac, q2.element_order(ac))
+    assert q2.in_kernel(probe) and not q1.in_kernel(probe)
+
+    report = verify_ex2(cert)
+    assert failing_clauses(report) == {("chain-containment", 1)}
+    detail = report.failures()[0].detail
+    assert "image of c in Q_2" in detail and "image of d in Q_2" in detail
+    assert "image of a" not in detail
+
+
+def test_chain_descent_needs_a_witness():
+    # Q_2 = Q_1 x F with F trivial on K: the K-image and the K-index stay the
+    # same and only the quotient order grows, which proves no descent of the
+    # K-side kernels.  Every other clause holds.
+    q1 = make_permutation_quotient(P22, {
+        Generator(K, 0): (1, 2, 3, 0), Generator(K, 1): (1, 0, 2, 3),
+        Generator(L, 0): (0, 1, 3, 2), Generator(L, 1): (0, 1, 2, 3)})
+    factor = make_permutation_quotient(P22, {
+        Generator(K, 0): (0, 1, 2), Generator(K, 1): (0, 1, 2),
+        Generator(L, 0): (1, 0, 2), Generator(L, 1): (0, 2, 1)})
+    q2 = direct_product(q1, factor)
+    assert (q1.order(), q2.order()) == (24, 144)
+    tables = [generated_image_table(q, k_words(P22)) for q in (q1, q2)]
+    assert len(tables[0]) == len(tables[1]) == 24
+    r1 = choose_r(q1, tables[0], [], 1)
+    r2 = choose_r(q2, tables[1], [(q1, r1)], 2)
+    steps = []
+    for q, r, f in ((q1, r1, 1), (q2, r2, 2)):
+        s, e = make_s(r, q)
+        steps.append(Ex2Step(q, r, s, e, f, 24))
+    params = Ex2Params(P22, 2, (1, 2), {"kind": "hand", "seed": 0}, 10 ** 6, 1)
+    report = verify_ex2(Ex2Certificate(params, tuple(steps), Fraction(1, 12)))
+    assert failing_clauses(report) == {("chain-descent", 1)}
+
+
+def test_file_cannot_raise_the_verifier_cap(default_cert):
+    obj = ex2_to_obj(default_cert)
+    obj["params"]["enumeration_cap"] = 10 ** 12
+    loaded = ex2_from_obj(obj)
+    assert {st.quotient.enumeration_cap for st in loaded.steps} == {DEFAULT_ENUMERATION_CAP}
+    assert loaded.params.enumeration_cap == 10 ** 12
+    loaded = ex2_from_obj(obj, enumeration_cap=50)
+    assert {st.quotient.enumeration_cap for st in loaded.steps} == {50}
+
+
+def test_huge_f_is_rejected_quickly(default_cert):
+    # 3^(10^8 - 1) is never built: the bound stops once it passes the index
+    obj = ex2_to_obj(default_cert)
+    f_values = [10 ** 8 + i for i in range(4)]
+    obj["params"]["f_values"] = f_values
+    for st, f in zip(obj["steps"], f_values):
+        st["f_value"] = f
+    started = time.perf_counter()
+    report = verify_ex2(ex2_from_obj(obj))
+    assert time.perf_counter() - started < 2
+    assert ("step1-index-bound", 1) in failing_clauses(report)
 
 
 # --- witnesses ---------------------------------------------------------------------

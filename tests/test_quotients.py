@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from collections import deque
 
 import pytest
@@ -12,7 +13,6 @@ from proficert.quotients import (
     DEFAULT_ENUMERATION_CAP,
     FiniteQuotient,
     Permutation,
-    as_permutation_quotient,
     direct_product,
     element_to_obj,
     generated_image_table,
@@ -68,9 +68,9 @@ def naive_image(q, w):
     out = q.identity_element()
     for g, e in w.runs:
         img = q.generator_image(g)
-        step = img if e > 0 else q.elem_inv(img)
+        step = img if e > 0 else img.inverse()
         for _ in range(abs(e)):
-            out = q.elem_mul(out, step)
+            out = out * step
     return out
 
 
@@ -89,7 +89,7 @@ def test_homomorphism_laws():
         partition = rng.choice([P11, P22])
         q = random_quotient(rng, partition)
         u, v = random_word(rng, partition), random_word(rng, partition)
-        assert q.image(multiply(u, v)) == q.elem_mul(q.image(u), q.image(v))
+        assert q.image(multiply(u, v)) == q.image(u) * q.image(v)
         assert q.image(identity()) == q.identity_element()
         assert q.in_kernel(multiply(u, ~u))
 
@@ -133,7 +133,7 @@ def naive_distance(q, w, limit=None):
     """Breadth-first over the image group, written independently."""
     target = q.image(w)
     moves = [q.generator_image(g) for g in q.partition.generators()]
-    moves += [q.elem_inv(m) for m in moves]
+    moves += [m.inverse() for m in moves]
     start = q.identity_element()
     seen = {start: 0}
     fringe = deque([start])
@@ -144,7 +144,7 @@ def naive_distance(q, w, limit=None):
         if limit is not None and seen[x] >= limit:
             continue
         for m in moves:
-            y = q.elem_mul(x, m)
+            y = x * m
             if y not in seen:
                 seen[y] = seen[x] + 1
                 fringe.append(y)
@@ -255,16 +255,26 @@ def test_direct_product_across_byte_storage():
         assert quotient_from_obj(json.loads(json.dumps(quotient_to_obj(q))), P11) == q
 
 
-def test_as_permutation_preserves_kernel():
+def test_abelian_rotations_match_exponent_sums():
+    # independent oracle: the abelianization mod n reads only exponent sums
     rng = random.Random(26)
-    q = make_abelian_quotient(P22, 4)
-    qp = as_permutation_quotient(q)
-    assert qp.kind == "perm"
-    assert qp.degree == 16
+    n = 4
+    q = make_abelian_quotient(P22, n)
+    assert q.kind == "abelian"
+    assert q.degree == 16
     for _ in range(200):
         w = random_word(rng, P22)
-        assert q.in_kernel(w) == qp.in_kernel(w)
-        assert q.element_order(w) == qp.element_order(w)
+        sums = [sum(e for g, e in w.runs if g == gen) for gen in P22.generators()]
+        assert q.in_kernel(w) == all(t % n == 0 for t in sums)
+        assert q.element_order(w) == math.lcm(*(n // math.gcd(n, t) for t in sums))
+        assert element_to_obj(q, q.image(w))["vector"] == [t % n for t in sums]
+
+
+def test_hostile_abelian_modulus_hits_cap():
+    started = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        quotient_from_obj({"kind": "abelian", "modulus": 10 ** 12}, P22)
+    assert time.perf_counter() - started < 1
 
 
 def test_trivial_quotient():
