@@ -124,7 +124,7 @@ def choose_r(q: FiniteQuotient, table: dict, forbidden, radius: int,
     word is a K-geodesic by construction.
     """
     cap = q.enumeration_cap if enumeration_cap is None else enumeration_cap
-    ball = set(q.ball(radius, cap=cap))
+    ball = q.ball(radius, cap=cap)
     for x, wx in table.items():
         if x not in ball and all(not qm.coset_equal(wx, rm) for qm, rm in forbidden):
             return wx
@@ -384,7 +384,7 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
                                  f"Q_{n + 1} restricts to Q_{n} on points "
                                  f"0..{q_this.degree - 1}"))
 
-        identity = q_next.identity_element()
+        identity = q_next.identity_element().mapping
         witness = next((word for element, word in tables[n].items()
                         if element != identity and q_this.in_kernel(word)), None)
         clauses.append(Ex2Clause(
@@ -569,7 +569,7 @@ def ex2_ball_dot(cert: Ex2Certificate, n: int, extra_radius: int = 1) -> str:
     radius = step.f_value + extra_radius
     ball = q.ball(radius)
     ids = {element: i for i, element in enumerate(ball)}
-    target = q.image(step.r)
+    target = q.image(step.r).mapping
     lines = ["digraph cayley_ball {", "  rankdir=LR;"]
     for element, dist in ball.items():
         i = ids[element]
@@ -583,8 +583,7 @@ def ex2_ball_dot(cert: Ex2Certificate, n: int, extra_radius: int = 1) -> str:
     for element in ball:
         i = ids[element]
         for g in p.generators():
-            image = q.generator_image(g)
-            out = element * image
+            out = (Permutation(element) * q.generator_image(g)).mapping
             if out in ids:
                 lines.append(f'  v{i} -> v{ids[out]} [label="{p.letter(g)}"];')
     lines.append("}")

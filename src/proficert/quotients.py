@@ -29,21 +29,50 @@ ABELIAN = "abelian"
 _IDENTITY_BYTES = bytes(range(256))
 
 
+def _compose_wide(x, m):
+    """Raw mappings above degree 256 composed: x first, then m."""
+    return itemgetter(*x)(m)
+
+
+def _composer(degree: int):
+    """``compose(x, _lift(m))`` is the raw mapping of x * m at this degree."""
+    return bytes.translate if degree <= 256 else _compose_wide
+
+
+def _lift(m):
+    """Right-operand form of a raw mapping: below the split the 256-byte
+    translate table that also fixes the points past the degree, above it
+    the mapping itself.  Lifted mappings compose to lifted mappings."""
+    return m + _IDENTITY_BYTES[len(m):] if len(m) <= 256 else m
+
+
+def _times_power(acc, step, e: int, compose):
+    """Raw ``acc * m^e`` for e >= 0, with m given lifted as ``step``."""
+    while e:
+        if e & 1:
+            acc = compose(acc, step)
+        e >>= 1
+        if e:
+            step = compose(step, step)
+    return acc
+
+
 class Permutation:
     """A bijection of {0, ..., d-1}, stored as the sequence of images.
 
     The storage is chosen from the degree alone: ``bytes`` up to degree 256,
     so that composition is one ``bytes.translate`` call, and a tuple of ints
     above it.  Either way ``mapping[i]`` and ``list(mapping)`` give ints.
-    Instances are immutable; equality and hashing go by ``mapping``.
+    This ``mapping`` is the raw mapping that the quotient layer's loops
+    compose and use as dict keys.  Instances are immutable; equality and
+    hashing go by ``mapping``.
     """
 
-    __slots__ = ("mapping", "_table")
+    __slots__ = ("mapping",)
 
     def __init__(self, mapping):
         mapping = tuple(mapping)
         _set_mapping(self, bytes(mapping) if len(mapping) <= 256 else mapping)
-        _set_table(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
@@ -76,16 +105,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composite acting as self first, then other."""
         sm = self.mapping
-        if len(sm) > 256:
-            return _wrap(itemgetter(*sm)(other.mapping))
-        table = other._table
-        if table is None:
-            # translate needs all 256 byte values; points past the degree
-            # are fixed, and the right operand keeps its table for reuse
-            om = other.mapping
-            table = om + _IDENTITY_BYTES[len(om):]
-            _set_table(other, table)
-        return _wrap(sm.translate(table))
+        return _wrap(_composer(len(sm))(sm, _lift(other.mapping)))
 
     def inverse(self) -> "Permutation":
         m = self.mapping
@@ -94,17 +114,10 @@ class Permutation:
         return _wrap(bytes(inv) if len(m) <= 256 else tuple(inv))
 
     def __pow__(self, e: int) -> "Permutation":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Permutation.identity(len(self.mapping))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        base = self if e >= 0 else self.inverse()
+        degree = len(base.mapping)
+        return _wrap(_times_power(Permutation.identity(degree).mapping,
+                                  _lift(base.mapping), abs(e), _composer(degree)))
 
     def cycle_lengths(self) -> list[int]:
         seen = [False] * len(self.mapping)
@@ -126,7 +139,6 @@ class Permutation:
 
 
 _set_mapping = Permutation.__dict__["mapping"].__set__
-_set_table = Permutation.__dict__["_table"].__set__
 _new_permutation = object.__new__
 
 
@@ -134,12 +146,16 @@ def _wrap(mapping) -> Permutation:
     """Fast constructor for images already in the storage their degree picks."""
     p = _new_permutation(Permutation)
     _set_mapping(p, mapping)
-    _set_table(p, None)
     return p
 
 
 def _check_permutation(values, degree: int, where: str) -> Permutation:
     values = list(values)
+    # plain ints that sort to 0..degree-1 form a bijection; anything else
+    # takes the loop below, which names the first bad image
+    if (len(values) == degree and set(map(type, values)) <= {int}
+            and sorted(values) == list(range(degree))):
+        return _wrap(bytes(values) if degree <= 256 else tuple(values))
     if len(values) != degree:
         raise ValueError(f"{where}: expected {degree} images, got {len(values)}")
     seen = [False] * degree
@@ -157,8 +173,10 @@ class FiniteQuotient:
 
     Elements of the image group are :class:`Permutation` objects.  ``kind``
     and ``modulus`` only choose the serialized form: an abelian quotient
-    is stored as its modulus and acts by block rotations.  Enumeration
-    tables are memoized lazily and never mutate observable state.
+    is stored as its modulus and acts by block rotations.  Enumerations
+    run on raw mappings and key their tables by them.  Enumeration tables
+    and per-generator steps are memoized lazily and never mutate
+    observable state.
     """
 
     def __init__(self, partition: FactorPartition, kind: str, *, images=None,
@@ -170,8 +188,10 @@ class FiniteQuotient:
         self.modulus = modulus
         self.enumeration_cap = (DEFAULT_ENUMERATION_CAP if enumeration_cap is None
                                 else enumeration_cap)
-        self._image_orders = {}
-        self._table = None  # element -> BFS distance from the identity
+        self._identity = Permutation.identity(degree).mapping
+        self._compose = _composer(degree)
+        self._steps = {}  # generator -> (image order, lifted image, lifted inverse)
+        self._table = None  # raw mapping -> BFS distance from the identity
 
     def __eq__(self, other):
         if not isinstance(other, FiniteQuotient):
@@ -193,25 +213,36 @@ class FiniteQuotient:
         self.partition.check(gen)
         return self.images[gen]
 
-    def _generator_image_order(self, gen: Generator) -> int:
-        if gen not in self._image_orders:
-            self._image_orders[gen] = self.generator_image(gen).order()
-        return self._image_orders[gen]
+    def _generator_steps(self, gen: Generator):
+        entry = self._steps.get(gen)
+        if entry is None:
+            p = self.images[gen]
+            entry = self._steps[gen] = (p.order(), _lift(p.mapping),
+                                        _lift(p.inverse().mapping))
+        return entry
 
     # --- homomorphism -------------------------------------------------------
 
     def image(self, w: Word) -> Permutation:
-        """Image of a word; run exponents are reduced mod the image order."""
-        acc = Permutation.identity(self.degree)
+        """Image of a word.  Each run's exponent is reduced into
+        (-order/2, order/2] for the order of the generator's image, and a
+        negative run is raised from the image's inverse."""
+        compose = self._compose
+        acc = self._identity
         for g, e in w.runs:
-            acc = acc * (self.images[g] ** (e % self._generator_image_order(g)))
-        return acc
+            order, step, inverse = self._generator_steps(g)
+            e %= order
+            if 2 * e > order:
+                acc = _times_power(acc, inverse, order - e, compose)
+            else:
+                acc = _times_power(acc, step, e, compose)
+        return _wrap(acc)
 
     def in_kernel(self, w: Word) -> bool:
-        return self.image(w) == self.identity_element()
+        return self.image(w).mapping == self._identity
 
     def coset_equal(self, u: Word, v: Word) -> bool:
-        return self.image(u) == self.image(v)
+        return self.image(u).mapping == self.image(v).mapping
 
     def element_order(self, w: Word) -> int:
         """Least e >= 1 with w^e in the kernel (= order of the image)."""
@@ -219,19 +250,16 @@ class FiniteQuotient:
 
     # --- enumeration --------------------------------------------------------
 
-    def _bfs_moves(self):
-        """Images of all generators then all inverses, K block before L."""
-        gens = self.partition.generators()
-        moves = [self.generator_image(g) for g in gens]
-        moves += [m.inverse() for m in moves]
-        return moves
-
     def _bfs(self, max_radius=None, cap=None, stop_at=None):
-        """Distances out to ``max_radius``; with ``stop_at`` set, returns as
-        soon as that element receives its distance (partial table)."""
+        """Distances out to ``max_radius``, keyed by raw mapping; with the
+        raw mapping ``stop_at`` set, returns as soon as that element
+        receives its distance (partial table).  The moves are all generator
+        images then all inverses, K block before L."""
         cap = self.enumeration_cap if cap is None else cap
-        moves = self._bfs_moves()
-        start = self.identity_element()
+        entries = [self._generator_steps(g) for g in self.partition.generators()]
+        steps = [step for _, step, _ in entries] + [inverse for _, _, inverse in entries]
+        compose = self._compose
+        start = self._identity
         dist = {start: 0}
         if stop_at is not None and stop_at == start:
             return dist
@@ -241,12 +269,13 @@ class FiniteQuotient:
             d = dist[x]
             if max_radius is not None and d >= max_radius:
                 continue
-            for mv in moves:
-                y = x * mv
+            d += 1
+            for step in steps:
+                y = compose(x, step)
                 if y not in dist:
                     if len(dist) >= cap:
                         raise CapExceededError(cap, "image group enumeration")
-                    dist[y] = d + 1
+                    dist[y] = d
                     if stop_at is not None and y == stop_at:
                         return dist
                     queue.append(y)
@@ -264,7 +293,8 @@ class FiniteQuotient:
         return len(self._distance_table())
 
     def ball(self, radius: int, cap=None) -> dict:
-        """Cayley-ball distances up to ``radius``; not memoized."""
+        """Cayley-ball distances up to ``radius``, keyed by raw mapping;
+        not memoized."""
         return self._bfs(max_radius=radius, cap=cap)
 
     def cayley_distance(self, w: Word, max_radius=None):
@@ -274,7 +304,7 @@ class FiniteQuotient:
         With ``max_radius`` set, returns None when the distance exceeds it
         (only the bounded ball is enumerated).
         """
-        target = self.image(w)
+        target = self.image(w).mapping
         if self._table is not None and max_radius is None:
             return self._table[target]
         return self._bfs(max_radius=max_radius, stop_at=target).get(target)
@@ -345,21 +375,24 @@ def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
 def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
     """BFS over the image subgroup generated by ``gens`` (a list of words).
 
-    Returns an insertion-ordered dict mapping each element to a geodesic
-    word in the given generators, expanding gens in list order and then
-    their inverses; the table is deterministic and cap-checked.
+    Returns an insertion-ordered dict mapping each element's raw mapping
+    to a geodesic word in the given generators, expanding gens in list
+    order and then their inverses; the table is deterministic and
+    cap-checked.
     """
     cap = q.enumeration_cap if cap is None else cap
-    moves = [(w, q.image(w)) for w in gens]
-    moves += [(invert(w), x.inverse()) for w, x in moves]
-    start = q.identity_element()
+    images = [q.image(w) for w in gens]
+    moves = [(w, _lift(x.mapping)) for w, x in zip(gens, images)]
+    moves += [(invert(w), _lift(x.inverse().mapping)) for w, x in zip(gens, images)]
+    compose = q._compose
+    start = q._identity
     table = {start: identity_word()}
     queue = deque([start])
     while queue:
         x = queue.popleft()
         wx = table[x]
-        for mw, mx in moves:
-            y = x * mx
+        for mw, step in moves:
+            y = compose(x, step)
             if y not in table:
                 if len(table) >= cap:
                     raise CapExceededError(cap, "generated subgroup enumeration")

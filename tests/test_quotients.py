@@ -1,5 +1,6 @@
 """Finite quotients: homomorphism laws, naive oracles, BFS distances, caps."""
 
+import hashlib
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from collections import deque
 import pytest
 
 from proficert.errors import CapExceededError, SchemaError
+from proficert.example2 import construct_ex2
 from proficert.quotients import (
     DEFAULT_ENUMERATION_CAP,
     FiniteQuotient,
@@ -28,6 +30,7 @@ from proficert.words import (
     FactorPartition,
     Generator,
     Word,
+    format_word,
     identity,
     multiply,
     parse_word,
@@ -205,7 +208,7 @@ def test_generated_image_table_words_are_geodesic_labels():
     table = generated_image_table(q, gens)
     assert len(table) == 25
     for element, w in table.items():
-        assert q.image(w) == element
+        assert q.image(w).mapping == element
         assert all(g.factor == K for g, _ in w.runs)
 
 
@@ -310,6 +313,26 @@ def test_permutation_validation():
         make_permutation_quotient(P11, {A: (1, 0)})  # missing b
     with pytest.raises(ValueError):
         make_abelian_quotient(P11, 1)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1, 0], "expected 3 images, got 2"),
+    ([0, "1", 2], "image '1' is not a point in 0..2"),
+    ([0, 1.0, 2], "image 1.0 is not a point in 0..2"),
+    ([True, 0, 2], "image True is not a point in 0..2"),
+    ([0, 1, 3], "image 3 is not a point in 0..2"),
+    ([0, -1, 2], "image -1 is not a point in 0..2"),
+    ([0, 1, 1], "not a bijection (point 1 hit twice)"),
+])
+def test_permutation_validation_messages(values, message):
+    # a rejected list always names its first bad image, word for word
+    with pytest.raises(ValueError) as exc:
+        make_permutation_quotient(P11, {A: (0, 1, 2), B11: values})
+    assert str(exc.value) == f"images[b]: {message}"
+    obj = {"kind": "perm", "degree": 3, "images": {"a": [0, 1, 2], "b": values}}
+    with pytest.raises(SchemaError) as exc:
+        quotient_from_obj(obj, P11)
+    assert str(exc.value) == f"quotient.images.b: {message}"
 
 
 def test_quotient_json_round_trip():
@@ -418,3 +441,118 @@ def test_permutation_algebra():
             order = p.order()
             assert p ** order == ident
             assert all(p ** (order // r) != ident for r in prime_factors(order))
+
+
+# --- the raw-mapping kernel against tuple references -------------------------------
+
+def short_cycles_perm(rng, degree, longest=6):
+    """Random permutation with cycles of at most ``longest`` points, so a
+    full period is short enough to apply letter by letter."""
+    points = rng.sample(range(degree), degree)
+    mapping = [None] * degree
+    start = 0
+    while start < degree:
+        cycle = points[start:start + rng.randint(1, longest)]
+        for i, x in enumerate(cycle):
+            mapping[x] = cycle[(i + 1) % len(cycle)]
+        start += len(cycle)
+    return tuple(mapping)
+
+
+def naive_order(p):
+    ident, x, k = tuple(range(len(p))), p, 1
+    while x != ident:
+        x, k = compose_ref(x, p), k + 1
+    return k
+
+
+def letter_image(images, w):
+    """Image of w applied one letter at a time; an exponent past 10^6 is
+    first reduced by one naive period."""
+    out = tuple(range(len(images[A])))
+    for g, e in w.runs:
+        p = images[g]
+        if abs(e) > 10 ** 6:
+            e %= naive_order(p)
+        step = p if e > 0 else inverse_ref(p)
+        for _ in range(abs(e)):
+            out = compose_ref(out, step)
+    return out
+
+
+@pytest.mark.parametrize("degree", [6, 256, 300])
+def test_raw_image_matches_letter_application(degree):
+    rng = random.Random(degree)
+    images = {g: short_cycles_perm(rng, degree) for g in P11.generators()}
+    q = make_permutation_quotient(P11, images)
+    assert type(q.image(identity()).mapping) is (bytes if degree <= 256 else tuple)
+    big = math.factorial(20) + 11
+    for g, h in ((A, B11), (B11, A)):
+        order = naive_order(images[g])
+        assert order > 2
+        for e in (0, 1, -1, 2, -2, order - 1, -(order - 1), order, big, -big):
+            for w in (reduce([(g, e)]), reduce([(g, e), (h, 2), (g, -1), (h, e)])):
+                x = q.image(w)
+                assert tuple(x.mapping) == letter_image(images, w)
+                assert q.in_kernel(w) == (x == q.identity_element())
+
+
+def naive_ball(images, partition, radius):
+    """(element, distance) pairs of the Cayley ball in breadth-first order:
+    generator images in partition order, then their inverses."""
+    moves = [images[g] for g in partition.generators()]
+    moves += [inverse_ref(m) for m in moves]
+    start = tuple(range(len(moves[0])))
+    seen = {start: 0}
+    fringe = deque([start])
+    while fringe:
+        x = fringe.popleft()
+        if seen[x] >= radius:
+            continue
+        for m in moves:
+            y = compose_ref(x, m)
+            if y not in seen:
+                seen[y] = seen[x] + 1
+                fringe.append(y)
+    return list(seen.items())
+
+
+@pytest.mark.parametrize("degree, radius", [(6, 20), (256, 3), (300, 3)])
+def test_ball_and_distance_match_naive_bfs(degree, radius):
+    rng = random.Random(degree + 1)
+    images = {g: tuple(rng.sample(range(degree), degree)) for g in P22.generators()}
+    q = make_permutation_quotient(P22, images)
+    expected = naive_ball(images, P22, radius)
+    ball = q.ball(radius)
+    assert all(type(x) is (bytes if degree <= 256 else tuple) for x in ball)
+    assert [(tuple(x), d) for x, d in ball.items()] == expected
+    distances = dict(expected)
+    for _ in range(40):
+        w = random_word(rng, P22, max_runs=3, max_exp=2)
+        d = distances.get(tuple(q.image(w).mapping))
+        assert q.cayley_distance(w, max_radius=radius) == d
+    if degree == 6:  # radius 20 covers the whole group
+        assert q.order() == len(expected)
+        w = random_word(rng, P22)
+        assert q.cayley_distance(w) == distances[tuple(q.image(w).mapping)]
+
+
+@pytest.fixture(scope="module")
+def seed0_chain():
+    return construct_ex2()
+
+
+def test_generated_image_table_order_pinned(seed0_chain):
+    # the words of Q_4's K-image table in insertion order, as the
+    # Permutation-keyed enumeration listed them
+    q = seed0_chain.steps[3].quotient
+    table = generated_image_table(q, [parse_word("a", P22), parse_word("b", P22)])
+    text = "\n".join(format_word(w, P22) for w in table.values())
+    assert len(table) == 5040
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "999f04c8d2188d6c6441a69ca8a80b06f01d42d15bf645b2437c3d9502b4deb2")
+
+
+def test_chain_quotient_order(seed0_chain):
+    # a full enumeration of 322,560 elements at degree 16
+    assert seed0_chain.steps[0].quotient.order() == 322_560

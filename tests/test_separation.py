@@ -376,7 +376,7 @@ def test_verify_rejects_excluded_in_subgroup():
 
 def test_verify_rejects_non_bijective_table():
     # _wrap skips validation, so the broken table keeps the bytes storage
-    # and the _table slot of any degree-2 permutation
+    # of any degree-2 permutation
     broken = quotients._wrap(bytes((0, 0)))
     bad_q = make_permutation_quotient(
         P11, {A: Permutation((0, 1)), B11: Permutation((1, 0))})
