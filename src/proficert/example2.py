@@ -21,12 +21,14 @@ from .quotients import (
     DEFAULT_ENUMERATION_CAP,
     FiniteQuotient,
     Permutation,
+    check_point_budget,
     direct_product,
     generated_image_table,
     make_abelian_quotient,
     make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
+    table_word,
     _check_keys,
 )
 from .separation import partition_from_obj, partition_to_obj, _parse_word_field
@@ -121,12 +123,17 @@ def choose_r(q: FiniteQuotient, table: dict, forbidden, radius: int,
 
     ``forbidden`` is a sequence of (quotient, word) pairs; candidates whose
     coset in that quotient matches the word's are pruned.  The returned
-    word is a K-geodesic by construction.
+    word is a K-geodesic by construction.  An element of K-depth at most
+    ``radius`` lies in the ball; the others are tested against the
+    ceil(radius/2)-ball, built once, by :meth:`FiniteQuotient.bounded_distance`.
     """
     cap = q.enumeration_cap if enumeration_cap is None else enumeration_cap
-    ball = q.ball(radius, cap=cap)
-    for x, wx in table.items():
-        if x not in ball and all(not qm.coset_equal(wx, rm) for qm, rm in forbidden):
+    ball = q.ball((radius + 1) // 2, cap=cap)
+    for x, (depth, _, _) in table.items():
+        if depth <= radius or q.bounded_distance(x, radius, ball) is not None:
+            continue
+        wx = table_word(table, x)
+        if all(not qm.coset_equal(wx, rm) for qm, rm in forbidden):
             return wx
     raise NoAdmissibleElementError(
         f"the K-image of size {len(table)} has no element past radius {radius} "
@@ -384,9 +391,15 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
                                  f"Q_{n + 1} restricts to Q_{n} on points "
                                  f"0..{q_this.degree - 1}"))
 
+        table = tables[n]
         identity = q_next.identity_element().mapping
-        witness = next((word for element, word in tables[n].items()
-                        if element != identity and q_this.in_kernel(word)), None)
+        d = q_this.degree
+        # after containment, restriction is a homomorphism onto Q_n, so an
+        # element lies in ker Q_n exactly when it fixes Q_n's points
+        key = next((x for x in table if x != identity and (
+            q_this.in_kernel(table_word(table, x)) if bad else x[:d] == identity[:d])),
+            None)
+        witness = None if key is None else table_word(table, key)
         clauses.append(Ex2Clause(
             "chain-descent", n, None, witness is not None,
             f"K-word {format_word(witness, p)} in ker Q_{n} but not in ker Q_{n + 1}"
@@ -524,6 +537,8 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list):
         raise SchemaError(f"{path}.steps: expected a list")
+    check_point_budget(((raw.get("quotient"), partition.rank)
+                        for raw in raw_steps if isinstance(raw, dict)), enumeration_cap)
     steps = []
     step_keys = {"quotient", "r", "s", "e", "f_value", "k_index"}
     for i, raw in enumerate(raw_steps):

@@ -18,7 +18,7 @@ from collections import deque
 from operator import itemgetter
 
 from .errors import CapExceededError, SchemaError
-from .words import FactorPartition, Generator, Word, identity as identity_word, invert, multiply
+from .words import FactorPartition, Generator, Word, identity as identity_word, invert, reduce
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
 
@@ -302,12 +302,43 @@ class FiniteQuotient:
         graph over all generator images and inverses.
 
         With ``max_radius`` set, returns None when the distance exceeds it
-        (only the bounded ball is enumerated).
+        (see :meth:`bounded_distance`).
         """
         target = self.image(w).mapping
-        if self._table is not None and max_radius is None:
+        if max_radius is not None:
+            return self.bounded_distance(target, max_radius)
+        if self._table is not None:
             return self._table[target]
-        return self._bfs(max_radius=max_radius, stop_at=target).get(target)
+        return self._bfs(stop_at=target).get(target)
+
+    def bounded_distance(self, target, radius: int, ball=None):
+        """Distance from the identity to the raw mapping ``target`` when it
+        is at most ``radius``, else None, by meeting in the middle.
+
+        The BFS runs out to ceil(radius/2) only, stopping early at the
+        target; ``ball`` may pass that ball prebuilt.  A target outside it
+        lies at distance min over v of d(v) + d(v * target), for v in the
+        floor(radius/2)-ball and v * target in the ball: a geodesic splits
+        into a head of length at most floor(radius/2), whose inverse is v,
+        and a tail of at most ceil(radius/2), and balls are closed under
+        inversion.
+        """
+        if ball is None:
+            ball = self._bfs(max_radius=(radius + 1) // 2, stop_at=target)
+        d = ball.get(target)
+        if d is not None:
+            return d
+        compose = self._compose
+        step = _lift(target)
+        best = radius + 1
+        # breadth-first order lists the ball by distance
+        for v, dv in ball.items():
+            if 2 * dv > radius or dv >= best:
+                break
+            du = ball.get(compose(v, step))
+            if du is not None and du + dv < best:
+                best = du + dv
+        return best if best <= radius else None
 
 
 def make_permutation_quotient(partition: FactorPartition, images: dict,
@@ -376,9 +407,11 @@ def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
     """BFS over the image subgroup generated by ``gens`` (a list of words).
 
     Returns an insertion-ordered dict mapping each element's raw mapping
-    to a geodesic word in the given generators, expanding gens in list
-    order and then their inverses; the table is deterministic and
-    cap-checked.
+    to ``(depth, parent, move)``: its breadth-first depth, the raw mapping
+    it was first reached from (None for the identity) and that move's word,
+    expanding gens in list order and then their inverses.
+    :func:`table_word` spells an element's geodesic word.  The table is
+    deterministic and cap-checked.
     """
     cap = q.enumeration_cap if cap is None else cap
     images = [q.image(w) for w in gens]
@@ -386,37 +419,53 @@ def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
     moves += [(invert(w), _lift(x.inverse().mapping)) for w, x in zip(gens, images)]
     compose = q._compose
     start = q._identity
-    table = {start: identity_word()}
+    table = {start: (0, None, identity_word())}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        wx = table[x]
+        d = table[x][0] + 1
         for mw, step in moves:
             y = compose(x, step)
             if y not in table:
                 if len(table) >= cap:
                     raise CapExceededError(cap, "generated subgroup enumeration")
-                table[y] = multiply(wx, mw)
+                table[y] = (d, x, mw)
                 queue.append(y)
     return table
 
 
-def direct_product(q1: FiniteQuotient, q2: FiniteQuotient) -> FiniteQuotient:
-    """Quotient whose kernel is the intersection of the two kernels.
+def table_word(table: dict, x) -> Word:
+    """The geodesic word of ``x`` in a :func:`generated_image_table`: the
+    move words along its parent chain, reduced at once (the same word as
+    multiplying them in turn, since reduced forms are unique)."""
+    moves = []
+    while x is not None:
+        _, x, mw = table[x]
+        moves.append(mw)
+    return reduce(run for mw in reversed(moves) for run in mw.runs)
 
-    Realized as the disjoint-union permutation action: q1 acts on the
-    first block of points and q2 on the block after it.
+
+def direct_product(*factors: FiniteQuotient) -> FiniteQuotient:
+    """Quotient whose kernel is the intersection of the factors' kernels.
+
+    Realized as the disjoint-union permutation action: each factor acts
+    on its own block of points, in order.  The images are bijections by
+    construction, so they are not validated again.
     """
-    if q1.partition != q2.partition:
+    first = factors[0]
+    if any(q.partition != first.partition for q in factors):
         raise ValueError("direct product needs matching partitions")
-    shift = q1.degree
+    degree = sum(q.degree for q in factors)
     images = {}
-    for g in q1.partition.generators():
-        left = q1.images[g].mapping
-        right = q2.images[g].mapping
-        images[g] = Permutation((*left, *(x + shift for x in right)))
-    cap = max(q1.enumeration_cap, q2.enumeration_cap)
-    return make_permutation_quotient(q1.partition, images, enumeration_cap=cap)
+    for g in first.partition.generators():
+        mapping = []
+        for q in factors:
+            shift = len(mapping)
+            mapping.extend(x + shift for x in q.images[g].mapping)
+        images[g] = _wrap(bytes(mapping) if degree <= 256 else tuple(mapping))
+    cap = max(q.enumeration_cap for q in factors)
+    return FiniteQuotient(first.partition, PERM, images=images, degree=degree,
+                          enumeration_cap=cap)
 
 
 # --- JSON form ----------------------------------------------------------------
@@ -470,6 +519,29 @@ def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
             raise SchemaError(f"{path}.modulus: expected an integer >= 2")
         return make_abelian_quotient(partition, modulus, enumeration_cap=enumeration_cap)
     raise SchemaError(f"{path}.kind: expected 'perm' or 'abelian', got {kind!r}")
+
+
+def check_point_budget(entries, cap=None):
+    """Refuse a file whose quotients would allocate more than ``cap``
+    points together, before any of them is built.
+
+    ``entries`` yields (JSON quotient, partition rank) pairs.  A quotient
+    declares its degree, an abelian one ``modulus * rank`` points; an entry
+    without a usable size counts nothing here and is rejected when parsed.
+    A cap below the default limits enumeration, not loading, so the budget
+    is the larger of the two.
+    """
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else max(cap, DEFAULT_ENUMERATION_CAP)
+    total = 0
+    for obj, rank in entries:
+        if not isinstance(obj, dict) or obj.get("kind") not in (PERM, ABELIAN):
+            continue
+        abelian = obj["kind"] == ABELIAN
+        size = obj.get("modulus" if abelian else "degree")
+        if isinstance(size, int) and not isinstance(size, bool) and size > 0:
+            total += size * rank if abelian else size
+            if total > cap:
+                raise CapExceededError(cap, "points of the file's quotients together")
 
 
 def element_to_obj(q: FiniteQuotient, elt: Permutation) -> dict:

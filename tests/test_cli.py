@@ -322,6 +322,23 @@ def test_ex1_verify_bounded_on_hostile_tail_sizes(capsys, tmp_path, field, value
         assert json.loads(result.stdout)["ok"] is False
 
 
+def test_ex1_verify_budgets_the_points_of_all_heads(capsys, tmp_path):
+    # three 40-byte abelian heads of 500,000 points each, every one under the
+    # cap: loading them one by one peaked at about 150 MB before the file's
+    # points were summed up front
+    _, out, _ = run(capsys, "ex1-separate", "--word", "b")
+    obj = json.loads(out)
+    head = obj["head_certificates"][0]
+    head["quotient"] = {"kind": "abelian", "modulus": 250_000}
+    obj["head_certificates"] = [head] * 3
+    path = tmp_path / "tail.json"
+    path.write_text(canonical_json(obj))
+    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
+                         timeout=2)
+    assert result.returncode == 3
+    assert "points of the file's quotients" in result.stderr
+
+
 # --- entry point, run as a separate process ------------------------------------------
 
 # The checkout's own sources come first on the child's path, so the subprocess

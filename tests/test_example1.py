@@ -255,7 +255,7 @@ def test_verify_ex1_detects_corrupted_modulus():
     bad = dataclasses.replace(cert, modulus=4)
     result = verify_ex1(bad)
     assert not result
-    assert any("tail value" in r for r in result.reasons)
+    assert result.reasons == ("modulus 4 exceeds head bound 2",)
 
 
 def test_verify_ex1_detects_corrupted_head():

@@ -38,6 +38,7 @@ from proficert.quotients import (
     make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
+    table_word,
     trivial_quotient,
 )
 from proficert.words import (
@@ -135,6 +136,56 @@ def test_choose_r_returns_k_word_past_radius():
         r = choose_r(q, k_table(q), [], radius)
         assert all(g.factor == K for g, _ in r.runs)
         assert q.cayley_distance(r, max_radius=radius) is None
+
+
+def full_ball_choose_r(q, table, forbidden, radius):
+    """Reference rule: the first table element outside the whole
+    radius-``radius`` ball, enumerated in full, and outside every forbidden
+    coset; None when there is none."""
+    ball = q.ball(radius)
+    for x in table:
+        w = table_word(table, x)
+        if x not in ball and all(not qm.coset_equal(w, rm) for qm, rm in forbidden):
+            return w
+    return None
+
+
+def choose_r_or_none(q, table, forbidden, radius):
+    try:
+        return choose_r(q, table, forbidden, radius)
+    except NoAdmissibleElementError:
+        return None
+
+
+def test_choose_r_matches_full_ball_rule(default_cert):
+    # the chain's quotients with their construction-time forbidden cosets,
+    # then small random quotients with random forbidden words
+    forbidden = []
+    for st in default_cert.steps:
+        table = k_table(st.quotient)
+        for radius in range(6):
+            assert (choose_r_or_none(st.quotient, table, forbidden, radius)
+                    == full_ball_choose_r(st.quotient, table, forbidden, radius))
+        forbidden.append((st.quotient, st.r))
+    rng = random.Random(909)
+    found = 0
+    for _ in range(40):
+        partition = rng.choice([P11, P22])
+        if rng.random() < 0.4:
+            q = make_abelian_quotient(partition, rng.randrange(3, 12))
+        else:
+            degree = rng.randrange(3, 8)
+            q = make_permutation_quotient(partition, {
+                g: Permutation(tuple(rng.sample(range(degree), degree)))
+                for g in partition.generators()})
+        table = k_table(q)
+        picks = [table_word(table, rng.choice(list(table))) for _ in range(rng.randrange(3))]
+        forbidden = [(q, w) for w in picks]
+        for radius in range(7):
+            want = full_ball_choose_r(q, table, forbidden, radius)
+            assert choose_r_or_none(q, table, forbidden, radius) == want
+            found += want is not None
+    assert found > 40
 
 
 def test_make_s():
@@ -349,6 +400,41 @@ def test_chain_descent_needs_a_witness():
     params = Ex2Params(P22, 2, (1, 2), {"kind": "hand", "seed": 0}, 10 ** 6, 1)
     report = verify_ex2(Ex2Certificate(params, tuple(steps), Fraction(1, 12)))
     assert failing_clauses(report) == {("chain-descent", 1)}
+
+
+def test_chain_descent_restriction_finds_the_scan_witness(default_cert):
+    # after containment, chain-descent reads kernel membership off Q_n's
+    # points; the first witness is the one a kernel scan of the words finds
+    report = verify_ex2(default_cert)
+    details = {c.m: c.detail for c in report.clauses if c.clause == "chain-descent"}
+    for n in range(1, 4):
+        q_this = default_cert.steps[n - 1].quotient
+        table = k_table(default_cert.steps[n].quotient)
+        words = [table_word(table, x) for x in table][1:]
+        witness = next(w for w in words if q_this.in_kernel(w))
+        assert details[n].startswith(f"K-word {format_word(witness, P22)} in ker Q_{n} ")
+
+
+def test_chain_past_f6_constructs_and_verifies():
+    # the radius-7 and radius-9 balls of the full Cayley graph pass the
+    # default cap at 2+2; meeting in the middle enumerates radius 4 and 5
+    cert = construct_ex2(steps=4, f=(2, 4, 7, 9))
+    report = verify_ex2(cert)
+    assert report.ok, report.failures()
+    assert [st.f_value for st in cert.steps] == [2, 4, 7, 9]
+
+
+def test_file_points_are_budgeted_before_loading(default_cert):
+    # two 40-byte abelian steps of 600,000 points each: the steps load one by
+    # one, each under the cap, unless their points are summed first
+    obj = ex2_to_obj(default_cert)
+    obj["steps"] = obj["steps"][:2]
+    for st in obj["steps"]:
+        st["quotient"] = {"kind": "abelian", "modulus": 150_000}
+    with pytest.raises(CapExceededError, match="points of the file's quotients"):
+        ex2_from_obj(obj)
+    obj["steps"] = obj["steps"][:1]
+    assert ex2_from_obj(obj).steps[0].quotient.degree == 600_000
 
 
 def test_file_cannot_raise_the_verifier_cap(default_cert):

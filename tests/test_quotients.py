@@ -22,6 +22,7 @@ from proficert.quotients import (
     make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
+    table_word,
     trivial_quotient,
 )
 from proficert.words import (
@@ -207,7 +208,8 @@ def test_generated_image_table_words_are_geodesic_labels():
     gens = [parse_word("a", P22), parse_word("b", P22)]
     table = generated_image_table(q, gens)
     assert len(table) == 25
-    for element, w in table.items():
+    for element in table:
+        w = table_word(table, element)
         assert q.image(w).mapping == element
         assert all(g.factor == K for g, _ in w.runs)
 
@@ -537,6 +539,41 @@ def test_ball_and_distance_match_naive_bfs(degree, radius):
         assert q.cayley_distance(w) == distances[tuple(q.image(w).mapping)]
 
 
+def test_bounded_distance_meets_in_the_middle():
+    # every radius 0..7 against the tuple BFS, with targets at ceil(f/2),
+    # ceil(f/2) + 1, f and f + 1 wherever the group has such elements
+    rng = random.Random(808)
+    covered = set()
+    for trial in range(18):
+        partition = rng.choice([P11, P22])
+        if trial % 3 == 0:
+            q = make_abelian_quotient(partition, rng.randrange(7, 12))
+        else:
+            degree = rng.randrange(5, 8)
+            q = make_permutation_quotient(
+                partition, {g: random_perm(rng, degree) for g in partition.generators()})
+        images = {g: tuple(q.images[g].mapping) for g in partition.generators()}
+        distances = dict(naive_ball(images, partition, 10 ** 9))
+        layers = {}
+        for x, d in distances.items():
+            layers.setdefault(d, []).append(x)
+        for f in range(8):
+            half = (f + 1) // 2
+            for d in (half, half + 1, f, f + 1):
+                if d in layers:
+                    covered.add((f, d))
+                    x = bytes(rng.choice(layers[d]))
+                    assert q.bounded_distance(x, f) == (d if d <= f else None)
+            for _ in range(6):
+                w = random_word(rng, partition)
+                d = distances[tuple(q.image(w).mapping)]
+                assert q.cayley_distance(w, max_radius=f) == (d if d <= f else None)
+        w = random_word(rng, partition)
+        assert naive_distance(q, w) == distances[tuple(q.image(w).mapping)]
+    assert covered == {(f, d) for f in range(8)
+                       for d in ((f + 1) // 2, (f + 1) // 2 + 1, f, f + 1)}
+
+
 @pytest.fixture(scope="module")
 def seed0_chain():
     return construct_ex2()
@@ -547,7 +584,7 @@ def test_generated_image_table_order_pinned(seed0_chain):
     # Permutation-keyed enumeration listed them
     q = seed0_chain.steps[3].quotient
     table = generated_image_table(q, [parse_word("a", P22), parse_word("b", P22)])
-    text = "\n".join(format_word(w, P22) for w in table.values())
+    text = "\n".join(format_word(table_word(table, x), P22) for x in table)
     assert len(table) == 5040
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "999f04c8d2188d6c6441a69ca8a80b06f01d42d15bf645b2437c3d9502b4deb2")
