@@ -57,7 +57,10 @@ GEN_B = Generator(L, 0)
 WORD_A = Word(((GEN_A, 1),))
 WORD_B = Word(((GEN_B, 1),))
 
-DEFAULT_HEAD_CAP = 4096
+# j! passes CPython's 4,300-digit limit on int-to-str conversion once
+# j > 1,558, so a certificate could not write s_j; 1024 is the largest power
+# of two below that, and the head bounds of b^t targets are powers of two
+DEFAULT_HEAD_CAP = 1024
 
 
 def _crt(pairs) -> int:
@@ -134,6 +137,26 @@ def s_element(j: int) -> Word:
     return reduce(((GEN_A, math.factorial(j)), (GEN_B, m_sequence(j))))
 
 
+def s_family(h: int):
+    """Yield (j, s_j) for j = 1 .. h-1 in order, in one pass.
+
+    j! is a running product.  m_j moves only when j = p^e is a prime power,
+    where lcm(1..j) gains one factor p over L = lcm(1..j-1): one CRT step
+    m += L*t with t = ((r - m)/p^(e-1)) * (L/p^(e-1))^-1 mod p keeps m the
+    smallest nonnegative residue, as :func:`m_sequence` returns it.
+    """
+    fact, m, lcm = 1, 0, 1
+    for j in range(1, h):
+        fact *= j
+        p = j // math.gcd(j, lcm)  # p when j = p^e, else 1
+        if p > 1:
+            q = j // p  # p^(e-1), the p-part of lcm(1..j-1)
+            r = 0 if p == 2 else 1
+            m += lcm * ((r - m) // q * pow(lcm // q, -1, p) % p)
+            lcm *= p
+        yield j, reduce(((GEN_A, fact), (GEN_B, m)))
+
+
 def convergence_witness(q: FiniteQuotient) -> int:
     """Index k0 past which a^(k!) is in the kernel; checks k0..k0+10."""
     k0 = q.element_order(WORD_A)
@@ -206,8 +229,7 @@ def separate_from_S(w: Word, head_margin: int = 0, head_cap: int = DEFAULT_HEAD_
     if head_bound > head_cap:
         raise CapExceededError(head_cap, f"head family of size {head_bound}")
     heads = []
-    for i in range(1, head_bound):
-        s_i = s_element(i)
+    for _, s_i in s_family(head_bound):
         if s_i == w:
             continue
         heads.append(separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)),
@@ -239,21 +261,32 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
                        f"found {len(cert.head_certificates)}")
         return CheckResult(False, tuple(reasons))
 
-    expected = [j for j in range(1, head_bound) if s_element(j) != w]
+    family = list(s_family(head_bound))
+    expected = [(j, s) for j, s in family if s != w]
     if len(cert.head_certificates) != len(expected):
         reasons.append(
             f"expected {len(expected)} head certificates, found {len(cert.head_certificates)}")
     else:
-        for j, head in zip(expected, cert.head_certificates):
-            want = multiply(w, invert(s_element(j)))
+        for (j, s), head in zip(expected, cert.head_certificates):
+            want = multiply(w, invert(s))
             if head.excluded != want:
                 reasons.append(f"head {j}: excluded word is not target*s_{j}^-1")
             sub = verify_separation(head)
             if not sub:
                 reasons.extend(f"head {j}: {r}" for r in sub.reasons)
 
-    for j in range(1, head_bound):
-        if cert.composite_quotient.coset_equal(w, s_element(j)):
+    # words whose runs agree modulo the orders of the composite's generator
+    # images have one image (image() reduces each run so), so each such key
+    # is imaged once: j! and m_j take few residue pairs below the head bound
+    composite = cert.composite_quotient
+    target = composite.image(w).mapping
+    orders = {g: composite.generator_image(g).order() for g in (GEN_A, GEN_B)}
+    same = {}
+    for j, s in family:
+        key = tuple((g, e % orders[g]) for g, e in s.runs)
+        if key not in same:
+            same[key] = composite.image(s).mapping == target
+        if same[key]:
             reasons.append(f"composite quotient cannot tell the target from s_{j}")
 
     def abelian_image(word):
@@ -286,8 +319,8 @@ def not_closed_witness(q: FiniteQuotient) -> Ex1NotClosedWitness:
     cofactor = Word(((GEN_B, -m_k),)) if m_k else identity_word()
     if not q.in_kernel(multiply(s_word, cofactor)):
         raise RuntimeError("witness product escaped the kernel")
-    for j in range(1, min(k, 20) + 1):
-        if exponent_sum(s_element(j), GEN_A) != math.factorial(j):
+    for j, s_j in s_family(min(k, 20) + 1):
+        if exponent_sum(s_j, GEN_A) != math.factorial(j):
             raise RuntimeError(f"s_{j} lost its a-exponent {j}!")
     return Ex1NotClosedWitness(q, k, s_word, cofactor)
 

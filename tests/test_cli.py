@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from proficert.cli import canonical_json, emit_certificate, load_certificate, main
+from proficert.example1 import DEFAULT_HEAD_CAP
 from proficert.quotients import make_abelian_quotient, quotient_to_obj
 from proficert.words import FactorPartition
 
@@ -316,10 +317,38 @@ def test_ex1_verify_bounded_on_hostile_tail_sizes(capsys, tmp_path, field, value
                          timeout=2)
     if field == "k":
         assert result.returncode == 3
-        assert "enumeration cap 4096 exceeded" in result.stderr
+        assert f"enumeration cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
     else:
         assert result.returncode == 1
         assert json.loads(result.stdout)["ok"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("ex1-separate", "--word", "b^1024"),  # head bound 2048
+    ("ex1-witness", "--abelian", "2000"),  # k = 2000
+])
+def test_ex1_head_cap_refuses_factorials_past_the_digit_limit(argv):
+    # j! has more than 4,300 digits once j > 1,558, which CPython will not
+    # convert to a string; under a head cap of 4096 both commands built the
+    # family and then exited 2 while writing it
+    result = run_process(sys.executable, "-m", "proficert", *argv, timeout=2)
+    assert result.returncode == 3
+    assert f"enumeration cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
+    assert result.stdout == ""
+
+
+def test_ex1_separate_at_the_head_cap(tmp_path):
+    # b^1023 has head bound 1024, the cap itself: 1023! has 2,637 digits
+    path = tmp_path / "tail.json"
+    result = run_process(sys.executable, "-m", "proficert", "ex1-separate",
+                         "--word", "b^1023", timeout=30)
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["head_bound"] == str(DEFAULT_HEAD_CAP)
+    path.write_text(result.stdout)
+    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
+                         timeout=30)
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["ok"] is True
 
 
 def test_ex1_verify_budgets_the_points_of_all_heads(capsys, tmp_path):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from proficert.cli import emit_certificate
+from proficert.cli import emit_certificate, main
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import (
     EX1_PARTITION,
@@ -27,6 +27,7 @@ from proficert.example1 import (
     m_sequence,
     not_closed_witness,
     s_element,
+    s_family,
     separate_from_S,
     separate_integer_from_m0,
     verify_ex1,
@@ -145,6 +146,15 @@ def test_family_elements():
     assert s_element(5) == word("a^120 b^16")
     with pytest.raises(ValueError):
         s_element(0)
+
+
+def test_s_family_matches_s_element():
+    # h up to 1,100 passes the prime powers 2^10, 3^6, 5^4 and 31^2, where
+    # the running CRT takes a step with e > 1
+    oracle = [(j, s_element(j)) for j in range(1, 1100)]
+    for h in range(1, 1101):
+        assert list(s_family(h)) == oracle[:h - 1]
+    assert list(s_family(1)) == []
 
 
 def test_tail_collapse_in_abelian_quotients():
@@ -275,6 +285,43 @@ def test_verify_ex1_detects_useless_composite():
     assert any("composite" in r for r in result.reasons)
 
 
+def per_index_composite_reasons(cert):
+    """Reference composite clause: one ``coset_equal`` per index below the
+    head bound, imaging the target again every time."""
+    q = cert.composite_quotient
+    return tuple(f"composite quotient cannot tell the target from s_{j}"
+                 for j in range(1, cert.head_bound)
+                 if q.coset_equal(cert.target_word, s_element(j)))
+
+
+@pytest.mark.parametrize("target, head_bound", [
+    ("b^33", 64), ("a^-255 b^5", 256), ("b^267", 512)])
+def test_grouped_composite_clause_matches_per_index_loop(target, head_bound):
+    cert = separate_from_S(word(target))
+    assert cert.head_bound == head_bound
+    assert verify_ex1(cert).reasons == per_index_composite_reasons(cert) == ()
+    # the other clauses stay honest, so every reason is the composite's
+    swaps = {
+        "abelian": abelian(cert.modulus),
+        "trivial": trivial_quotient(EX1_PARTITION),
+        "head": cert.head_certificates[len(cert.head_certificates) // 2].quotient,
+        # a 3-cycle with b trivial: s_j collides with the target exactly when
+        # 3 divides j! minus its a-exponent sum
+        "mixed": perm((1, 2, 0), (0, 1, 2)),
+    }
+    collisions = {}
+    for name, q in swaps.items():
+        bad = dataclasses.replace(cert, composite_quotient=q)
+        oracle = per_index_composite_reasons(bad)
+        assert verify_ex1(bad).reasons == oracle, name
+        collisions[name] = len(oracle)
+    # the abelian quotient mod n and each head's quotient alone tell the
+    # target from every s_j below the head bound; the trivial one from none
+    assert collisions["abelian"] == collisions["head"] == 0
+    assert collisions["trivial"] == head_bound - 1
+    assert collisions["mixed"] == head_bound - 3
+
+
 # --- not-closed witnesses -------------------------------------------------------------
 
 
@@ -352,6 +399,22 @@ def test_tail_certificate_bytes_pinned():
     text = emit_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a5ff684069ed8b5488b0f2cf1fc6839d24a1a97d2282ce41c8668c0c20342800")
+
+
+def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
+    # 511 heads and a composite of 3,068 points; both digests were recorded
+    # before the family was walked in one pass and the composite clause
+    # grouped by residue pair
+    cert = separate_from_S(word("b^267"))
+    assert (cert.head_bound, cert.composite_quotient.degree) == (512, 3068)
+    text = emit_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6b0d7c082b0aa6c271ca3b5dbc6f4f3ab3006dcd7af49beba1087a1a89f413a3")
+    path = tmp_path / "tail.json"
+    path.write_text(text)
+    assert main(["ex1-verify", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80")
 
 
 def test_witness_round_trip():
