@@ -99,28 +99,11 @@ def m0_residue(n: int) -> int:
     return _crt(pairs)
 
 
-def _primes_upto(j: int) -> list:
-    sieve = bytearray([1]) * (j + 1)
-    out = []
-    for p in range(2, j + 1):
-        if sieve[p]:
-            out.append(p)
-            for multiple in range(p * p, j + 1, p):
-                sieve[multiple] = 0
-    return out
-
-
 def m_sequence(j: int) -> int:
     """m_j: the target's smallest nonnegative residue mod lcm(1..j)."""
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"index must be a positive integer, got {j!r}")
-    pairs = []
-    for p in _primes_upto(j):
-        q = p
-        while q * p <= j:
-            q *= p
-        pairs.append((0 if p == 2 else 1, q))
-    return _crt(pairs)
+    return m0_residue(math.lcm(*range(1, j + 1)))
 
 
 def a_element(j: int) -> Word:

@@ -115,8 +115,7 @@ def _next_prime(n: int) -> int:
         candidate += 1
 
 
-def choose_r(q: FiniteQuotient, table: dict, forbidden, radius: int,
-             enumeration_cap=None) -> Word:
+def choose_r(q: FiniteQuotient, table: dict, forbidden, radius: int) -> Word:
     """First K-word of ``table``, the K-image table of q in breadth-first
     order, whose image lies outside the radius-``radius`` ball of the full
     Cayley graph and outside every forbidden coset.
@@ -127,8 +126,7 @@ def choose_r(q: FiniteQuotient, table: dict, forbidden, radius: int,
     ``radius`` lies in the ball; the others are tested against the
     ceil(radius/2)-ball, built once, by :meth:`FiniteQuotient.bounded_distance`.
     """
-    cap = q.enumeration_cap if enumeration_cap is None else enumeration_cap
-    ball = q.ball((radius + 1) // 2, cap=cap)
+    ball = q.ball((radius + 1) // 2)
     for x, (depth, _, _) in table.items():
         if depth <= radius or q.bounded_distance(x, radius, ball) is not None:
             continue
@@ -238,8 +236,7 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
         while r_n is None:
             if len(table) >= need:
                 try:
-                    r_n = choose_r(quotient, table, forbidden, f_n,
-                                   enumeration_cap=enumeration_cap)
+                    r_n = choose_r(quotient, table, forbidden, f_n)
                     break
                 except NoAdmissibleElementError:
                     pass

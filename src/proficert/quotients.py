@@ -174,9 +174,8 @@ class FiniteQuotient:
     Elements of the image group are :class:`Permutation` objects.  ``kind``
     and ``modulus`` only choose the serialized form: an abelian quotient
     is stored as its modulus and acts by block rotations.  Enumerations
-    run on raw mappings and key their tables by them.  Enumeration tables
-    and per-generator steps are memoized lazily and never mutate
-    observable state.
+    run on raw mappings and key their tables by them.  Per-generator steps
+    are memoized lazily and never mutate observable state.
     """
 
     def __init__(self, partition: FactorPartition, kind: str, *, images=None,
@@ -191,7 +190,6 @@ class FiniteQuotient:
         self._identity = Permutation.identity(degree).mapping
         self._compose = _composer(degree)
         self._steps = {}  # generator -> (image order, lifted image, lifted inverse)
-        self._table = None  # raw mapping -> BFS distance from the identity
 
     def __eq__(self, other):
         if not isinstance(other, FiniteQuotient):
@@ -250,52 +248,61 @@ class FiniteQuotient:
 
     # --- enumeration --------------------------------------------------------
 
-    def _bfs(self, max_radius=None, cap=None, stop_at=None):
-        """Distances out to ``max_radius``, keyed by raw mapping; with the
-        raw mapping ``stop_at`` set, returns as soon as that element
-        receives its distance (partial table).  The moves are all generator
-        images then all inverses, K block before L."""
-        cap = self.enumeration_cap if cap is None else cap
-        entries = [self._generator_steps(g) for g in self.partition.generators()]
-        steps = [step for _, step, _ in entries] + [inverse for _, _, inverse in entries]
+    def _search(self, moves, context: str, max_radius=None, stop_at=None) -> dict:
+        """The one breadth-first search of the quotient layer.
+
+        ``moves`` is a list of (move word, lifted step) pairs, expanded in
+        order.  Returns an insertion-ordered dict mapping each raw mapping
+        reached to ``(depth, parent, move word)``, the identity first with
+        parent None.  Elements at depth ``max_radius`` are not expanded;
+        with the raw mapping ``stop_at`` set, the search returns as soon as
+        that element is reached (partial table).  Past the enumeration cap
+        it raises, naming ``context``.
+        """
+        cap = self.enumeration_cap
         compose = self._compose
         start = self._identity
-        dist = {start: 0}
+        table = {start: (0, None, identity_word())}
         if stop_at is not None and stop_at == start:
-            return dist
+            return table
         queue = deque([start])
         while queue:
             x = queue.popleft()
-            d = dist[x]
+            d = table[x][0]
             if max_radius is not None and d >= max_radius:
-                continue
+                break  # breadth-first: every element still queued is as deep
             d += 1
-            for step in steps:
+            for mw, step in moves:
                 y = compose(x, step)
-                if y not in dist:
-                    if len(dist) >= cap:
-                        raise CapExceededError(cap, "image group enumeration")
-                    dist[y] = d
+                if y not in table:
+                    if len(table) >= cap:
+                        raise CapExceededError(cap, context)
+                    table[y] = (d, x, mw)
                     if stop_at is not None and y == stop_at:
-                        return dist
+                        return table
                     queue.append(y)
-        return dist
+        return table
 
-    def _distance_table(self):
-        if self._table is None:
-            self._table = self._bfs()
-        return self._table
+    def _bfs(self, max_radius=None, stop_at=None) -> dict:
+        """Cayley-graph distances, keyed by raw mapping: :meth:`_search`
+        over all generator images then all inverses, K block before L."""
+        gens = self.partition.generators()
+        entries = [self._generator_steps(g) for g in gens]
+        moves = [(Word(((g, 1),)), step) for g, (_, step, _) in zip(gens, entries)]
+        moves += [(Word(((g, -1),)), inverse) for g, (_, _, inverse) in zip(gens, entries)]
+        table = self._search(moves, "image group enumeration", max_radius, stop_at)
+        return {x: d for x, (d, _, _) in table.items()}
 
     def order(self) -> int:
-        """Order of the image group (full closure enumeration)."""
+        """Order of the image group (full closure enumeration, not memoized)."""
         if self.kind == ABELIAN:
             return self.modulus ** self.partition.rank
-        return len(self._distance_table())
+        return len(self._bfs())
 
-    def ball(self, radius: int, cap=None) -> dict:
+    def ball(self, radius: int) -> dict:
         """Cayley-ball distances up to ``radius``, keyed by raw mapping;
         not memoized."""
-        return self._bfs(max_radius=radius, cap=cap)
+        return self._bfs(max_radius=radius)
 
     def cayley_distance(self, w: Word, max_radius=None):
         """BFS distance from the identity to image(w) in the image Cayley
@@ -307,8 +314,6 @@ class FiniteQuotient:
         target = self.image(w).mapping
         if max_radius is not None:
             return self.bounded_distance(target, max_radius)
-        if self._table is not None:
-            return self._table[target]
         return self._bfs(stop_at=target).get(target)
 
     def bounded_distance(self, target, radius: int, ball=None):
@@ -376,14 +381,15 @@ def make_abelian_quotient(partition: FactorPartition, modulus: int,
 
     Generator i rotates its own block of ``modulus`` points, so the image
     of a word holds its i-th exponent sum as the shift of block i.  The
-    ``modulus * rank`` points must fit the enumeration cap.
+    ``rank`` images of ``modulus * rank`` points each must fit the
+    enumeration cap together.
     """
     if not isinstance(modulus, int) or modulus < 2:
         raise ValueError(f"abelian modulus must be an integer >= 2, got {modulus!r}")
     cap = DEFAULT_ENUMERATION_CAP if enumeration_cap is None else enumeration_cap
     n = modulus
     degree = n * partition.rank
-    if degree > cap:
+    if degree * partition.rank > cap:
         raise CapExceededError(cap, f"permutation form of abelian modulus {n}")
     # the images share these int objects; at 10^6 points a copy costs 28 MB
     points = list(range(degree))
@@ -403,7 +409,7 @@ def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
         partition, {g: Permutation.identity(1) for g in partition.generators()})
 
 
-def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
+def generated_image_table(q: FiniteQuotient, gens) -> dict:
     """BFS over the image subgroup generated by ``gens`` (a list of words).
 
     Returns an insertion-ordered dict mapping each element's raw mapping
@@ -413,25 +419,10 @@ def generated_image_table(q: FiniteQuotient, gens, cap=None) -> dict:
     :func:`table_word` spells an element's geodesic word.  The table is
     deterministic and cap-checked.
     """
-    cap = q.enumeration_cap if cap is None else cap
     images = [q.image(w) for w in gens]
     moves = [(w, _lift(x.mapping)) for w, x in zip(gens, images)]
     moves += [(invert(w), _lift(x.inverse().mapping)) for w, x in zip(gens, images)]
-    compose = q._compose
-    start = q._identity
-    table = {start: (0, None, identity_word())}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        d = table[x][0] + 1
-        for mw, step in moves:
-            y = compose(x, step)
-            if y not in table:
-                if len(table) >= cap:
-                    raise CapExceededError(cap, "generated subgroup enumeration")
-                table[y] = (d, x, mw)
-                queue.append(y)
-    return table
+    return q._search(moves, "generated subgroup enumeration")
 
 
 def table_word(table: dict, x) -> Word:
@@ -526,8 +517,9 @@ def check_point_budget(entries, cap=None):
     points together, before any of them is built.
 
     ``entries`` yields (JSON quotient, partition rank) pairs.  A quotient
-    declares its degree, an abelian one ``modulus * rank`` points; an entry
-    without a usable size counts nothing here and is rejected when parsed.
+    declares its degree, an abelian one ``modulus * rank**2`` image entries
+    (``rank`` images of ``modulus * rank`` points); an entry without a
+    usable size counts nothing here and is rejected when parsed.
     A cap below the default limits enumeration, not loading, so the budget
     is the larger of the two.
     """
@@ -539,7 +531,7 @@ def check_point_budget(entries, cap=None):
         abelian = obj["kind"] == ABELIAN
         size = obj.get("modulus" if abelian else "degree")
         if isinstance(size, int) and not isinstance(size, bool) and size > 0:
-            total += size * rank if abelian else size
+            total += size * rank * rank if abelian else size
             if total > cap:
                 raise CapExceededError(cap, "points of the file's quotients together")
 

@@ -355,6 +355,10 @@ def partition_from_obj(obj, path="partition") -> FactorPartition:
         v = obj[key]
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise SchemaError(f"{path}.{key}: expected an integer >= 1")
+    rank = obj["k_size"] + obj["l_size"]
+    if rank > 26:
+        raise SchemaError(f"{path}: k_size + l_size is {rank}, but the letter "
+                          "syntax names at most 26 generators")
     return FactorPartition(obj["k_size"], obj["l_size"])
 
 

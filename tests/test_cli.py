@@ -111,6 +111,8 @@ def test_ex1_elem(capsys):
     assert run(capsys, "ex1-elem", "3") == (0, "a^6 b^4\n", "")
     assert run(capsys, "ex1-elem", "4", "--kind", "a") == (0, "a^24\n", "")
     assert run(capsys, "ex1-elem", "5", "--kind", "m") == (0, "16\n", "")
+    code, out, _ = run(capsys, "ex1-elem", str(DEFAULT_HEAD_CAP))  # the cap itself
+    assert code == 0 and out.startswith("a^") and " b^" in out
 
 
 def test_ex1_separate_and_verify(capsys, tmp_path):
@@ -326,11 +328,15 @@ def test_ex1_verify_bounded_on_hostile_tail_sizes(capsys, tmp_path, field, value
 @pytest.mark.parametrize("argv", [
     ("ex1-separate", "--word", "b^1024"),  # head bound 2048
     ("ex1-witness", "--abelian", "2000"),  # k = 2000
+    ("ex1-elem", "2000"),  # 2000! has 5,736 digits
+    ("ex1-elem", "20000", "--kind", "m"),  # lcm(1..20000) has 8,676
+    ("ex1-elem", "1025", "--kind", "m"),  # printable, but past the cap all the same
 ])
 def test_ex1_head_cap_refuses_factorials_past_the_digit_limit(argv):
     # j! has more than 4,300 digits once j > 1,558, which CPython will not
-    # convert to a string; under a head cap of 4096 both commands built the
-    # family and then exited 2 while writing it
+    # convert to a string; under a head cap of 4096 the first two commands
+    # built the family and then exited 2 while writing it, and uncapped
+    # ex1-elem exited 2 the same way
     result = run_process(sys.executable, "-m", "proficert", *argv, timeout=2)
     assert result.returncode == 3
     assert f"enumeration cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
@@ -366,6 +372,38 @@ def test_ex1_verify_budgets_the_points_of_all_heads(capsys, tmp_path):
                          timeout=2)
     assert result.returncode == 3
     assert "points of the file's quotients" in result.stderr
+
+
+def wide_separation_file(tmp_path, k_size, modulus):
+    obj = {"type": "separation", "partition": {"k_size": k_size, "l_size": 1},
+           "quotient": {"kind": "abelian", "modulus": modulus},
+           "subgroup_gens": [], "excluded": "a", "witness_kind": "image-differs"}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_partition_past_the_letter_syntax_is_a_schema_error(tmp_path):
+    # 99+1 generators at modulus 1000: 100 images of 100,000 points loaded at
+    # about 100 MB peak, and the verdict listed one "letter syntax supports at
+    # most 26 generators" reason per generator
+    path = wide_separation_file(tmp_path, 99, 1000)
+    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
+                         timeout=2)
+    assert result.returncode == 2
+    assert "certificate.partition" in result.stderr and "26" in result.stderr
+    assert result.stdout == ""
+
+
+def test_abelian_quotient_counts_every_image_entry(tmp_path):
+    # 25+1 generators at modulus 38,461: 999,986 points, under the cap, but 26
+    # images of them each; this verified in about 4 s at a 345 MB peak
+    path = wide_separation_file(tmp_path, 25, 38_461)
+    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
+                         timeout=2)
+    assert result.returncode == 3
+    assert "abelian modulus 38461" in result.stderr
+    assert result.stdout == ""
 
 
 # --- entry point, run as a separate process ------------------------------------------

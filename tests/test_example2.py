@@ -236,9 +236,9 @@ def test_k_image_tables_built_once_per_quotient(monkeypatch, default_cert):
     # chain-descent
     built = []
 
-    def counting(q, gens, cap=None):
+    def counting(q, gens):
         built.append(q)
-        return generated_image_table(q, gens, cap=cap)
+        return generated_image_table(q, gens)
 
     monkeypatch.setattr(example2, "generated_image_table", counting)
     assert verify_ex2(default_cert).ok
@@ -425,16 +425,21 @@ def test_chain_past_f6_constructs_and_verifies():
 
 
 def test_file_points_are_budgeted_before_loading(default_cert):
-    # two 40-byte abelian steps of 600,000 points each: the steps load one by
-    # one, each under the cap, unless their points are summed first
+    # two 40-byte abelian steps of 640,000 image entries each (4 images of
+    # 160,000 points): the steps load one by one, each under the cap, unless
+    # their entries are summed first
     obj = ex2_to_obj(default_cert)
     obj["steps"] = obj["steps"][:2]
     for st in obj["steps"]:
-        st["quotient"] = {"kind": "abelian", "modulus": 150_000}
+        st["quotient"] = {"kind": "abelian", "modulus": 40_000}
     with pytest.raises(CapExceededError, match="points of the file's quotients"):
         ex2_from_obj(obj)
     obj["steps"] = obj["steps"][:1]
-    assert ex2_from_obj(obj).steps[0].quotient.degree == 600_000
+    assert ex2_from_obj(obj).steps[0].quotient.degree == 160_000
+    # one step of 600,000 points is 2.4 million image entries on its own
+    obj["steps"][0]["quotient"] = {"kind": "abelian", "modulus": 150_000}
+    with pytest.raises(CapExceededError, match="points of the file's quotients"):
+        ex2_from_obj(obj)
 
 
 def test_file_cannot_raise_the_verifier_cap(default_cert):

@@ -193,6 +193,41 @@ def test_ball_counts():
     assert len(ball2) == 13  # l1-ball in Z^2 before wraparound
 
 
+def spread_quotient(rng, partition, degree):
+    """Permutation quotient of ``degree`` (a multiple of 6) points: every
+    block of 6 carries the same random action, relabelled by one shuffle,
+    so the image group stays that of degree 6 however wide the storage."""
+    images6 = {g: tuple(rng.sample(range(6), 6)) for g in partition.generators()}
+    relabel = rng.sample(range(degree), degree)
+    images = {}
+    for g, p in images6.items():
+        mapping = [None] * degree
+        for block in range(0, degree, 6):
+            for i in range(6):
+                mapping[relabel[block + i]] = relabel[block + p[i]]
+        images[g] = mapping
+    return make_permutation_quotient(partition, images)
+
+
+@pytest.mark.parametrize("partition", [P11, P22])
+@pytest.mark.parametrize("kind", ["abelian", 6, 300])
+def test_ball_is_the_letter_table_cut_at_its_radius(partition, kind):
+    # balls and K-image tables run the same search: over the letters in
+    # partition order and then their inverses, a ball is the generated
+    # table's prefix of depth at most r, in the same insertion order
+    rng = random.Random(f"{partition.rank}-{kind}")
+    if kind == "abelian":
+        q = make_abelian_quotient(partition, 5 if partition is P11 else 3)
+    else:
+        q = spread_quotient(rng, partition, kind)
+    letters = [Word(((g, 1),)) for g in partition.generators()]
+    table = generated_image_table(q, letters)
+    for r in range(5):
+        expected = {x: d for x, (d, _, _) in table.items() if d <= r}
+        ball = q.ball(r)
+        assert list(ball.items()) == list(expected.items())
+
+
 # --- subgroup enumeration --------------------------------------------------------
 
 def test_subgroup_image_order_examples():
@@ -291,11 +326,31 @@ def test_trivial_quotient():
 # --- caps -----------------------------------------------------------------------
 
 def test_enumeration_cap_is_hard_error():
+    # the one search names its caller's enumeration in the error
     q = make_abelian_quotient(P22, 40, enumeration_cap=1000)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"\(image group enumeration\)"):
         q.ball(100)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"\(generated subgroup enumeration\)"):
         generated_image_table(q, [parse_word("a", P22), parse_word("b", P22)])
+    rng = random.Random(31)
+    q = make_permutation_quotient(
+        P22, {g: random_perm(rng, 6) for g in P22.generators()}, enumeration_cap=10)
+    with pytest.raises(CapExceededError, match=r"\(image group enumeration\)"):
+        q.order()
+
+
+def test_cayley_distance_does_not_depend_on_order_calls():
+    # order() enumerates the whole group and keeps nothing; a distance asked
+    # before and after it comes from the same search
+    rng = random.Random(32)
+    for _ in range(20):
+        partition = rng.choice([P11, P22])
+        q = random_quotient(rng, partition, max_degree=6)
+        words = [random_word(rng, partition) for _ in range(5)]
+        before = [q.cayley_distance(w) for w in words]
+        q.order()
+        assert [q.cayley_distance(w) for w in words] == before
+        assert before == [naive_distance(q, w) for w in words]
 
 
 def test_default_cap_value():
