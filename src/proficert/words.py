@@ -206,7 +206,7 @@ def syllables(w: Word, partition: FactorPartition | None = None) -> list:
     return [(fac, Word(runs)) for fac, runs in out]
 
 
-_TOKEN = re.compile(r"([a-z])(?:\^(-?\d+))?")
+_TOKEN = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
 
 
 def parse_word(text: str, partition: FactorPartition) -> Word:

@@ -255,8 +255,8 @@ def test_criterion_hall_separation_certificates():
 
 
 def test_criterion_family_convergence(family_of_50):
-    """50 quotients of order <= 10^4: a^(k!) enters the kernel for every k past
-    the witness index (sampled range checked inside convergence_witness)."""
+    """50 quotients of order <= 10^4: a^(k0!) is in the kernel at the witness
+    index k0, the order of image(a), which divides k! for every k >= k0."""
     assert len(family_of_50) == 50
     for q in family_of_50:
         assert q.order() <= 10 ** 4

@@ -484,7 +484,9 @@ def test_installed_console_script():
 # digests were recorded before the certificate types shared one table in
 # the CLI, and pin that every command still prints the same bytes.  The two
 # ``ex2-verify`` rows were recorded again when "chain-containment" became an
-# exact block-restriction check; only that clause's details changed.
+# exact block-restriction check, and again when "chain-descent" came to read
+# the K-index ratio instead of a witness word; each time only that clause's
+# details changed.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
 
 
@@ -554,9 +556,9 @@ PINNED = (
     (None, ("ex2-construct", "--steps", "2", "--cap", "50"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     (None, ("ex2-verify", "{chain}"), 0,
-     "80dc7b8e09468283d7bb680477954dc23dbf2b7e0f2805da8a0432ebf5aab1c3", None),
+     "b21d3ca763ed1fc660604a4999a8c08ab1bbabeb3051895eb095d488ee44ebda", None),
     (None, ("ex2-verify", "{bad_chain}"), 1,
-     "01abc15e9acc39e52224c02957a803b950dda4a13f9055a5b45067786bf13c38", None),
+     "e0619388dea1cf5d530d54f443d647415430df243f4acce7265dbe91db11d4a3", None),
     (None, ("ex2-witness", "{chain}", "--step", "3"), 0,
      "fc4caa327b7382067d613201df946dd0867b2bbeb93f7d58f81e0d408870d27b", None),
     (None, ("ex2-witness", "{chain}", "--step", "2", "--kind", "intersection",

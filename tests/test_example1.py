@@ -453,6 +453,16 @@ def test_tail_schema_rejections():
         ex1_tail_from_obj(dict(obj, head_certificates="nope"))
 
 
+@pytest.mark.parametrize("field", ["modulus", "head_bound"])
+@pytest.mark.parametrize("text", ["--5", "\u00b2", "\u0663", "+5", " 5", "5\n", ""])
+def test_tail_integer_fields_are_ascii_decimals(field, text):
+    # "--5" and the superscript two passed isdigit() and then broke int();
+    # the Arabic-Indic three loaded as 3 and re-emitted as different bytes
+    obj = ex1_tail_to_obj(separate_from_S(WORD_B))
+    with pytest.raises(SchemaError, match=field):
+        ex1_tail_from_obj(dict(obj, **{field: text}))
+
+
 def test_witness_schema_rejections():
     obj = ex1_witness_to_obj(not_closed_witness(abelian(4)))
 

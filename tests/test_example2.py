@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -232,8 +233,8 @@ def test_verify_default_run(default_cert):
 
 def test_k_image_tables_built_once_per_quotient(monkeypatch, default_cert):
     # construct carries each accepted candidate's K-image table into choose_r
-    # instead of rebuilding it, and verify reads each step's table again in
-    # chain-descent
+    # instead of rebuilding it; verify builds each step's table once, keeps
+    # only its length, and chain-descent compares those lengths
     built = []
 
     def counting(q, gens):
@@ -370,17 +371,21 @@ def test_verify_rejects_spliced_chain(default_cert):
     probe = power(ac, q2.element_order(ac))
     assert q2.in_kernel(probe) and not q1.in_kernel(probe)
 
+    # the K-indices still grow, but without containment their ratio proves
+    # no descent, so chain-descent fails with it
     report = verify_ex2(cert)
-    assert failing_clauses(report) == {("chain-containment", 1)}
+    assert failing_clauses(report) == {("chain-containment", 1), ("chain-descent", 1)}
+    assert report.failures()[1].detail.endswith(
+        "= 80/16 proves nothing without chain-containment")
     detail = report.failures()[0].detail
     assert "image of c in Q_2" in detail and "image of d in Q_2" in detail
     assert "image of a" not in detail
 
 
-def test_chain_descent_needs_a_witness():
-    # Q_2 = Q_1 x F with F trivial on K: the K-image and the K-index stay the
-    # same and only the quotient order grows, which proves no descent of the
-    # K-side kernels.  Every other clause holds.
+def flat_k_chain():
+    """Q_2 = Q_1 x F with F trivial on K: the K-image and the K-index stay the
+    same and only the quotient order grows, which proves no descent of the
+    K-side kernels.  Every other clause holds."""
     q1 = make_permutation_quotient(P22, {
         Generator(K, 0): (1, 2, 3, 0), Generator(K, 1): (1, 0, 2, 3),
         Generator(L, 0): (0, 1, 3, 2), Generator(L, 1): (0, 1, 2, 3)})
@@ -398,21 +403,59 @@ def test_chain_descent_needs_a_witness():
         s, e = make_s(r, q)
         steps.append(Ex2Step(q, r, s, e, f, 24))
     params = Ex2Params(P22, 2, (1, 2), {"kind": "hand", "seed": 0}, 10 ** 6, 1)
-    report = verify_ex2(Ex2Certificate(params, tuple(steps), Fraction(1, 12)))
+    return Ex2Certificate(params, tuple(steps), Fraction(1, 12))
+
+
+def test_chain_descent_needs_a_witness():
+    report = verify_ex2(flat_k_chain())
     assert failing_clauses(report) == {("chain-descent", 1)}
+    assert report.failures()[0].detail.startswith(
+        "[K-image of Q_2] / [K-image of Q_1] = 24/24, so no K-word")
+
+
+def scan_witness(q_this, q_next):
+    """First non-identity element of Q_{n+1}'s K-image table whose word lies
+    in ker Q_n, found by imaging every word in Q_n; None when there is none."""
+    table = k_table(q_next)
+    return next((w for w in (table_word(table, x) for x in table)
+                 if not w.is_identity() and q_this.in_kernel(w)), None)
 
 
 def test_chain_descent_restriction_finds_the_scan_witness(default_cert):
-    # after containment, chain-descent reads kernel membership off Q_n's
-    # points; the first witness is the one a kernel scan of the words finds
-    report = verify_ex2(default_cert)
-    details = {c.m: c.detail for c in report.clauses if c.clause == "chain-descent"}
-    for n in range(1, 4):
-        q_this = default_cert.steps[n - 1].quotient
-        table = k_table(default_cert.steps[n].quotient)
-        words = [table_word(table, x) for x in table][1:]
-        witness = next(w for w in words if q_this.in_kernel(w))
-        assert details[n].startswith(f"K-word {format_word(witness, P22)} in ker Q_{n} ")
+    # a kernel scan of the words is the oracle: it finds a K-word in
+    # ker Q_n but not in ker Q_{n+1} exactly when the index ratio passes 1
+    certs = [default_cert, construct_ex2(steps=5), flat_k_chain()]
+    certs += [construct_ex2(P22, steps=4, source=MixedQuotientSource(P22, seed))
+              for seed in (2, 5, 6, 37, 56, 57)]
+    for cert in certs:
+        report = verify_ex2(cert)
+        passed = {c.m: c.ok for c in report.clauses if c.clause == "chain-descent"}
+        for n in range(1, cert.params.steps):
+            q_this, q_next = (cert.steps[i].quotient for i in (n - 1, n))
+            grows = cert.steps[n].k_index > cert.steps[n - 1].k_index
+            assert (scan_witness(q_this, q_next) is not None) == grows == passed[n]
+
+
+def test_hostile_chain_fails_without_a_kernel_scan():
+    # the 6-step default chain plus a copy of step 6 with the images of c and
+    # d swapped: containment fails at step 6, where a kernel scan would image
+    # all 176,400 K-words of Q_7 in Q_6 and find none in ker Q_6
+    obj = ex2_to_obj(construct_ex2(steps=6))
+    step7 = json.loads(json.dumps(obj["steps"][5]))
+    images = step7["quotient"]["images"]
+    images["c"], images["d"] = images["d"], images["c"]
+    step7["f_value"] = 8
+    obj["steps"].append(step7)
+    obj["params"]["steps"] = 7
+    obj["params"]["f_values"].append(8)
+    cert = ex2_from_obj(obj)
+    started = time.perf_counter()
+    report = verify_ex2(cert)
+    assert time.perf_counter() - started < 10
+    assert {(c.clause, c.m, c.k) for c in report.failures()} == {
+        ("chain-containment", 6, None), ("chain-descent", 6, None),
+        ("condition1", 7, None), ("condition4", 6, 7),
+        ("reciprocal-sum", None, None), ("step-structure", 7, None)}
 
 
 def test_chain_past_f6_constructs_and_verifies():
@@ -440,6 +483,18 @@ def test_file_points_are_budgeted_before_loading(default_cert):
     obj["steps"][0]["quotient"] = {"kind": "abelian", "modulus": 150_000}
     with pytest.raises(CapExceededError, match="points of the file's quotients"):
         ex2_from_obj(obj)
+
+
+def test_construct_records_the_cap_its_tables_were_built_under():
+    # a caller's own source keeps its quotients' caps, so the certificate
+    # records the last quotient's cap, not the construct argument: a file
+    # claiming a cap of 50 would not reload past its 80-element K-image
+    source = MixedQuotientSource(P22, 0)
+    cert = construct_ex2(P22, steps=2, source=source, enumeration_cap=50)
+    assert [st.k_index for st in cert.steps] == [16, 80]
+    assert cert.params.enumeration_cap == DEFAULT_ENUMERATION_CAP
+    loaded = ex2_from_obj(json.loads(emit_certificate(cert)))
+    assert verify_ex2(loaded).ok
 
 
 def test_file_cannot_raise_the_verifier_cap(default_cert):

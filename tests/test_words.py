@@ -181,7 +181,9 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["a^", "x", "a^2^3", "A", "a^b", "2a", "a ^2", "e"]:
+    # exponents are ASCII digits only: \d would read "a^\u0663" as a^3
+    for bad in ["a^", "x", "a^2^3", "A", "a^b", "2a", "a ^2", "e",
+                "a^\u0663", "a^\u00b2", "a^--5"]:
         with pytest.raises(WordSyntaxError):
             parse_word(bad, P11)
 
