@@ -426,4 +426,8 @@ def ex1_witness_from_obj(obj, path="witness", enumeration_cap=None) -> Ex1NotClo
 def _decimal_field(value, path: str) -> int:
     if not isinstance(value, str) or not re.fullmatch(r"-?[0-9]+", value):
         raise SchemaError(f"{path}: expected a decimal integer string")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # past the interpreter's limit on digits converted
+        raise SchemaError(f"{path}: {len(value)} characters, too many digits "
+                          f"to convert") from None

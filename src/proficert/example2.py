@@ -23,11 +23,12 @@ from .quotients import (
     Permutation,
     check_point_budget,
     direct_product,
-    generated_image_table,
+    generated_moves,
     make_abelian_quotient,
     make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
+    subgroup_order,
     table_word,
     _check_keys,
 )
@@ -115,24 +116,35 @@ def _next_prime(n: int) -> int:
         candidate += 1
 
 
-def choose_r(q: FiniteQuotient, table: dict, forbidden, radius: int) -> Word:
-    """First K-word of ``table``, the K-image table of q in breadth-first
-    order, whose image lies outside the radius-``radius`` ball of the full
-    Cayley graph and outside every forbidden coset.
+def choose_r(q: FiniteQuotient, k_words, forbidden, radius: int) -> Word:
+    """First element of the K-image of q, in breadth-first order over the
+    images of ``k_words`` and then their inverses, that lies outside the
+    radius-``radius`` ball of the full Cayley graph and outside every
+    forbidden coset; its K-geodesic word.
 
     ``forbidden`` is a sequence of (quotient, word) pairs; candidates whose
-    coset in that quotient matches the word's are pruned.  The returned
-    word is a K-geodesic by construction.  An element of K-depth at most
-    ``radius`` lies in the ball; the others are tested against the
-    ceil(radius/2)-ball, built once, by :meth:`FiniteQuotient.bounded_distance`.
+    coset in that quotient matches the word's are pruned.  The search stops
+    at the first admissible element, so the K-image is enumerated only as
+    far as that.  An element of K-depth at most ``radius`` lies in the
+    ball; the others are tested against the ceil(radius/2)-ball, built
+    once, by :meth:`FiniteQuotient.bounded_distance`.
     """
     ball = q.ball((radius + 1) // 2)
-    for x, (depth, _, _) in table.items():
-        if depth <= radius or q.bounded_distance(x, radius, ball) is not None:
-            continue
+    picked = []
+
+    def admissible(table, x):
+        if table[x][0] <= radius or q.bounded_distance(x, radius, ball) is not None:
+            return False
         wx = table_word(table, x)
-        if all(not qm.coset_equal(wx, rm) for qm, rm in forbidden):
-            return wx
+        if any(qm.coset_equal(wx, rm) for qm, rm in forbidden):
+            return False
+        picked.append(wx)
+        return True
+
+    table = q._search(generated_moves(q, k_words), "generated subgroup enumeration",
+                      stop=admissible)
+    if picked:
+        return picked[0]
     raise NoAdmissibleElementError(
         f"the K-image of size {len(table)} has no element past radius {radius} "
         f"and outside {len(forbidden)} forbidden cosets")
@@ -218,7 +230,7 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
     kk = partition.k_size
 
     quotient = None
-    table = {}  # K-image table of ``quotient``; its length is the K-index
+    index = 0  # the K-index of ``quotient``, the order of its K-image
     built = []
     forbidden = []
     recip = Fraction(0)
@@ -228,15 +240,15 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
         # reduced K-words of length exactly f_n; the K-image must outgrow
         # this count before "outside the f_n-ball" can have solutions
         sphere_count = 2 * kk * (2 * kk - 1) ** (f_n - 1)
-        need = len(table) + 1
+        need = index + 1
         need = max(need, sphere_count + 1 if n == 1 else 2 * sphere_count + 1)
         slack = Fraction(1, 2) - recip
         need = max(need, int(1 / slack) + 1)
         r_n = None
         while r_n is None:
-            if len(table) >= need:
+            if index >= need:
                 try:
-                    r_n = choose_r(quotient, table, forbidden, f_n)
+                    r_n = choose_r(quotient, k_words, forbidden, f_n)
                     break
                 except NoAdmissibleElementError:
                     pass
@@ -247,17 +259,17 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
             candidate = (factor if quotient is None
                          else direct_product(quotient, factor))
             try:
-                cand_table = generated_image_table(candidate, k_words)
+                cand_index = subgroup_order(candidate, k_words)
             except CapExceededError:
                 continue
-            if quotient is None or len(cand_table) > len(table):
-                quotient, table = candidate, cand_table
+            if quotient is None or cand_index > index:
+                quotient, index = candidate, cand_index
         s_n, e_n = make_s(r_n, quotient)
-        recip += Fraction(1, len(table))
+        recip += Fraction(1, index)
         assert recip < Fraction(1, 2)
-        built.append(Ex2Step(quotient, r_n, s_n, e_n, f_n, len(table)))
+        built.append(Ex2Step(quotient, r_n, s_n, e_n, f_n, index))
         forbidden.append((quotient, r_n))
-    # the last quotient's cap, under which every K-image table was enumerated
+    # the last quotient's cap, under which every K-index was computed
     params = Ex2Params(partition, steps, f_values, source.describe(),
                        quotient.enumeration_cap, max_source_draws)
     return Ex2Certificate(params, tuple(built), recip)
@@ -296,9 +308,10 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     construction path — so a verifier run is meaningful on certificates
     of unknown origin.
 
-    A K-index is the length of a K-image table, which is not kept.  Given
-    chain-containment, restriction maps the K-image of Q_{n+1} onto that of
-    Q_n with kernel H_n / H_{n+1}, so chain-descent is K-index growth.
+    A K-index is the order of a K-image, read off a stabilizer chain
+    without enumerating the image.  Given chain-containment, restriction
+    maps the K-image of Q_{n+1} onto that of Q_n with kernel H_n / H_{n+1},
+    so chain-descent is K-index growth.
     """
     clauses = []
     params = cert.params
@@ -331,7 +344,7 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
             problems.append(f"e = {st.e} but image(b) has order {order_b}")
         if st.s != multiply(st.r, power(b, st.e)):
             problems.append("s does not equal r * b^e")
-        index = len(generated_image_table(q, k_words))
+        index = subgroup_order(q, k_words)
         indices.append(index)
         if st.k_index != index:
             problems.append(f"recorded K-index {st.k_index}, recomputed {index}")

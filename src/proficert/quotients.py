@@ -46,6 +46,16 @@ def _lift(m):
     return m + _IDENTITY_BYTES[len(m):] if len(m) <= 256 else m
 
 
+def _inverse(m):
+    """Inverse of a raw or lifted mapping, in the same storage."""
+    n = len(m)
+    if n <= 256:
+        # the table sending each image m[x] back to x
+        return bytes.maketrans(m, _IDENTITY_BYTES[:n])[:n]
+    # the points sorted by their images: position x holds the preimage of x
+    return tuple(sorted(range(n), key=m.__getitem__))
+
+
 def _times_power(acc, step, e: int, compose):
     """Raw ``acc * m^e`` for e >= 0, with m given lifted as ``step``."""
     while e:
@@ -108,10 +118,7 @@ class Permutation:
         return _wrap(_composer(len(sm))(sm, _lift(other.mapping)))
 
     def inverse(self) -> "Permutation":
-        m = self.mapping
-        # the points sorted by their images: position x holds the preimage of x
-        inv = sorted(range(len(m)), key=m.__getitem__)
-        return _wrap(bytes(inv) if len(m) <= 256 else tuple(inv))
+        return _wrap(_inverse(self.mapping))
 
     def __pow__(self, e: int) -> "Permutation":
         base = self if e >= 0 else self.inverse()
@@ -248,22 +255,23 @@ class FiniteQuotient:
 
     # --- enumeration --------------------------------------------------------
 
-    def _search(self, moves, context: str, max_radius=None, stop_at=None) -> dict:
+    def _search(self, moves, context: str, max_radius=None, stop=None) -> dict:
         """The one breadth-first search of the quotient layer.
 
         ``moves`` is a list of (move word, lifted step) pairs, expanded in
         order.  Returns an insertion-ordered dict mapping each raw mapping
         reached to ``(depth, parent, move word)``, the identity first with
-        parent None.  Elements at depth ``max_radius`` are not expanded;
-        with the raw mapping ``stop_at`` set, the search returns as soon as
-        that element is reached (partial table).  Past the enumeration cap
+        parent None.  Elements at depth ``max_radius`` are not expanded.
+        With ``stop`` set, ``stop(table, y)`` is asked of each element y as
+        it enters the table, the identity first, and the search returns the
+        partial table as soon as it answers true.  Past the enumeration cap
         it raises, naming ``context``.
         """
         cap = self.enumeration_cap
         compose = self._compose
         start = self._identity
         table = {start: (0, None, identity_word())}
-        if stop_at is not None and stop_at == start:
+        if stop is not None and stop(table, start):
             return table
         queue = deque([start])
         while queue:
@@ -278,19 +286,21 @@ class FiniteQuotient:
                     if len(table) >= cap:
                         raise CapExceededError(cap, context)
                     table[y] = (d, x, mw)
-                    if stop_at is not None and y == stop_at:
+                    if stop is not None and stop(table, y):
                         return table
                     queue.append(y)
         return table
 
     def _bfs(self, max_radius=None, stop_at=None) -> dict:
         """Cayley-graph distances, keyed by raw mapping: :meth:`_search`
-        over all generator images then all inverses, K block before L."""
+        over all generator images then all inverses, K block before L,
+        cut short once the raw mapping ``stop_at`` is reached."""
         gens = self.partition.generators()
         entries = [self._generator_steps(g) for g in gens]
         moves = [(Word(((g, 1),)), step) for g, (_, step, _) in zip(gens, entries)]
         moves += [(Word(((g, -1),)), inverse) for g, (_, _, inverse) in zip(gens, entries)]
-        table = self._search(moves, "image group enumeration", max_radius, stop_at)
+        stop = None if stop_at is None else (lambda table, y: y == stop_at)
+        table = self._search(moves, "image group enumeration", max_radius, stop)
         return {x: d for x, (d, _, _) in table.items()}
 
     def order(self) -> int:
@@ -409,6 +419,14 @@ def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
         partition, {g: Permutation.identity(1) for g in partition.generators()})
 
 
+def generated_moves(q: FiniteQuotient, gens) -> list:
+    """:meth:`FiniteQuotient._search` moves over the images of ``gens`` (a
+    list of words): each word with its lifted image, then each inverse."""
+    images = [q.image(w).mapping for w in gens]
+    moves = [(w, _lift(x)) for w, x in zip(gens, images)]
+    return moves + [(invert(w), _lift(_inverse(x))) for w, x in zip(gens, images)]
+
+
 def generated_image_table(q: FiniteQuotient, gens) -> dict:
     """BFS over the image subgroup generated by ``gens`` (a list of words).
 
@@ -417,23 +435,148 @@ def generated_image_table(q: FiniteQuotient, gens) -> dict:
     it was first reached from (None for the identity) and that move's word,
     expanding gens in list order and then their inverses.
     :func:`table_word` spells an element's geodesic word.  The table is
-    deterministic and cap-checked.
+    deterministic and cap-checked.  The package only needs the order, which
+    :func:`subgroup_order` finds without enumerating; the table is its
+    oracle.
     """
-    images = [q.image(w) for w in gens]
-    moves = [(w, _lift(x.mapping)) for w, x in zip(gens, images)]
-    moves += [(invert(w), _lift(x.inverse().mapping)) for w, x in zip(gens, images)]
-    return q._search(moves, "generated subgroup enumeration")
+    return q._search(generated_moves(q, gens), "generated subgroup enumeration")
 
 
 def table_word(table: dict, x) -> Word:
-    """The geodesic word of ``x`` in a :func:`generated_image_table`: the
-    move words along its parent chain, reduced at once (the same word as
-    multiplying them in turn, since reduced forms are unique)."""
+    """The geodesic word of ``x`` in a :func:`generated_image_table` (or any
+    :meth:`FiniteQuotient._search` table): the move words along its parent
+    chain, reduced at once (the same word as multiplying them in turn,
+    since reduced forms are unique)."""
     moves = []
     while x is not None:
         _, x, mw = table[x]
         moves.append(mw)
     return reduce(run for mw in reversed(moves) for run in mw.runs)
+
+
+def subgroup_order(q: FiniteQuotient, words) -> int:
+    """Order of the subgroup generated by the images of ``words``, found
+    without enumerating it: deterministic Schreier–Sims (Sims 1970; Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, 4.4.2).
+
+    Level i of the stabilizer chain holds a base point b_i, the strong
+    generators that fix b_0 .. b_{i-1}, and a Schreier vector: the orbit of
+    b_i under them, each point mapped to the strong generator that first
+    reached it.  A coset representative is walked back along these parent
+    pointers, as a K-image table's word is.  Once every Schreier generator
+    of every level sifts to the identity through the levels below it, the
+    order is the product of the orbit lengths.  Mappings stay lifted, and
+    each composition is charged against ``q.enumeration_cap``; past it the
+    chain raises.
+    """
+    compose = q._compose
+    identity = _lift(q._identity)
+    cap = q.enumeration_cap
+    spent = 0
+    strong = []                   # (lifted generator, lifted inverse)
+    base, gens, vectors, orbits = [], [], [], []
+    tried = []                    # per level, per orbit point: generators tried
+
+    def charge(compositions):
+        nonlocal spent
+        spent += compositions
+        if spent > cap:
+            raise CapExceededError(cap, "stabilizer chain")
+
+    def walk_back(level, h, point):
+        """h times the inverse of the representative of ``point``."""
+        vector, b = vectors[level], base[level]
+        steps = 0
+        while point != b:
+            inverse = strong[vector[point]][1]
+            h = compose(h, inverse)
+            point = inverse[point]
+            steps += 1
+        charge(steps)
+        return h
+
+    def representative(level, point):
+        """The product of the tree's generators from b_level to ``point``."""
+        vector, b = vectors[level], base[level]
+        u = identity
+        steps = 0
+        while point != b:
+            g, inverse = strong[vector[point]]
+            u = compose(g, u)
+            point = inverse[point]
+            steps += 1
+        charge(steps)
+        return u
+
+    def sift(h, level):
+        """The residue of h and the level it drops out at, len(base) when
+        it passes every level."""
+        while level < len(base):
+            point = h[base[level]]
+            if point not in vectors[level]:
+                break
+            h = walk_back(level, h, point)
+            level += 1
+        return h, level
+
+    def add(y, first, last):
+        """Make the residue y a strong generator of levels first..last,
+        opening level last when it is new, and extend their orbits."""
+        if last == len(base):
+            b = next(x for x, yx in enumerate(y) if x != yx)
+            base.append(b)
+            gens.append([])
+            vectors.append({b: None})
+            orbits.append([b])
+            tried.append([])
+        k = len(strong)
+        strong.append((y, _inverse(y)))
+        for level in range(first, last + 1):
+            gens[level].append(k)
+            orbit, vector = orbits[level], vectors[level]
+            old = len(orbit)
+            # the old points under y, then the new ones (appended on the
+            # way, and visited too) under every generator of the level
+            for i, x in enumerate(orbit):
+                for j in (k,) if i < old else gens[level]:
+                    jx = strong[j][0][x]
+                    if jx not in vector:
+                        vector[jx] = j
+                        orbit.append(jx)
+
+    def scan(level):
+        """Sift the level's untried Schreier generators.  Returns the level
+        to scan next: the deepest one a residue was added to, else the one
+        above."""
+        orbit, vector, level_gens, level_tried = (
+            orbits[level], vectors[level], gens[level], tried[level])
+        level_tried.extend([0] * (len(orbit) - len(level_tried)))
+        for p, point in enumerate(orbit):
+            if level_tried[p] == len(level_gens):
+                continue
+            u = representative(level, point)
+            for gi in range(level_tried[p], len(level_gens)):
+                level_tried[p] = gi + 1
+                k = level_gens[gi]
+                g = strong[k][0]
+                image = g[point]
+                if vector[image] == k:
+                    continue  # a tree edge: the Schreier generator is 1
+                charge(1)
+                y, last = sift(walk_back(level, compose(u, g), image), level + 1)
+                if y != identity:
+                    add(y, level + 1, last)
+                    return last
+        return level - 1
+
+    for w in words:
+        y, last = sift(_lift(q.image(w).mapping), 0)
+        if y != identity:
+            add(y, 0, last)
+    level = len(base) - 1
+    while level >= 0:
+        level = scan(level)
+    return math.prod(len(orbit) for orbit in orbits)
 
 
 def direct_product(*factors: FiniteQuotient) -> FiniteQuotient:

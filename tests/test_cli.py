@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -406,6 +407,29 @@ def test_abelian_quotient_counts_every_image_entry(tmp_path):
     assert result.stdout == ""
 
 
+def test_ex2_verify_refuses_a_symmetric_k_image(tmp_path):
+    # the K-images of this degree-200 step, a 200-cycle and a transposition,
+    # generate S_200: its stabilizer chain runs out of the cap, and a K-image
+    # table would have enumerated a million elements first
+    points = list(range(200))
+    step = {"quotient": {"kind": "perm", "degree": 200, "images": {
+                "a": points[1:] + points[:1], "b": [1, 0] + points[2:],
+                "c": points, "d": points}},
+            "r": "a^3", "s": "a^3 c", "e": 1, "f_value": 2, "k_index": 1}
+    obj = {"type": "ex2", "params": {
+               "partition": {"k_size": 2, "l_size": 2}, "steps": 1, "f_values": [2],
+               "source": {"kind": "hand", "seed": 0}, "enumeration_cap": 10 ** 6,
+               "max_source_draws": 1},
+           "steps": [step], "reciprocal_sum": "1"}
+    path = tmp_path / "symmetric.json"
+    path.write_text(canonical_json(obj))
+    result = run_process(sys.executable, "-m", "proficert", "ex2-verify", str(path),
+                         timeout=5, address_space=2 ** 30)
+    assert result.returncode == 3
+    assert "(stabilizer chain)" in result.stderr
+    assert result.stdout == ""
+
+
 # --- entry point, run as a separate process ------------------------------------------
 
 # The checkout's own sources come first on the child's path, so the subprocess
@@ -413,12 +437,16 @@ def test_abelian_quotient_counts_every_image_entry(tmp_path):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_process(*argv, timeout=None):
+def run_process(*argv, timeout=None, address_space=None):
+    """Run argv with this checkout's sources; ``address_space`` caps the
+    child's virtual memory (RLIMIT_AS) in bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run(list(argv), capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, preexec_fn=limit)
 
 
 def test_stallings_folds_long_merge_heavy_subgroup():

@@ -463,6 +463,14 @@ def test_tail_integer_fields_are_ascii_decimals(field, text):
         ex1_tail_from_obj(dict(obj, **{field: text}))
 
 
+@pytest.mark.parametrize("field", ["modulus", "head_bound"])
+def test_tail_integer_fields_past_the_digit_limit(field):
+    # int() refuses more than 4,300 digits with a bare ValueError
+    obj = ex1_tail_to_obj(separate_from_S(WORD_B))
+    with pytest.raises(SchemaError, match=f"{field}: 5000 characters"):
+        ex1_tail_from_obj(dict(obj, **{field: "9" * 5000}))
+
+
 def test_witness_schema_rejections():
     obj = ex1_witness_to_obj(not_closed_witness(abelian(4)))
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from proficert import example2
+from proficert import quotients
 from proficert.cli import emit_certificate
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example2 import (
@@ -32,6 +32,7 @@ from proficert.example2 import (
 )
 from proficert.quotients import (
     DEFAULT_ENUMERATION_CAP,
+    FiniteQuotient,
     Permutation,
     direct_product,
     generated_image_table,
@@ -39,6 +40,7 @@ from proficert.quotients import (
     make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
+    subgroup_order,
     table_word,
     trivial_quotient,
 )
@@ -104,20 +106,20 @@ def k_table(q):
 
 
 def test_subgroup_k_index():
-    assert len(k_table(make_abelian_quotient(P22, 5))) == 25
-    assert len(k_table(make_abelian_quotient(P11, 7))) == 7
-    assert len(k_table(trivial_quotient(P22))) == 1
+    for q, index in ((make_abelian_quotient(P22, 5), 25), (make_abelian_quotient(P11, 7), 7),
+                     (trivial_quotient(P22), 1)):
+        assert len(k_table(q)) == subgroup_order(q, k_words(q.partition)) == index
 
 
 def test_choose_r_abelian_examples():
     q = make_abelian_quotient(P11, 7)
-    assert choose_r(q, k_table(q), [], 1) == parse_word("a^2", P11)
-    assert choose_r(q, k_table(q), [], 0) == parse_word("a", P11)
+    assert choose_r(q, k_words(P11), [], 1) == parse_word("a^2", P11)
+    assert choose_r(q, k_words(P11), [], 0) == parse_word("a", P11)
 
 
 def test_choose_r_respects_forbidden_cosets():
     q = make_abelian_quotient(P11, 7)
-    r = choose_r(q, k_table(q), [(q, parse_word("a", P11))], 0)
+    r = choose_r(q, k_words(P11), [(q, parse_word("a", P11))], 0)
     assert r == parse_word("a^-1", P11)
 
 
@@ -126,7 +128,7 @@ def test_choose_r_exhaustion():
     q = make_permutation_quotient(
         P11, {Generator(K, 0): Permutation((1, 0)), Generator(L, 0): Permutation((0, 1))})
     with pytest.raises(NoAdmissibleElementError):
-        choose_r(q, k_table(q), [], 1)
+        choose_r(q, k_words(P11), [], 1)
 
 
 def test_choose_r_returns_k_word_past_radius():
@@ -134,15 +136,16 @@ def test_choose_r_returns_k_word_past_radius():
     for _ in range(10):
         q = make_abelian_quotient(P22, rng.randrange(5, 12))
         radius = rng.randrange(0, 3)
-        r = choose_r(q, k_table(q), [], radius)
+        r = choose_r(q, k_words(P22), [], radius)
         assert all(g.factor == K for g, _ in r.runs)
         assert q.cayley_distance(r, max_radius=radius) is None
 
 
-def full_ball_choose_r(q, table, forbidden, radius):
-    """Reference rule: the first table element outside the whole
-    radius-``radius`` ball, enumerated in full, and outside every forbidden
-    coset; None when there is none."""
+def full_ball_choose_r(q, forbidden, radius):
+    """Reference rule: the first element of the whole K-image table outside
+    the whole radius-``radius`` ball, both enumerated in full, and outside
+    every forbidden coset; None when there is none."""
+    table = k_table(q)
     ball = q.ball(radius)
     for x in table:
         w = table_word(table, x)
@@ -151,9 +154,9 @@ def full_ball_choose_r(q, table, forbidden, radius):
     return None
 
 
-def choose_r_or_none(q, table, forbidden, radius):
+def choose_r_or_none(q, forbidden, radius):
     try:
-        return choose_r(q, table, forbidden, radius)
+        return choose_r(q, k_words(q.partition), forbidden, radius)
     except NoAdmissibleElementError:
         return None
 
@@ -163,10 +166,9 @@ def test_choose_r_matches_full_ball_rule(default_cert):
     # then small random quotients with random forbidden words
     forbidden = []
     for st in default_cert.steps:
-        table = k_table(st.quotient)
         for radius in range(6):
-            assert (choose_r_or_none(st.quotient, table, forbidden, radius)
-                    == full_ball_choose_r(st.quotient, table, forbidden, radius))
+            assert (choose_r_or_none(st.quotient, forbidden, radius)
+                    == full_ball_choose_r(st.quotient, forbidden, radius))
         forbidden.append((st.quotient, st.r))
     rng = random.Random(909)
     found = 0
@@ -183,8 +185,8 @@ def test_choose_r_matches_full_ball_rule(default_cert):
         picks = [table_word(table, rng.choice(list(table))) for _ in range(rng.randrange(3))]
         forbidden = [(q, w) for w in picks]
         for radius in range(7):
-            want = full_ball_choose_r(q, table, forbidden, radius)
-            assert choose_r_or_none(q, table, forbidden, radius) == want
+            want = full_ball_choose_r(q, forbidden, radius)
+            assert choose_r_or_none(q, forbidden, radius) == want
             found += want is not None
     assert found > 40
 
@@ -231,22 +233,30 @@ def test_verify_default_run(default_cert):
                      "chain-containment", "chain-descent", "reciprocal-sum"}
 
 
-def test_k_image_tables_built_once_per_quotient(monkeypatch, default_cert):
-    # construct carries each accepted candidate's K-image table into choose_r
-    # instead of rebuilding it; verify builds each step's table once, keeps
-    # only its length, and chain-descent compares those lengths
-    built = []
+def test_no_k_image_table_is_built(monkeypatch, default_cert):
+    # K-indices come from stabilizer chains, so neither verify nor construct
+    # builds a K-image table; choose_r searches the K-image only as far as
+    # its pick, a small part of it
+    def refuse(q, gens):
+        raise AssertionError("a K-image table was built")
 
-    def counting(q, gens):
-        built.append(q)
-        return generated_image_table(q, gens)
+    searched = []
+    search = FiniteQuotient._search
 
-    monkeypatch.setattr(example2, "generated_image_table", counting)
+    def recording(q, moves, context, max_radius=None, stop=None):
+        table = search(q, moves, context, max_radius, stop)
+        if context == "generated subgroup enumeration":
+            searched.append((q, len(table)))
+        return table
+
+    monkeypatch.setattr(quotients, "generated_image_table", refuse)
+    monkeypatch.setattr(FiniteQuotient, "_search", recording)
     assert verify_ex2(default_cert).ok
-    assert built == [st.quotient for st in default_cert.steps]
-    built.clear()
+    assert searched == []
     assert construct_ex2() == default_cert
-    assert len(built) == 5  # one per drawn factor; the source is drawn 5 times
+    assert [q for q, _ in searched] == [st.quotient for st in default_cert.steps]
+    assert [size for _, size in searched] == [9, 26, 42, 62]
+    assert [st.k_index for st in default_cert.steps] == [16, 80, 720, 5040]
 
 
 def test_counting_soundness_invariant(default_cert):
@@ -396,8 +406,8 @@ def flat_k_chain():
     assert (q1.order(), q2.order()) == (24, 144)
     tables = [generated_image_table(q, k_words(P22)) for q in (q1, q2)]
     assert len(tables[0]) == len(tables[1]) == 24
-    r1 = choose_r(q1, tables[0], [], 1)
-    r2 = choose_r(q2, tables[1], [(q1, r1)], 2)
+    r1 = choose_r(q1, k_words(P22), [], 1)
+    r2 = choose_r(q2, k_words(P22), [(q1, r1)], 2)
     steps = []
     for q, r, f in ((q1, r1, 1), (q2, r2, 2)):
         s, e = make_s(r, q)
@@ -465,6 +475,61 @@ def test_chain_past_f6_constructs_and_verifies():
     report = verify_ex2(cert)
     assert report.ok, report.failures()
     assert [st.f_value for st in cert.steps] == [2, 4, 7, 9]
+
+
+def certificate_digest(cert):
+    return hashlib.sha256(emit_certificate(cert).encode()).hexdigest()
+
+
+def test_seven_step_default_chain_pinned():
+    # recorded when every K-index was read off a K-image table, which took
+    # about 4 s and 213 MB here (the last one has 529,200 elements)
+    started = time.perf_counter()
+    cert = construct_ex2(steps=7)
+    assert verify_ex2(cert).ok
+    assert time.perf_counter() - started < 1
+    assert [st.k_index for st in cert.steps][-2:] == [176_400, 529_200]
+    assert certificate_digest(cert) == (
+        "206b04a06c9612380f21e7a554e6b19dafd2d933b48599738a4613ac28031687")
+
+
+def test_ten_step_default_chain_constructs_and_verifies():
+    # step 8's K-index already passes the default cap of 10^6 elements, so
+    # no K-image table could hold it
+    started = time.perf_counter()
+    cert = construct_ex2(steps=10)
+    report = verify_ex2(cert)
+    assert time.perf_counter() - started < 5
+    assert report.ok, report.failures()
+    assert [st.k_index for st in cert.steps][7:] == [64_033_200, 192_099_600, 32_464_832_400]
+    assert certificate_digest(cert) == (
+        "cdd87640cc0ae041d6286fa555f9e302b943958fd6720a05e6611c9a01bad63e")
+
+
+def symmetric_k_factor(degree):
+    """K-images (0 1 ... degree-1) and (0 1), which generate S_degree;
+    trivial L-images."""
+    identity = tuple(range(degree))
+    return make_permutation_quotient(P22, {
+        Generator(K, 0): identity[1:] + identity[:1],
+        Generator(K, 1): (1, 0) + identity[2:],
+        Generator(L, 0): identity, Generator(L, 1): identity})
+
+
+class HostileFirstSource(MixedQuotientSource):
+    """The seed-0 mixed stream after one factor whose K-image is S_200."""
+
+    def stream(self):
+        yield symmetric_k_factor(200)
+        yield from super().stream()
+
+
+def test_construct_skips_a_factor_past_the_cap(default_cert):
+    # the stabilizer chain of S_200 runs out of the cap; construct skips the
+    # factor (had it been kept, its K-index 200! would be in the certificate)
+    # and goes on with the rest of the stream
+    cert = construct_ex2(P22, steps=4, source=HostileFirstSource(P22, 0))
+    assert cert == default_cert
 
 
 def test_file_points_are_budgeted_before_loading(default_cert):

@@ -22,6 +22,7 @@ from proficert.quotients import (
     make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
+    subgroup_order,
     table_word,
     trivial_quotient,
 )
@@ -247,6 +248,116 @@ def test_generated_image_table_words_are_geodesic_labels():
         w = table_word(table, element)
         assert q.image(w).mapping == element
         assert all(g.factor == K for g, _ in w.runs)
+
+
+# --- stabilizer chains -------------------------------------------------------------
+
+K22 = [parse_word("a", P22), parse_word("b", P22)]
+
+
+def letter_words(partition):
+    return [Word(((g, 1),)) for g in partition.generators()]
+
+
+def test_subgroup_order_matches_the_table_on_chain_quotients():
+    # the 4- and 5-step default chains are prefixes of the 6-step one
+    chains = [construct_ex2(steps=n).steps for n in (4, 5, 6)]
+    assert chains[0] == chains[2][:4] and chains[1] == chains[2][:5]
+    for st in chains[2]:
+        order = subgroup_order(st.quotient, K22)
+        assert order == len(generated_image_table(st.quotient, K22)) == st.k_index
+
+
+def small_quotient(rng, partition, degree):
+    """A random quotient of degree at most ``degree``: abelian when the
+    rotations fit, else random permutations."""
+    if rng.random() < 0.3 and 2 * partition.rank <= degree:
+        return make_abelian_quotient(partition, rng.randrange(2, degree // partition.rank + 1))
+    degree = rng.randrange(1, degree + 1)
+    return make_permutation_quotient(
+        partition, {g: random_perm(rng, degree) for g in partition.generators()})
+
+
+def test_subgroup_order_matches_the_table_on_random_quotients():
+    # degree <= 12; the factors of a product have degree <= 10 together, so
+    # the table oracle stays well under the cap
+    rng = random.Random(1212)
+    products = 0
+    for _ in range(40):
+        partition = rng.choice([P11, P22])
+        if rng.random() < 0.4:
+            first = small_quotient(rng, partition, 6)
+            q = direct_product(first, small_quotient(rng, partition, 10 - first.degree))
+            products += 1
+        else:
+            q = small_quotient(rng, partition, 8 if rng.random() < 0.7 else 12)
+        if q.kind == "perm" and q.degree > 8:
+            words = [random_word(rng, partition)]  # cyclic: order <= lcm of the cycles
+        else:
+            words = [random_word(rng, partition) for _ in range(rng.randrange(4))]
+            words += rng.sample(letter_words(partition), rng.randrange(partition.rank + 1))
+        assert q.degree <= 12
+        assert subgroup_order(q, words) == len(generated_image_table(q, words))
+    assert products >= 10
+
+
+@pytest.mark.parametrize("partition", [P11, P22, FactorPartition(3, 1)])
+@pytest.mark.parametrize("modulus", [2, 3, 7, 12])
+def test_subgroup_order_of_abelian_quotients(partition, modulus):
+    q = make_abelian_quotient(partition, modulus)
+    k_words = [Word(((g, 1),)) for g in partition.k_generators()]
+    assert subgroup_order(q, k_words) == modulus ** partition.k_size
+    assert subgroup_order(q, letter_words(partition)) == modulus ** partition.rank == q.order()
+    assert subgroup_order(q, []) == 1
+
+
+def cycle(points, degree):
+    mapping = list(range(degree))
+    for x, y in zip(points, points[1:] + points[:1]):
+        mapping[x] = y
+    return Permutation(tuple(mapping))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_subgroup_order_of_symmetric_and_alternating_groups(n):
+    # (0 1 ... n-1) and (0 1) generate S_n; (0 1 2) with the n-cycle (n odd)
+    # or with (1 2 ... n-1) (n even) generate A_n
+    words = letter_words(P11)
+    symmetric = make_permutation_quotient(P11, {
+        A: cycle(list(range(n)), n), B11: cycle([0, 1] if n > 1 else [0], n)})
+    assert subgroup_order(symmetric, words) == math.factorial(n) == symmetric.order()
+    if n >= 3:
+        long_cycle = list(range(n)) if n % 2 else list(range(1, n))
+        alternating = make_permutation_quotient(P11, {
+            A: cycle([0, 1, 2], n), B11: cycle(long_cycle, n)})
+        assert subgroup_order(alternating, words) == math.factorial(n) // 2
+        assert len(generated_image_table(alternating, words)) == math.factorial(n) // 2
+
+
+def test_subgroup_order_charges_compositions_not_elements():
+    # one element with cycles of lengths 2, 3, 5, 7, 11 and 13 generates a
+    # cyclic group of order 30,030; its chain fits a cap of 300, its table
+    # does not
+    mapping = []
+    for length in (2, 3, 5, 7, 11, 13):
+        start = len(mapping)
+        mapping += [start + (i + 1) % length for i in range(length)]
+    q = make_permutation_quotient(P11, {A: mapping, B11: range(len(mapping))},
+                                  enumeration_cap=300)
+    words = [parse_word("a", P11)]
+    assert subgroup_order(q, words) == 30_030
+    with pytest.raises(CapExceededError, match="generated subgroup enumeration"):
+        generated_image_table(q, words)
+
+
+@pytest.mark.parametrize("degree", [8, 60])
+def test_subgroup_order_past_the_cap_raises(degree):
+    # S_8 needs more than 50 compositions, S_60 more than 10^6
+    q = make_permutation_quotient(P11, {
+        A: cycle(list(range(degree)), degree), B11: cycle([0, 1], degree)},
+        enumeration_cap=50 if degree == 8 else None)
+    with pytest.raises(CapExceededError, match=r"\(stabilizer chain\)"):
+        subgroup_order(q, letter_words(P11))
 
 
 # --- direct products -------------------------------------------------------------
