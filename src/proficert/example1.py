@@ -209,12 +209,9 @@ def separate_from_S(w: Word, head_margin: int = 0, head_cap: int = DEFAULT_HEAD_
     head_bound = max(n, head_margin)
     if head_bound > head_cap:
         raise CapExceededError(head_cap, f"head family of size {head_bound}")
-    heads = []
-    for _, s_i in s_family(head_bound):
-        if s_i == w:
-            continue
-        heads.append(separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)),
-                                            enumeration_cap=enumeration_cap))
+    heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)),
+                                    enumeration_cap=enumeration_cap)
+             for _, s_i in s_family(head_bound)]
     composite = direct_product(
         make_abelian_quotient(EX1_PARTITION, n, enumeration_cap=enumeration_cap),
         *(head.quotient for head in heads))

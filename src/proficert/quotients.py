@@ -319,8 +319,10 @@ class FiniteQuotient:
         graph over all generator images and inverses.
 
         With ``max_radius`` set, returns None when the distance exceeds it
-        (see :meth:`bounded_distance`).
+        (see :meth:`bounded_distance`); a negative radius is a ValueError.
         """
+        if max_radius is not None and max_radius < 0:
+            raise ValueError(f"max_radius must be nonnegative, got {max_radius}")
         target = self.image(w).mapping
         if max_radius is not None:
             return self.bounded_distance(target, max_radius)

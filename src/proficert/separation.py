@@ -90,26 +90,31 @@ def _letters(w: Word, cap=MAX_PATH_LETTERS):
             yield g, step
 
 
+def _lay_word(partition: FactorPartition, edges: set, nv: int, w: Word, closed: bool) -> int:
+    """Add the path of ``w`` from the basepoint to ``edges`` on fresh
+    vertices numbered from ``nv``; a ``closed`` path ends back at the
+    basepoint.  Returns the new vertex count."""
+    for g, _ in w.runs:
+        partition.check(g)
+    last = word_length(w) if closed else 0
+    prev = 0
+    for i, (g, step) in enumerate(_letters(w), 1):
+        if i == last:
+            nxt = 0
+        else:
+            nxt = nv
+            nv += 1
+        edges.add((prev, g, nxt) if step > 0 else (nxt, g, prev))
+        prev = nxt
+    return nv
+
+
 def loop_wedge(partition: FactorPartition, gens) -> StallingsGraph:
     """Unfolded wedge of one loop per generator word, all based at 0."""
     edges = set()
     nv = 1
     for w in gens:
-        for g, _ in w.runs:
-            partition.check(g)
-        letters = list(_letters(w))
-        prev = 0
-        for i, (g, step) in enumerate(letters):
-            if i == len(letters) - 1:
-                nxt = 0
-            else:
-                nxt = nv
-                nv += 1
-            if step > 0:
-                edges.add((prev, g, nxt))
-            else:
-                edges.add((nxt, g, prev))
-            prev = nxt
+        nv = _lay_word(partition, edges, nv, w, closed=True)
     return StallingsGraph(partition, nv, frozenset(edges), False)
 
 
@@ -121,17 +126,7 @@ def adjoin_word_path(graph: StallingsGraph, w: Word) -> StallingsGraph:
     when ``w`` is outside the subgroup.
     """
     edges = set(graph.edges)
-    nv = graph.num_vertices
-    prev = 0
-    for g, step in _letters(w):
-        graph.partition.check(g)
-        nxt = nv
-        nv += 1
-        if step > 0:
-            edges.add((prev, g, nxt))
-        else:
-            edges.add((nxt, g, prev))
-        prev = nxt
+    nv = _lay_word(graph.partition, edges, graph.num_vertices, w, closed=False)
     return StallingsGraph(graph.partition, nv, frozenset(edges), False)
 
 
@@ -265,18 +260,17 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
                            enumeration_cap=None) -> SeparationCertificate:
     """Certificate that ``w`` lies outside the subgroup ``<gens>``.
 
-    The word's path is adjoined to the subgroup graph before folding, so
-    the folded action still tells the basepoint's orbit under ``w`` apart;
-    completing each label's partial injection to a permutation gives a
-    quotient of degree equal to the folded graph's vertex count.
+    One fold of the generator loops with the word's path hung off the
+    basepoint: the path adds a tree, so the folded graph still carries
+    ``<gens>`` at the basepoint, and ``w`` is a member exactly when its
+    path ends there.  Otherwise the folded action tells the basepoint's
+    orbit under ``w`` apart, and completing each label's partial injection
+    to a permutation gives a quotient of degree equal to the folded graph's
+    vertex count.
     """
-    core = build_stallings(partition, gens)
-    if membership(core, w):
+    folded = fold(adjoin_word_path(loop_wedge(partition, gens), w))
+    if membership(folded, w):
         raise ValueError("the excluded word lies in the subgroup; nothing separates it")
-    folded = fold(adjoin_word_path(core, w))
-    endpoint = trace_word(folded, w)
-    if endpoint is None or endpoint == 0:
-        raise AssertionError("folded graph lost the excluded word's endpoint")
     fwd, _ = _transitions(folded)
     images = {g: _complete_to_permutation(fwd.get(g, {}), folded.num_vertices)
               for g in partition.generators()}

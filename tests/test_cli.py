@@ -76,6 +76,10 @@ def test_distance(capsys):
     code, out, _ = run(capsys, "distance", "--word", "a b", "--abelian", "5",
                        "--max-radius", "1")
     assert (code, json.loads(out)) == (0, {"distance": None})
+    code, out, err = run(capsys, "distance", "--word", "1", "--abelian", "2",
+                         "--max-radius", "-1")
+    assert (code, out) == (2, "")
+    assert "max_radius" in err
 
 
 def test_stallings(capsys):

@@ -183,6 +183,10 @@ def test_cayley_distance_max_radius():
     assert q.cayley_distance(w, max_radius=2) is None
     assert q.cayley_distance(w, max_radius=3) == 3
     assert q.cayley_distance(identity(), max_radius=0) == 0
+    # a negative radius bounds nothing, not even the identity's distance 0
+    for x in (identity(), w):
+        with pytest.raises(ValueError, match="max_radius"):
+            q.cayley_distance(x, max_radius=-1)
 
 
 def test_ball_counts():

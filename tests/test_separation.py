@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from proficert import quotients
+from proficert import quotients, separation
 from proficert.errors import CapExceededError, SchemaError
 from proficert.quotients import Permutation, make_permutation_quotient
 from proficert.separation import (
@@ -45,6 +45,7 @@ P21 = FactorPartition(2, 1)
 P22 = FactorPartition(2, 2)
 A = Generator(K, 0)
 B11 = Generator(L, 0)
+MEMBER_MESSAGE = "the excluded word lies in the subgroup; nothing separates it"
 
 
 def random_word(rng, partition, letters=4):
@@ -299,13 +300,33 @@ def test_separate_from_subgroup_examples():
     assert verify_separation(cert2)
 
 
+def completed_images(graph):
+    """Each label's partial injection completed to a permutation, unmatched
+    sources paired with unmatched targets in ascending order."""
+    nv = graph.num_vertices
+    images = {}
+    for g in graph.partition.generators():
+        mp = {s: t for s, h, t in graph.edges if h == g}
+        free = iter(sorted(set(range(nv)) - set(mp.values())))
+        images[g] = Permutation([mp[v] if v in mp else next(free) for v in range(nv)])
+    return images
+
+
 def test_separate_from_subgroup_random_round_trip():
+    # oracle: fold the subgroup graph, then fold again with the word's path
+    # adjoined, and complete the partial injections
     rng = random.Random(37)
     done = 0
     while done < 100:
         partition = rng.choice([P11, P22])
         gens = random_subgroup(rng, partition)
         graph = build_stallings(partition, gens)
+        member = identity()
+        for g in rng.sample(gens, len(gens)):
+            member = multiply(member, rng.choice([g, invert(g)]))
+        with pytest.raises(ValueError) as refused:
+            separate_from_subgroup(partition, gens, member)
+        assert str(refused.value) == MEMBER_MESSAGE
         w = random_word(rng, partition)
         if membership(graph, w):
             continue
@@ -313,10 +334,25 @@ def test_separate_from_subgroup_random_round_trip():
         assert cert.witness_kind == WITNESS_BASEPOINT
         result = verify_separation(cert)
         assert result.ok, result.reasons
-        # degree bound: no larger than the folded graph with the word path
-        folded = fold(adjoin_word_path(graph, w))
-        assert cert.quotient.degree <= folded.num_vertices
+        assert cert.quotient.images == completed_images(fold(adjoin_word_path(graph, w)))
         done += 1
+
+
+def test_separation_folds_once(monkeypatch):
+    calls = []
+    real_fold = separation.fold
+
+    def counting_fold(graph):
+        calls.append(graph)
+        return real_fold(graph)
+
+    monkeypatch.setattr(separation, "fold", counting_fold)
+    w = parse_word("a b a^-1 b^-1", P11)
+    separate_from_subgroup(P11, [parse_word("a^2", P11)], w)
+    assert len(calls) == 1
+    calls.clear()
+    separate_from_identity(P11, w)
+    assert len(calls) == 1
 
 
 def test_separate_member_raises():
