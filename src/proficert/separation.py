@@ -36,6 +36,8 @@ WITNESS_BASEPOINT = "basepoint-moved"
 WITNESS_IMAGE = "image-differs"
 WITNESS_KINDS = (WITNESS_BASEPOINT, WITNESS_IMAGE)
 
+_MEMBER_MESSAGE = "the excluded word lies in the subgroup; nothing separates it"
+
 
 @dataclass(frozen=True)
 class StallingsGraph:
@@ -266,11 +268,16 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
     path ends there.  Otherwise the folded action tells the basepoint's
     orbit under ``w`` apart, and completing each label's partial injection
     to a permutation gives a quotient of degree equal to the folded graph's
-    vertex count.
+    vertex count.  A word longer than ``MAX_PATH_LETTERS`` letters is first
+    traced by runs on the subgroup's own folded graph, so that a member is
+    refused as a member; a non-member that long cannot have its path laid
+    and raises :class:`CapExceededError`.
     """
+    if word_length(w) > MAX_PATH_LETTERS and membership(build_stallings(partition, gens), w):
+        raise ValueError(_MEMBER_MESSAGE)
     folded = fold(adjoin_word_path(loop_wedge(partition, gens), w))
     if membership(folded, w):
-        raise ValueError("the excluded word lies in the subgroup; nothing separates it")
+        raise ValueError(_MEMBER_MESSAGE)
     fwd, _ = _transitions(folded)
     images = {g: _complete_to_permutation(fwd.get(g, {}), folded.num_vertices)
               for g in partition.generators()}
@@ -300,7 +307,13 @@ def separate_from_identity(partition: FactorPartition, w: Word,
 
 
 def verify_separation(cert: SeparationCertificate) -> CheckResult:
-    """Recompute the witness from scratch; False carries the reasons."""
+    """Recompute the witness from scratch; False carries the reasons.
+
+    A basepoint witness is checked on point 0 alone: each word is traced
+    from it run by run (:meth:`FiniteQuotient.point_image`), and no word's
+    whole image is composed.  An image witness composes the images and
+    compares them with the identity.
+    """
     reasons = []
     q = cert.quotient
     if q.partition != cert.partition:
@@ -323,9 +336,9 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
         # sound for any permutation action: the stabilizer of point 0
         # contains the subgroup but not the excluded word
         for i, gw in enumerate(cert.subgroup_gens):
-            if q.image(gw)(0) != 0:
+            if q.point_image(gw, 0) != 0:
                 reasons.append(f"subgroup generator {i} moves the basepoint")
-        if q.image(cert.excluded)(0) == 0:
+        if q.point_image(cert.excluded, 0) == 0:
             reasons.append("excluded word fixes the basepoint")
     else:
         for i, gw in enumerate(cert.subgroup_gens):

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from string import ascii_lowercase
+from typing import NamedTuple
 
 from .errors import WordSyntaxError
 
@@ -56,15 +59,13 @@ class FactorPartition:
 
     def generators(self) -> list[Generator]:
         """All generators, K block ascending then L block ascending."""
-        return [Generator(K, i) for i in range(self.k_size)] + [
-            Generator(L, i) for i in range(self.l_size)
-        ]
+        return list(_generator_table(self.k_size, self.l_size).generators)
 
     def k_generators(self) -> list[Generator]:
-        return [Generator(K, i) for i in range(self.k_size)]
+        return list(_generator_table(self.k_size, self.l_size).generators[:self.k_size])
 
     def l_generators(self) -> list[Generator]:
-        return [Generator(L, i) for i in range(self.l_size)]
+        return list(_generator_table(self.k_size, self.l_size).generators[self.k_size:])
 
     def check(self, gen: Generator) -> Generator:
         size = self.k_size if gen.factor == K else self.l_size
@@ -84,12 +85,24 @@ class FactorPartition:
         return chr(ord("a") + self.flat_index(gen))
 
     def generator_for_letter(self, ch: str) -> Generator:
-        i = ord(ch) - ord("a")
-        if not ("a" <= ch <= "z") or i >= self.rank:
+        gen = _generator_table(self.k_size, self.l_size).by_letter.get(ch)
+        if gen is None:
             raise WordSyntaxError(f"unknown generator letter {ch!r} for partition {self}")
-        if i < self.k_size:
-            return Generator(K, i)
-        return Generator(L, i - self.k_size)
+        return gen
+
+
+class _GeneratorTable(NamedTuple):
+    generators: tuple      # K block ascending, then L block ascending
+    by_letter: dict        # 'a', 'b', ... -> the first 26 generators
+
+
+@lru_cache(maxsize=64)
+def _generator_table(k_size: int, l_size: int) -> _GeneratorTable:
+    """The generators of a partition with these block sizes, built once and
+    shared by every partition of those sizes."""
+    gens = tuple([Generator(K, i) for i in range(k_size)]
+                 + [Generator(L, i) for i in range(l_size)])
+    return _GeneratorTable(gens, dict(zip(ascii_lowercase, gens)))
 
 
 @dataclass(frozen=True)
@@ -206,7 +219,10 @@ def syllables(w: Word, partition: FactorPartition | None = None) -> list:
     return [(fac, Word(runs)) for fac, runs in out]
 
 
-_TOKEN = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
+# A letter with an optional exponent, or any other character that is not
+# whitespace; the scan skips whitespace between matches.  Exponents are
+# ASCII digits only: \d would read "a^\u0663" as a^3.
+_TOKEN = re.compile(r"([a-z])(?:\^(-?[0-9]+))?|(\S)")
 
 
 def parse_word(text: str, partition: FactorPartition) -> Word:
@@ -214,25 +230,23 @@ def parse_word(text: str, partition: FactorPartition) -> Word:
 
     Letters are assigned to the K block then the L block in order, `^` takes
     a decimal exponent of any size, and "1" (or an empty string) is the
-    identity.  The result is reduced.
+    identity.  The result is reduced.  One regex scan reads the tokens, and
+    each letter is looked up in the partition's generator table.
     """
     s = text.strip()
     if s in ("", "1"):
         return IDENTITY
+    letters = _generator_table(partition.k_size, partition.l_size).by_letter
     pairs = []
-    pos = 0
-    n = len(s)
-    while pos < n:
-        if s[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(s, pos)
-        if not m:
+    for m in _TOKEN.finditer(s):
+        ch, exp, other = m.groups()
+        if other is not None:
+            pos = m.start()
             raise WordSyntaxError(f"cannot parse word at position {pos}: {s[pos:pos + 12]!r}")
-        gen = partition.generator_for_letter(m.group(1))
-        exp = 1 if m.group(2) is None else int(m.group(2))
-        pairs.append((gen, exp))
-        pos = m.end()
+        gen = letters.get(ch)
+        if gen is None:
+            partition.generator_for_letter(ch)  # raises: no such letter here
+        pairs.append((gen, 1 if exp is None else int(exp)))
     return reduce(pairs)
 
 

@@ -453,6 +453,19 @@ def run_process(*argv, timeout=None, address_space=None):
                           timeout=timeout, preexec_fn=limit)
 
 
+@pytest.mark.parametrize("word,code,message", [
+    ("a^200000", 2, "the excluded word lies in the subgroup"),
+    ("a^200001", 3, "letter expansion of a long word"),
+])
+def test_separate_word_past_the_path_cap(word, code, message):
+    # a member too long to lay as a path is still refused as a member; a
+    # non-member that long cannot be separated within the letter cap
+    result = run_process(sys.executable, "-m", "proficert", "separate",
+                         "--gen", "a^2", "--word", word, timeout=5)
+    assert (result.returncode, result.stdout) == (code, "")
+    assert message in result.stderr
+
+
 def test_stallings_folds_long_merge_heavy_subgroup():
     # <a^n, a^(n-1)> = <a>; a fold that rescans every edge after each of its
     # ~2n merges needs minutes on this input

@@ -8,6 +8,7 @@ instead of in a benchmark run.
 
 import importlib.util
 from pathlib import Path
+from time import perf_counter
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,3 +32,12 @@ def test_benchmark_binds_to_the_package():
     cases.warm_up(tracing.NullTracer())
     for workload in ("chain", "factorial", "hall"):
         assert cases.make_cases(workload, 0)
+
+
+def test_benchmark_known_answers_hold():
+    # one untraced round of each workload: every certificate verifies and
+    # every hostile edit is rejected by the clause it targets
+    cases, run, tracing = load("cases"), load("run"), load("tracing")
+    for workload in ("chain", "factorial", "hall"):
+        result = run.Round(cases.make_cases(workload, 1), tracing.NullTracer(), perf_counter)
+        assert (workload, result.failed, result.unexpected) == (workload, 0, [])

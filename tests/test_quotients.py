@@ -669,6 +669,41 @@ def test_raw_image_matches_letter_application(degree):
                 assert q.in_kernel(w) == (x == q.identity_element())
 
 
+def cycle_length(mapping, x):
+    n, y = 1, mapping[x]
+    while y != x:
+        n, y = n + 1, mapping[y]
+    return n
+
+
+@pytest.mark.parametrize("degree", [1, 6, 256, 257, 400, "abelian"])
+def test_point_image_matches_the_image(degree):
+    # point_image walks one point without composing; image composes the
+    # whole permutation, so the two must agree at every point
+    rng = random.Random(f"point-image-{degree}")
+    if degree == "abelian":
+        q = make_abelian_quotient(P22, 7)
+    else:
+        q = make_permutation_quotient(
+            P22, {g: random_perm(rng, degree) for g in P22.generators()})
+    big = math.factorial(20) + 11
+    exponents = {}
+    for g in P22.generators():
+        p = q.images[g]
+        exponents[g] = [1, 2, cycle_length(p.mapping, 0), p.order(), big]
+    words = [Word(((g, sign * e),)) for g, es in exponents.items()
+             for e in es for sign in (1, -1)]
+    for _ in range(12):
+        runs = []
+        for _ in range(rng.randrange(2, 6)):
+            g = rng.choice(P22.generators())
+            runs.append((g, rng.choice((1, -1)) * rng.choice(exponents[g])))
+        words.append(reduce(runs))
+    for w in words:
+        image = q.image(w).mapping
+        assert [q.point_image(w, x) for x in range(q.degree)] == list(image), w
+
+
 def naive_ball(images, partition, radius):
     """(element, distance) pairs of the Cayley ball in breadth-first order:
     generator images in partition order, then their inverses."""

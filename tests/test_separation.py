@@ -1,5 +1,6 @@
 """Stallings graphs, folding, membership, and Hall separation certificates."""
 
+import math
 import random
 
 import pytest
@@ -408,6 +409,38 @@ def test_verify_rejects_excluded_in_subgroup():
     result = verify_separation(bad)
     assert not result.ok
     assert any("basepoint" in r for r in result.reasons)
+
+
+def test_verify_separation_traces_the_basepoint_without_images(monkeypatch):
+    # a basepoint witness is checked on point 0 alone: no word's whole
+    # image is composed, and the hostile edits keep their reasons
+    rng = random.Random(41)
+    certs = []
+    while len(certs) < 20:
+        partition = rng.choice([P11, P22])
+        gens = random_subgroup(rng, partition)
+        w = random_word(rng, partition, rng.randrange(1, 9))
+        if not membership(build_stallings(partition, gens), w):
+            certs.append(separate_from_subgroup(partition, gens, w))
+    gens = [parse_word("a^2", P11), parse_word("b a b^-1", P11)]
+    cert = separate_from_subgroup(P11, gens, parse_word("a b", P11))
+    certs.append(cert)
+    big = Word(((A, 2 * math.factorial(20)),))  # in the subgroup: fixes point 0
+
+    def no_image(self, w):
+        raise AssertionError("verify_separation composed a whole image")
+
+    monkeypatch.setattr(quotients.FiniteQuotient, "image", no_image)
+    for c in certs:
+        result = verify_separation(c)
+        assert result.ok, result.reasons
+    moved = SeparationCertificate(P11, cert.quotient,
+                                  cert.subgroup_gens + (multiply(big, cert.excluded),),
+                                  cert.excluded, WITNESS_BASEPOINT)
+    assert verify_separation(moved).reasons == ("subgroup generator 2 moves the basepoint",)
+    fixed = SeparationCertificate(P11, cert.quotient, cert.subgroup_gens,
+                                  multiply(big, gens[1]), WITNESS_BASEPOINT)
+    assert verify_separation(fixed).reasons == ("excluded word fixes the basepoint",)
 
 
 def test_verify_rejects_non_bijective_table():

@@ -1,6 +1,7 @@
 """Word algebra against a naive letter-level oracle."""
 
 import random
+import re
 
 import pytest
 
@@ -186,6 +187,85 @@ def test_parse_rejects_garbage():
                 "a^\u0663", "a^\u00b2", "a^--5"]:
         with pytest.raises(WordSyntaxError):
             parse_word(bad, P11)
+
+
+# --- the per-token parse loop, kept as the oracle of the regex scan ---------------
+
+_LOOP_TOKEN = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
+
+
+def token_loop_parse(text, partition):
+    """Skip whitespace a character at a time, match one token at a time and
+    build each letter's generator from its position in the alphabet."""
+    s = text.strip()
+    if s in ("", "1"):
+        return identity()
+    pairs = []
+    pos = 0
+    while pos < len(s):
+        if s[pos].isspace():
+            pos += 1
+            continue
+        m = _LOOP_TOKEN.match(s, pos)
+        if not m:
+            raise WordSyntaxError(f"cannot parse word at position {pos}: {s[pos:pos + 12]!r}")
+        ch = m.group(1)
+        i = ord(ch) - ord("a")
+        if i >= partition.rank:
+            raise WordSyntaxError(f"unknown generator letter {ch!r} for partition {partition}")
+        gen = Generator(K, i) if i < partition.k_size else Generator(L, i - partition.k_size)
+        pairs.append((gen, 1 if m.group(2) is None else int(m.group(2))))
+        pos = m.end()
+    return reduce(pairs)
+
+
+SPACES = " \t\x1c\xa0\u3000"
+CHARACTERS = "abcdefghijklmnopqrstuvwxyz^-0123456789" + SPACES
+
+
+def random_word_text(rng, partition):
+    """Tokens of the syntax, juxtaposed or spaced, with stray characters."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:partition.rank + 1]
+    pieces = []
+    for _ in range(rng.randrange(8)):
+        roll = rng.random()
+        if roll < 0.15:
+            pieces.append(rng.choice(CHARACTERS))
+        elif roll < 0.3:
+            pieces.append(rng.choice(SPACES) * rng.randrange(1, 3))
+        else:
+            token = rng.choice(letters)
+            if rng.random() < 0.5:
+                token += "^" + rng.choice(["", "-"]) + str(rng.randrange(-3, 300))
+            pieces.append(token)
+    sep = rng.choice(["", " ", rng.choice(SPACES)])
+    return sep.join(pieces)
+
+
+def parse_outcome(parse, text, partition):
+    try:
+        return parse(text, partition)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_matches_the_token_loop():
+    rng = random.Random(2024)
+    outcomes = {"word": 0, "error": 0}
+    texts = ["a^" + "9" * 5000, "ab", "a^2b", "a^2b^-3a", " 1 ", "\u30001\x1c"]
+    partitions = [P11, P22, FactorPartition(13, 13)]
+    cases = [(t, p) for t in texts for p in partitions]
+    cases += [(random_word_text(rng, p), p)
+              for p in (rng.choice(partitions) for _ in range(2000))]
+    for text, partition in cases:
+        got = parse_outcome(parse_word, text, partition)
+        assert got == parse_outcome(token_loop_parse, text, partition), text
+        if isinstance(got, Word):
+            outcomes["word"] += 1
+            assert parse_word(format_word(got, partition), partition) == got
+        else:
+            outcomes["error"] += 1
+    assert min(outcomes.values()) > 400, outcomes
 
 
 def test_letters_assigned_k_then_l():
