@@ -4,7 +4,7 @@ Every engine in the library is reachable from here; outputs are canonical
 JSON (sorted keys, two-space indent, trailing newline), DOT graphs, or —
 for the word-level helpers — the word string itself.  Exit codes: 0 for
 success, 1 when a verification fails, 2 for usage or schema errors, 3 when
-an enumeration cap is exceeded.
+a cap is exceeded.
 """
 
 from __future__ import annotations
@@ -18,8 +18,59 @@ from . import example1, example2, quotients, separation, words
 from .errors import CapExceededError, SchemaError, WordSyntaxError
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# type -> its JSON text, for values written without recursion
+_LEAVES = {str: _encode_str, int: int.__repr__, type(None): lambda _: "null",
+           bool: lambda b: "true" if b else "false"}
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``,
+    written in one recursive pass (with ``indent`` set, ``json.dumps``
+    runs its pure-Python encoder)."""
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(x, newline, out):
+    """Append the JSON of ``x`` to ``out``; ``newline`` is a line break
+    plus the indent of the line ``x`` starts on.  A dict writes its leaf
+    values in its own loop and a list of ints in one join; floats,
+    non-string keys and other types go to ``json.dumps``."""
+    t = type(x)
+    inner = newline + "  "
+    if t in _LEAVES:
+        out(_LEAVES[t](x))
+    elif (t is list or t is tuple) and not x:
+        out("[]")
+    elif t is list or t is tuple:
+        if set(map(type, x)) == {int}:
+            out("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif t is dict and not x:
+        out("{}")
+    elif t is dict and set(map(type, x)) == {str}:
+        sep = "{" + inner
+        for k in sorted(x):
+            v = x[k]
+            leaf = _LEAVES.get(type(v))
+            if leaf is None:
+                out(sep + _encode_str(k) + ": ")
+                _write_json(v, inner, out)
+            else:
+                out(sep + _encode_str(k) + ": " + leaf(v))
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        out(json.dumps(x, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def check_to_obj(result) -> dict:
@@ -89,7 +140,9 @@ def _load_accepted(args):
 
 
 def _partition(args) -> words.FactorPartition:
-    return words.FactorPartition(args.k_size, args.l_size)
+    # the flags take a file's partition checks before any generator is
+    # listed: the letter syntax names at most 26 generators
+    return separation.partition_from_obj({"k_size": args.k_size, "l_size": args.l_size})
 
 
 def _load_quotient(args, partition) -> quotients.FiniteQuotient:
@@ -208,8 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_reduce(args) -> int:
-    w = words.parse_word(args.word, _partition(args))
-    sys.stdout.write(words.format_word(w, _partition(args)) + "\n")
+    partition = _partition(args)
+    w = words.parse_word(args.word, partition)
+    sys.stdout.write(words.format_word(w, partition) + "\n")
     return 0
 
 

@@ -2,16 +2,16 @@
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration grew past its configured cap.
+    """A computation grew past its configured cap.
 
     Raised instead of silently truncating: callers must either raise the cap
-    or restructure the computation.
+    or restructure the computation.  ``name`` says which cap it was.
     """
 
-    def __init__(self, cap, context=""):
+    def __init__(self, cap, context="", name="enumeration cap"):
         self.cap = cap
         self.context = context
-        msg = f"enumeration cap {cap} exceeded"
+        msg = f"{name} {cap} exceeded"
         if context:
             msg += f" ({context})"
         super().__init__(msg)

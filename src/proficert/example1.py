@@ -165,7 +165,8 @@ class Ex1TailCertificate:
     The abelian quotient mod ``modulus`` tells the target apart from every
     s_j with j >= head_bound (the tail, where j! and m_j have collapsed mod
     n); the head certificates handle the finitely many earlier s_j, and
-    ``composite_quotient`` is the direct product of all of the above.
+    ``composite_quotient`` is the direct product of the distinct quotients
+    among all of the above.
     """
 
     target_word: Word
@@ -212,9 +213,13 @@ def separate_from_S(w: Word, head_margin: int = 0, head_cap: int = DEFAULT_HEAD_
     heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)),
                                     enumeration_cap=enumeration_cap)
              for _, s_i in s_family(head_bound)]
-    composite = direct_product(
-        make_abelian_quotient(EX1_PARTITION, n, enumeration_cap=enumeration_cap),
-        *(head.quotient for head in heads))
+    # a repeated factor leaves the kernel as it is, so each distinct one
+    # (by generator images) enters once, in first-seen order
+    factors = {}
+    abelian = make_abelian_quotient(EX1_PARTITION, n, enumeration_cap=enumeration_cap)
+    for q in [abelian] + [head.quotient for head in heads]:
+        factors.setdefault((q.images[GEN_A], q.images[GEN_B]), q)
+    composite = direct_product(*factors.values())
     return Ex1TailCertificate(w, n, head_bound, tuple(heads), composite)
 
 
@@ -370,24 +375,30 @@ def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailC
     raw_heads = obj["head_certificates"]
     if not isinstance(raw_heads, list):
         raise SchemaError(f"{path}.head_certificates: expected a list")
+    partitions = [_declared_partition(h) for h in raw_heads]
     check_point_budget([(obj["composite_quotient"], partition.rank)]
-                       + [(h.get("quotient"), _declared_rank(h))
-                          for h in raw_heads if isinstance(h, dict)], enumeration_cap)
+                       + [(h.get("quotient"), p.rank)
+                          for h, p in zip(raw_heads, partitions) if p], enumeration_cap)
+    # the budget charged every head in full; the heads share the abelian
+    # quotients they have in common, which is all of them at b^t, t odd
+    shared = {}
     heads = tuple(
-        separation_from_obj(h, f"{path}.head_certificates[{i}]", enumeration_cap=enumeration_cap)
-        for i, h in enumerate(raw_heads))
+        separation_from_obj(h, f"{path}.head_certificates[{i}]", enumeration_cap, p, shared)
+        for i, (h, p) in enumerate(zip(raw_heads, partitions)))
     composite = quotient_from_obj(obj["composite_quotient"], partition,
                                   f"{path}.composite_quotient", enumeration_cap=enumeration_cap)
     return Ex1TailCertificate(target, modulus, head_bound, heads, composite)
 
 
-def _declared_rank(head) -> int:
-    """Rank of a head's partition field; 0 when malformed, which parsing
-    the head rejects."""
-    try:
-        return partition_from_obj(head.get("partition")).rank
-    except SchemaError:
-        return 0
+def _declared_partition(head):
+    """A head's parsed partition field; None when it has none that parses,
+    which parsing the head then rejects."""
+    if isinstance(head, dict):
+        try:
+            return partition_from_obj(head.get("partition"))
+        except SchemaError:
+            pass
+    return None
 
 
 def ex1_witness_to_obj(witness: Ex1NotClosedWitness) -> dict:

@@ -645,7 +645,10 @@ def quotient_to_obj(q: FiniteQuotient) -> dict:
 
 
 def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
-                      enumeration_cap=None) -> FiniteQuotient:
+                      enumeration_cap=None, shared=None) -> FiniteQuotient:
+    """Parse and build a quotient.  ``shared``, a dict kept for the load of
+    one file, hands every abelian quotient of one partition and modulus
+    the object built first."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = obj.get("kind")
@@ -680,7 +683,13 @@ def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
         modulus = obj["modulus"]
         if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
             raise SchemaError(f"{path}.modulus: expected an integer >= 2")
-        return make_abelian_quotient(partition, modulus, enumeration_cap=enumeration_cap)
+        if shared is None:
+            shared = {}
+        key = (partition, modulus)
+        if key not in shared:
+            shared[key] = make_abelian_quotient(partition, modulus,
+                                                enumeration_cap=enumeration_cap)
+        return shared[key]
     raise SchemaError(f"{path}.kind: expected 'perm' or 'abelian', got {kind!r}")
 
 
@@ -705,7 +714,8 @@ def check_point_budget(entries, cap=None):
         if isinstance(size, int) and not isinstance(size, bool) and size > 0:
             total += size * rank * rank if abelian else size
             if total > cap:
-                raise CapExceededError(cap, "points of the file's quotients together")
+                raise CapExceededError(cap, "points of the file's quotients together",
+                                       "point budget")
 
 
 def element_to_obj(q: FiniteQuotient, elt: Permutation) -> dict:

@@ -85,7 +85,7 @@ class SeparationCertificate:
 def _letters(w: Word, cap=MAX_PATH_LETTERS):
     """Expand a word to single letters (generator, +-1); cap-guarded."""
     if word_length(w) > cap:
-        raise CapExceededError(cap, "letter expansion of a long word")
+        raise CapExceededError(cap, "letter expansion of a long word", "path letter cap")
     for g, e in w.runs:
         step = 1 if e > 0 else -1
         for _ in range(abs(e)):
@@ -381,14 +381,19 @@ def separation_to_obj(cert: SeparationCertificate) -> dict:
     }
 
 
-def separation_from_obj(obj, path="certificate", enumeration_cap=None) -> SeparationCertificate:
+def separation_from_obj(obj, path="certificate", enumeration_cap=None, partition=None,
+                        shared=None) -> SeparationCertificate:
+    """Parse a separation certificate.  A caller that has parsed the
+    partition field already passes it as ``partition``; ``shared`` goes to
+    :func:`quotient_from_obj`."""
     allowed = {"type", "partition", "quotient", "subgroup_gens", "excluded", "witness_kind"}
     _check_keys(obj, allowed, path)
     if obj["type"] != "separation":
         raise SchemaError(f"{path}.type: expected 'separation', got {obj['type']!r}")
-    partition = partition_from_obj(obj["partition"], f"{path}.partition")
+    if partition is None:
+        partition = partition_from_obj(obj["partition"], f"{path}.partition")
     quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
-                                 enumeration_cap=enumeration_cap)
+                                 enumeration_cap=enumeration_cap, shared=shared)
     raw_gens = obj["subgroup_gens"]
     if not isinstance(raw_gens, list):
         raise SchemaError(f"{path}.subgroup_gens: expected a list of word strings")

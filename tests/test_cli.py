@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import shutil
 import subprocess
@@ -23,6 +24,70 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- canonical JSON ---------------------------------------------------------------
+
+
+def dumps_oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def either_text_or_error(fn, obj):
+    try:
+        return fn(obj)
+    except Exception as exc:
+        return type(exc)
+
+
+# leaves that stress escaping and number formatting
+JSON_STRINGS = ("", "a", '"', "\\", "\\\"", "\n\r\t\b\f", "\x00\x1f\x7f", "caf\u00e9",
+                "\u2028\u2029", "\U0001f600", "\ud800", "a^-1 b^720", " ")
+JSON_LEAVES = (None, True, False, 0, 1, -1, -7, 255, 256, 2 ** 63, -(10 ** 40),
+               0.0, -0.0, 0.5, -2.5, 1e300, 1e-300, float("inf"), float("-inf"),
+               float("nan")) + JSON_STRINGS
+
+
+def random_json_value(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        if rng.random() < 0.5:
+            return rng.choice(JSON_LEAVES)
+        return "".join(rng.choice(JSON_STRINGS) for _ in range(rng.randrange(4)))
+    size = rng.randrange(5)
+    if roll < 0.55:
+        return [random_json_value(rng, depth - 1) for _ in range(size)]
+    if roll < 0.65:
+        return tuple(random_json_value(rng, depth - 1) for _ in range(size))
+    if roll < 0.75:
+        return [rng.randrange(-1000, 1000) for _ in range(size)]
+    if roll < 0.95:
+        keys = JSON_STRINGS + ("type", "k_size", "images")
+        return {rng.choice(keys): random_json_value(rng, depth - 1) for _ in range(size)}
+    # non-string keys: numbers sort and are written as strings, mixed types
+    # make sorting fail
+    keys = rng.choice(([1, 2, -3, 10], [0.5, 2, True], ["a", 1]))
+    return {k: random_json_value(rng, depth - 1) for k in keys[:size]}
+
+
+def test_canonical_json_matches_json_dumps_on_random_values():
+    rng = random.Random(20261018)
+    values = [random_json_value(rng, 4) for _ in range(2000)]
+    values += [[], {}, (), [[]], {"a": {}}, {"a": []}, [1, True], [1, 1.0], [None, 0]]
+    for value in values:
+        assert (either_text_or_error(canonical_json, value)
+                == either_text_or_error(dumps_oracle, value)), value
+
+
+@pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1, x], lambda x: {"k": x},
+                                  lambda x: {"k": [x]}])
+def test_canonical_json_refuses_what_json_dumps_refuses(wrap):
+    for bad in (10 ** 5000, object(), {1, 2}):
+        with pytest.raises(Exception) as ours:
+            canonical_json(wrap(bad))
+        with pytest.raises(Exception) as theirs:
+            dumps_oracle(wrap(bad))
+        assert ours.type is theirs.type
 
 
 # --- word-level commands --------------------------------------------------------
@@ -466,6 +531,39 @@ def test_separate_word_past_the_path_cap(word, code, message):
     assert message in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("reduce", "a", "--k-size", "1000000"),
+    ("stallings", "--gen", "a", "--l-size", "1000000"),
+    ("reduce", "a", "--k-size", "20", "--l-size", "7"),
+])
+def test_partition_flags_past_the_letter_syntax(argv):
+    # a rank-10^6 partition was listed generator by generator first:
+    # reduce took about 2 s and 154 MB before it refused the word
+    result = run_process(sys.executable, "-m", "proficert", *argv, timeout=5)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "the letter syntax names at most 26 generators" in result.stderr
+
+
+def test_cap_errors_name_their_cap(capsys, tmp_path):
+    result = run_process(sys.executable, "-m", "proficert", "separate",
+                         "--gen", "a^2", "--word", "a^200001", timeout=5)
+    assert result.returncode == 3
+    assert result.stderr == ("error: path letter cap 100000 exceeded "
+                             "(letter expansion of a long word)\n")
+    _, out, _ = run(capsys, "ex1-separate", "--word", "b")
+    obj = json.loads(out)
+    obj["composite_quotient"] = {"kind": "perm", "degree": 2_000_000, "images": {}}
+    path = tmp_path / "tail.json"
+    path.write_text(canonical_json(obj))
+    code, out, err = run(capsys, "ex1-verify", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("error: point budget 1000000 exceeded "
+                   "(points of the file's quotients together)\n")
+    code, _, err = run(capsys, "image", "--word", "a", "--abelian", "1000000000")
+    assert code == 3
+    assert err.startswith("error: enumeration cap 1000000 exceeded")
+
+
 def test_stallings_folds_long_merge_heavy_subgroup():
     # <a^n, a^(n-1)> = <a>; a fold that rescans every edge after each of its
     # ~2n merges needs minutes on this input
@@ -531,7 +629,9 @@ def test_installed_console_script():
 # ``ex2-verify`` rows were recorded again when "chain-containment" became an
 # exact block-restriction check, and again when "chain-descent" came to read
 # the K-index ratio instead of a witness word; each time only that clause's
-# details changed.
+# details changed.  The two ``ex1-separate`` rows were recorded again when
+# the composite quotient came to take each distinct factor once; only its
+# ``composite_quotient`` field changed.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
 
 
@@ -577,9 +677,9 @@ PINNED = (
     (None, ("ex1-elem", "5", "--kind", "m"), 0,
      "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", None),
     ("tail", ("ex1-separate", "--word", "b"), 0,
-     "cb9376f71b842edff3c79953431c8ec48f9d8433a80ea2cd64667e99b994fda0", None),
+     "f26406126dbd2d4eb59b854f9500bbafd65dfda0db55b9696e66f45c1d1e95d0", None),
     (None, ("ex1-separate", "--word", "b a^-1", "--head-margin", "3"), 0,
-     "28950b4195d8f9d88c9a62dd803fdab641b7f14020663c219bd11586f9a81e58", None),
+     "0a74ec720d78403c3f29ba7867fb91f46c9b5a5b03f6b1a5e83beb0f12e21916", None),
     ("witness", ("ex1-witness", "--abelian", "4"), 0,
      "9e51394876b37cb4d03e291c2b49f34c669c5bd20af6b888297972318d8076ae", None),
     (None, ("ex1-witness", "--quotient", "{quotient}"), 0,

@@ -1,5 +1,6 @@
 """The factorial family: residue target, tail certificates, not-closed witnesses."""
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -392,29 +393,65 @@ def test_tail_certificate_round_trip():
 
 
 def test_tail_certificate_bytes_pinned():
-    # the composite has 380 points, past the 256 at which permutations stop
-    # being stored as bytes; the kernel must not move certificate bytes
+    # the composite is mod 64 times the heads' one quotient mod 2, 132
+    # points stored as bytes; the test below covers storage past 256 points
     cert = separate_from_S(word("b^33"))
-    assert cert.composite_quotient.degree == 380
+    assert cert.composite_quotient.degree == 132
     text = emit_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a5ff684069ed8b5488b0f2cf1fc6839d24a1a97d2282ce41c8668c0c20342800")
+        "36e73beccf229ed9a5531568c7e187f77484f7db23f63d5b8a88a1dfb783c96c")
 
 
 def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
-    # 511 heads and a composite of 3,068 points; both digests were recorded
-    # before the family was walked in one pass and the composite clause
-    # grouped by residue pair
+    # 511 heads and a composite of 1,028 points (mod 512 times mod 2), past
+    # the 256 at which permutations stop being stored as bytes; the verdict
+    # digest was recorded before the family was walked in one pass and the
+    # composite clause grouped by residue pair
     cert = separate_from_S(word("b^267"))
-    assert (cert.head_bound, cert.composite_quotient.degree) == (512, 3068)
+    assert (cert.head_bound, cert.composite_quotient.degree) == (512, 1028)
     text = emit_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "6b0d7c082b0aa6c271ca3b5dbc6f4f3ab3006dcd7af49beba1087a1a89f413a3")
+        "02d767b9810176b145eeba1523bcf61adecf4c08ffdfe73f505123c731e01079")
     path = tmp_path / "tail.json"
     path.write_text(text)
     assert main(["ex1-verify", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80")
+
+
+def test_composite_takes_each_distinct_factor_once():
+    # b^t, t odd: every head is the abelian quotient mod 2, so the composite
+    # is mod n times mod 2 (mod 2 alone when n = 2) whatever the head count
+    for target, degree in (("b^33", 2 * 64 + 4), ("b^267", 2 * 512 + 4), ("b^-1", 4)):
+        cert = separate_from_S(word(target))
+        assert cert.composite_quotient.degree == degree
+        assert verify_ex1(cert)
+    # the commutator's heads are mod 2 and mod 3, and the second is the
+    # abelian quotient mod n = 3 itself
+    cert = separate_from_S(word("a b a^-1 b^-1"))
+    assert cert.modulus == 3
+    assert [h.quotient.modulus for h in cert.head_certificates] == [2, 3]
+    assert cert.composite_quotient.degree == 6 + 4
+    assert verify_ex1(cert)
+
+
+def test_loaded_heads_share_one_quotient_each_and_keep_their_own():
+    # head 100 is the head of s_101; 267 - m_101 is 2 mod 3 but 0 mod 7
+    # (m_101 is 1 modulo both), so mod 3 still separates and mod 7 does
+    # not; a load that handed that head the shared quotient mod 2 would
+    # accept both
+    obj = ex1_tail_to_obj(separate_from_S(word("b^267")))
+    loaded = ex1_tail_from_obj(obj)
+    assert len({id(h.quotient) for h in loaded.head_certificates}) == 1
+    for modulus, reasons in ((3, ()), (7, ("head 101: excluded word lies in the kernel",))):
+        edited = copy.deepcopy(obj)
+        edited["head_certificates"][100]["quotient"] = {"kind": "abelian", "modulus": modulus}
+        cert = ex1_tail_from_obj(edited)
+        heads = cert.head_certificates
+        assert heads[100].quotient.modulus == modulus
+        others = {id(h.quotient) for i, h in enumerate(heads) if i != 100}
+        assert len(others) == 1 and id(heads[100].quotient) not in others
+        assert verify_ex1(cert).reasons == reasons
 
 
 def test_witness_round_trip():

@@ -7,8 +7,11 @@ instead of in a benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 from time import perf_counter
+
+from proficert.cli import CERTIFICATES, canonical_json
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,9 +38,35 @@ def test_benchmark_binds_to_the_package():
 
 
 def test_benchmark_known_answers_hold():
-    # one untraced round of each workload: every certificate verifies and
-    # every hostile edit is rejected by the clause it targets
+    # one untraced round of each workload: every certificate verifies, loads
+    # back and emits the same bytes again, and every hostile edit is
+    # rejected by the clause it targets
     cases, run, tracing = load("cases"), load("run"), load("tracing")
     for workload in ("chain", "factorial", "hall"):
-        result = run.Round(cases.make_cases(workload, 1), tracing.NullTracer(), perf_counter)
+        result = run.Round(cases.make_cases(workload, 1), tracing.NullTracer(), perf_counter,
+                           canonical=True)
         assert (workload, result.failed, result.unexpected) == (workload, 0, [])
+
+
+def test_canonical_json_matches_json_dumps_on_a_bench_round():
+    # every certificate of one round of each workload, hostile edits
+    # included, and the report its verifier renders for the CLI
+    cases, tracing = load("cases"), load("tracing")
+
+    def oracle(obj):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    checked = 0
+    for workload in ("chain", "factorial", "hall"):
+        texts = {}
+        for op in cases.make_cases(workload, 1):
+            out = op.run(texts, tracing.NullTracer(), perf_counter)
+            if not isinstance(op, (cases.RoundTrip, cases.Tampered)):
+                continue
+            obj = json.loads(out.text)
+            assert out.text == oracle(obj), op.label
+            _, from_obj, _, verify, render = CERTIFICATES[obj["type"]]
+            report = render(verify(from_obj(obj)))
+            assert canonical_json(report) == oracle(report), op.label
+            checked += 1
+    assert checked > 200
