@@ -1,10 +1,10 @@
 """Subgroup graphs, folding, and finite-quotient separation certificates.
 
 A finitely generated subgroup is represented by its folded based graph
-(vertices 0..v-1, basepoint 0, edges labeled by generators).  Folding the
-wedge of generator loops, in one worklist pass with union-find where each
-merge touches only the half-edges of the smaller side, yields an exact
-membership test; completing the folded graph's partial injections to
+(vertices 0..v-1, basepoint 0, edges labeled by generator positions).
+Folding the wedge of generator loops, in one worklist pass with union-find
+where each merge touches only the half-edges of the smaller side, yields an
+exact membership test; completing the folded graph's partial injections to
 permutations yields a finite quotient in which the subgroup fixes the
 basepoint while a chosen excluded word moves it — an effective form of the
 classical closedness of finitely generated subgroups in the profinite
@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceededError, SchemaError
 from .quotients import (
     FiniteQuotient,
-    Permutation,
     _check_keys,
     _check_permutation,
     make_abelian_quotient,
@@ -43,9 +41,10 @@ _MEMBER_MESSAGE = "the excluded word lies in the subgroup; nothing separates it"
 class StallingsGraph:
     """A based labeled graph; basepoint is vertex 0.
 
-    ``edges`` holds (source, generator, target) triples read positively.
-    ``folded`` records that no vertex carries two equal-labeled outgoing
-    (or incoming) edges, i.e. every label acts as a partial injection.
+    ``edges`` holds (source, i, target) triples read positively, where i is
+    the generator's position in ``partition.generators()``.  ``folded``
+    records that no vertex carries two equal-labeled outgoing (or incoming)
+    edges, i.e. every label acts as a partial injection.
     """
 
     partition: FactorPartition
@@ -82,33 +81,25 @@ class SeparationCertificate:
     witness_kind: str
 
 
-def _letters(w: Word, cap=MAX_PATH_LETTERS):
-    """Expand a word to single letters (generator, +-1); cap-guarded."""
-    if word_length(w) > cap:
-        raise CapExceededError(cap, "letter expansion of a long word", "path letter cap")
-    for g, e in w.runs:
-        step = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            yield g, step
-
-
 def _lay_word(partition: FactorPartition, edges: set, nv: int, w: Word, closed: bool) -> int:
     """Add the path of ``w`` from the basepoint to ``edges`` on fresh
     vertices numbered from ``nv``; a ``closed`` path ends back at the
     basepoint.  Returns the new vertex count."""
-    for g, _ in w.runs:
-        partition.check(g)
-    last = word_length(w) if closed else 0
-    prev = 0
-    for i, (g, step) in enumerate(_letters(w), 1):
-        if i == last:
-            nxt = 0
-        else:
-            nxt = nv
-            nv += 1
-        edges.add((prev, g, nxt) if step > 0 else (nxt, g, prev))
-        prev = nxt
-    return nv
+    runs = [(partition.flat_index(g), e) for g, e in w.runs]
+    length = word_length(w)
+    if length > MAX_PATH_LETTERS:
+        raise CapExceededError(MAX_PATH_LETTERS, "letter expansion of a long word",
+                               "path letter cap")
+    fresh = length - 1 if closed and length else length
+    path = [0, *range(nv, nv + fresh)]  # path[k]: the vertex after k letters
+    if fresh < length:
+        path.append(0)
+    steps = []  # (generator position, forward) for each letter
+    for i, e in runs:
+        steps += [(i, e > 0)] * abs(e)
+    edges.update((u, i, v) if forward else (v, i, u)
+                 for u, v, (i, forward) in zip(path, path[1:], steps))
+    return nv + fresh
 
 
 def loop_wedge(partition: FactorPartition, gens) -> StallingsGraph:
@@ -145,9 +136,7 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
     renumbers it, so equality of folded graphs coincides with based
     labeled-graph isomorphism.
     """
-    gens = graph.partition.generators()
-    rank = len(gens)
-    label = {g: i for i, g in enumerate(gens)}
+    rank = graph.partition.rank
     parent = list(range(graph.num_vertices))
     ends = [{} for _ in parent]  # vertex -> {label: far end, maybe not a root}
 
@@ -157,10 +146,8 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
             x = parent[x]
         return x
 
-    work = []
-    for s, g, t in graph.edges:
-        work.append((s, label[g], t))
-        work.append((t, label[g] + rank, s))
+    work = list(graph.edges)
+    work.extend((t, i + rank, s) for s, i, t in graph.edges)
     while work:
         v, lab, w = work.pop()
         v, w = find(v), find(w)
@@ -184,7 +171,7 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
                 number[x] = len(number)
                 queue.append(x)
             if lab < rank:
-                edges.append((number[v], gens[lab], number[x]))
+                edges.append((number[v], lab, number[x]))
     return StallingsGraph(graph.partition, len(number), frozenset(edges), True)
 
 
@@ -193,48 +180,50 @@ def build_stallings(partition: FactorPartition, gens) -> StallingsGraph:
     return fold(loop_wedge(partition, gens))
 
 
-@lru_cache(maxsize=256)
-def _transitions(graph: StallingsGraph):
-    fwd = {}
-    bwd = {}
-    for s, g, t in graph.edges:
-        fwd.setdefault(g, {})[s] = t
-        bwd.setdefault(g, {})[t] = s
-    return fwd, bwd
+def _label_maps(graph: StallingsGraph) -> list:
+    """The 2·rank partial injections of the graph's labels: map ``i`` reads
+    generator ``i`` forward and map ``rank + i`` reads it backward."""
+    rank = graph.partition.rank
+    maps = [{} for _ in range(2 * rank)]
+    for s, i, t in graph.edges:
+        maps[i][s] = t
+        maps[rank + i][t] = s
+    return maps
 
 
 def _apply_power(mp: dict, v: int, steps: int):
-    """Apply a partial injection ``steps`` times; huge step counts shortcut
-    around the cycle the trajectory eventually enters."""
-    pos = {v: 0}
-    cur = v
-    i = 0
-    while i < steps:
-        i += 1
-        cur = mp.get(cur)
-        if cur is None:
+    """Apply a partial injection ``steps`` times, or None if the walk leaves
+    its domain.  On a folded graph a walk can close only at its start, and
+    one back there after i steps has only ``steps mod i`` steps left (the
+    rule of :meth:`FiniteQuotient.point_image`)."""
+    start = v
+    for i in range(1, steps + 1):
+        v = mp.get(v)
+        if v is None:
             return None
-        if cur in pos:
-            cycle_len = i - pos[cur]
-            for _ in range((steps - i) % cycle_len):
-                cur = mp[cur]
-            return cur
-        pos[cur] = i
-    return cur
+        if v == start:
+            for _ in range(steps % i):
+                v = mp[v]
+            return v
+    return v
+
+
+def _trace(maps: list, partition: FactorPartition, w: Word, v: int):
+    """:func:`trace_word` on label maps already built by :func:`_label_maps`."""
+    rank = partition.rank
+    for g, e in w.runs:
+        i = partition.flat_index(g)
+        v = _apply_power(maps[i] if e > 0 else maps[rank + i], v, abs(e))
+        if v is None:
+            return None
+    return v
 
 
 def trace_word(graph: StallingsGraph, w: Word, start=0):
     """Endpoint of reading ``w`` from ``start``, or None if it leaves the graph."""
     if not graph.folded:
         raise ValueError("tracing requires a folded graph")
-    fwd, bwd = _transitions(graph)
-    v = start
-    for g, e in w.runs:
-        mp = fwd.get(g, {}) if e > 0 else bwd.get(g, {})
-        v = _apply_power(mp, v, abs(e))
-        if v is None:
-            return None
-    return v
+    return _trace(_label_maps(graph), graph.partition, w, start)
 
 
 def membership(graph: StallingsGraph, w: Word) -> bool:
@@ -242,20 +231,11 @@ def membership(graph: StallingsGraph, w: Word) -> bool:
     return trace_word(graph, w) == 0
 
 
-def _complete_to_permutation(mp: dict, nv: int) -> Permutation:
-    """Extend a partial injection to a permutation, pairing unmatched
-    sources with unmatched targets in ascending vertex order."""
-    mapping = [None] * nv
-    for s, t in mp.items():
-        mapping[s] = t
-    hit = set(mp.values())
-    free_targets = [v for v in range(nv) if v not in hit]
-    idx = 0
-    for v in range(nv):
-        if mapping[v] is None:
-            mapping[v] = free_targets[idx]
-            idx += 1
-    return Permutation(tuple(mapping))
+def _complete_to_permutation(mp: dict, nv: int) -> list:
+    """Extend a partial injection to the points of a permutation, pairing
+    unmatched sources with unmatched targets in ascending vertex order."""
+    free = iter(sorted(set(range(nv)).difference(mp.values())))
+    return [mp[v] if v in mp else next(free) for v in range(nv)]
 
 
 def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
@@ -276,11 +256,11 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
     if word_length(w) > MAX_PATH_LETTERS and membership(build_stallings(partition, gens), w):
         raise ValueError(_MEMBER_MESSAGE)
     folded = fold(adjoin_word_path(loop_wedge(partition, gens), w))
-    if membership(folded, w):
+    maps = _label_maps(folded)
+    if _trace(maps, partition, w, 0) == 0:
         raise ValueError(_MEMBER_MESSAGE)
-    fwd, _ = _transitions(folded)
-    images = {g: _complete_to_permutation(fwd.get(g, {}), folded.num_vertices)
-              for g in partition.generators()}
+    images = {g: _complete_to_permutation(maps[i], folded.num_vertices)
+              for i, g in enumerate(partition.generators())}
     quotient = make_permutation_quotient(partition, images, enumeration_cap=enumeration_cap)
     return SeparationCertificate(partition, quotient, tuple(gens), w, WITNESS_BASEPOINT)
 
@@ -421,18 +401,20 @@ def graph_to_dot(graph: StallingsGraph) -> str:
     lines = ["digraph subgroup_graph {", "  rankdir=LR;", '  0 [shape=doublecircle];']
     for v in range(1, graph.num_vertices):
         lines.append(f"  {v} [shape=circle];")
-    for s, g, t in sorted(graph.edges):
-        lines.append(f'  {s} -> {t} [label="{graph.partition.letter(g)}"];')
+    gens = graph.partition.generators()
+    for s, i, t in sorted(graph.edges):
+        lines.append(f'  {s} -> {t} [label="{graph.partition.letter(gens[i])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_obj(graph: StallingsGraph) -> dict:
+    gens = graph.partition.generators()
     return {
         "partition": partition_to_obj(graph.partition),
         "num_vertices": graph.num_vertices,
         "folded": graph.folded,
         "edges": sorted(
-            [s, graph.partition.letter(g), t] for s, g, t in graph.edges
+            [s, graph.partition.letter(gens[i]), t] for s, i, t in graph.edges
         ),
     }

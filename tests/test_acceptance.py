@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -113,18 +114,43 @@ def random_subgroup(rng, partition, max_gens=3, max_len=4):
             for _ in range(rng.randrange(max_gens + 1))]
 
 
-def product_closure(gens, rounds):
-    factors = list(gens) + [invert(g) for g in gens]
-    seen = {identity()}
-    frontier = {identity()}
+def letters_of(w, partition):
+    """A word as a tuple of letters: generator i of the partition reads as
+    i + 1, its inverse as -(i + 1)."""
+    letters = []
+    for g, e in w.runs:
+        c = partition.flat_index(g) + 1
+        letters += [c if e > 0 else -c] * abs(e)
+    return tuple(letters)
+
+
+def word_of(letters, partition):
+    """The word of a freely reduced letter tuple, whose groups of equal
+    letters are already its maximal runs."""
+    gens = partition.generators()
+    return Word(tuple((gens[abs(c) - 1], len(list(run)) * (1 if c > 0 else -1))
+                      for c, run in groupby(letters)))
+
+
+def product_closure(gens, partition, rounds):
+    """All reduced products of at most ``rounds`` generator^(+-1) factors,
+    as letter tuples (:func:`letters_of`): each product is a shorter one
+    times a factor, freely cancelled at the seam."""
+    factors = [letters_of(g, partition) for g in gens]
+    factors += [tuple(-c for c in reversed(f)) for f in factors]
+    seen = {()}
+    frontier = [()]
     for _ in range(rounds):
-        nxt = set()
+        nxt = []
         for x in frontier:
             for f in factors:
-                y = multiply(x, f)
+                k = 0
+                while k < len(x) and k < len(f) and x[-1 - k] == -f[k]:
+                    k += 1
+                y = x[:len(x) - k] + f[k:]
                 if y not in seen:
                     seen.add(y)
-                    nxt.add(y)
+                    nxt.append(y)
         frontier = nxt
         if not frontier:
             break
@@ -225,13 +251,13 @@ def test_criterion_stallings_membership_equals_brute_force():
     for _ in range(200):
         gens = random_subgroup(rng, P11)
         graph = build_stallings(P11, gens)
-        closure = product_closure(gens, 6)
-        for w in closure:
-            assert membership(graph, w)
+        closure = product_closure(gens, P11, 6)
+        for letters in closure:
+            assert membership(graph, word_of(letters, P11))
         for _ in range(10):
             w = random_reduced_word(rng, P11, rng.randrange(1, 5))
             if not membership(graph, w):
-                assert w not in closure
+                assert letters_of(w, P11) not in closure
 
 
 def test_criterion_hall_separation_certificates():

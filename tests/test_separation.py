@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import groupby
 
 import pytest
 
@@ -38,7 +39,6 @@ from proficert.words import (
     multiply,
     parse_word,
     reduce,
-    word_length,
 )
 
 P11 = FactorPartition(1, 1)
@@ -70,8 +70,28 @@ def random_subgroup(rng, partition, max_gens=3, max_len=4):
             for _ in range(rng.randrange(max_gens + 1))]
 
 
-def product_closure(gens, rounds, keep_len=None):
-    """All reduced products of at most ``rounds`` generator^(+-1) factors.
+def letters_of(w, partition):
+    """A word as a tuple of letters: generator i of the partition reads as
+    i + 1, its inverse as -(i + 1)."""
+    letters = []
+    for g, e in w.runs:
+        c = partition.flat_index(g) + 1
+        letters += [c if e > 0 else -c] * abs(e)
+    return tuple(letters)
+
+
+def word_of(letters, partition):
+    """The word of a freely reduced letter tuple, whose groups of equal
+    letters are already its maximal runs."""
+    gens = partition.generators()
+    return Word(tuple((gens[abs(c) - 1], len(list(run)) * (1 if c > 0 else -1))
+                      for c, run in groupby(letters)))
+
+
+def product_closure(gens, partition, rounds, keep_len=None):
+    """All reduced products of at most ``rounds`` generator^(+-1) factors,
+    as letter tuples (:func:`letters_of`): each product is a shorter one
+    times a factor, freely cancelled at the seam.
 
     With ``keep_len`` set, intermediate products longer than a fixed
     corridor above it are pruned.  Pruning can only shrink the closure, so
@@ -79,19 +99,23 @@ def product_closure(gens, rounds, keep_len=None):
     it is used for the negative-side proxy where missing elements weaken
     coverage but cannot produce false failures.
     """
-    factors = [g for g in gens] + [invert(g) for g in gens]
-    max_factor = max((word_length(f) for f in factors), default=0)
+    factors = [letters_of(g, partition) for g in gens]
+    factors += [tuple(-c for c in reversed(f)) for f in factors]
+    max_factor = max(map(len, factors), default=0)
     budget = None if keep_len is None else keep_len + 2 * max_factor
-    seen = {identity()}
-    frontier = {identity()}
+    seen = {()}
+    frontier = [()]
     for _ in range(rounds):
-        nxt = set()
+        nxt = []
         for x in frontier:
             for f in factors:
-                y = multiply(x, f)
-                if y not in seen and (budget is None or word_length(y) <= budget):
+                k = 0
+                while k < len(x) and k < len(f) and x[-1 - k] == -f[k]:
+                    k += 1
+                y = x[:len(x) - k] + f[k:]
+                if y not in seen and (budget is None or len(y) <= budget):
                     seen.add(y)
-                    nxt.add(y)
+                    nxt.append(y)
         frontier = nxt
         if not frontier:
             break
@@ -106,13 +130,13 @@ def test_build_stallings_examples():
 
     g_a = build_stallings(P11, [parse_word("a", P11)])
     assert g_a.num_vertices == 1
-    assert g_a.edges == frozenset({(0, A, 0)})
+    assert g_a.edges == frozenset({(0, 0, 0)})  # a is generator position 0, b is 1
 
     g = build_stallings(P11, [parse_word("a^2", P11), parse_word("b", P11)])
     assert g.num_vertices == 2
     labels = sorted((s, gen, t) for s, gen, t in g.edges)
-    assert (0, B11, 0) in g.edges
-    assert len([e for e in labels if e[1] == A]) == 2
+    assert (0, 1, 0) in g.edges
+    assert len([e for e in labels if e[1] == 0]) == 2
 
 
 def test_membership_generators_always_pass():
@@ -142,11 +166,11 @@ def test_membership_matches_product_enumeration():
         gens = random_subgroup(rng, partition)
         graph = build_stallings(partition, gens)
         # every product of up to 5 generator factors is a member
-        closure = list(product_closure(gens, 5))
+        closure = list(product_closure(gens, partition, 5))
         if len(closure) > 2000:
             closure = rng.sample(closure, 2000)
-        for w in closure:
-            assert membership(graph, w)
+        for letters in closure:
+            assert membership(graph, word_of(letters, partition))
 
 
 def test_non_membership_against_pruned_closure():
@@ -156,19 +180,87 @@ def test_non_membership_against_pruned_closure():
         partition = rng.choice([P11, P22])
         gens = random_subgroup(rng, partition, max_len=3)
         graph = build_stallings(partition, gens)
-        closure = product_closure(gens, 10, keep_len=4)
+        closure = product_closure(gens, partition, 10, keep_len=4)
         for _ in range(20):
             w = random_word(rng, partition, rng.randrange(1, 5))
             if membership(graph, w):
                 assert trace_word(graph, w) == 0
             else:
-                assert w not in closure
+                assert letters_of(w, partition) not in closure
 
 
 def test_membership_power_shortcut_handles_huge_exponents():
     graph = build_stallings(P11, [parse_word("a^2", P11), parse_word("b", P11)])
     assert membership(graph, Word(((A, 2 * 10 ** 40),)))
     assert not membership(graph, Word(((A, 2 * 10 ** 40 + 1),)))
+
+
+def position_dict_power(mp, v, steps):
+    """Reference walk: remember the step of each point's first visit and,
+    at the first repeat, shortcut round the cycle it closes."""
+    pos = {v: 0}
+    cur = v
+    i = 0
+    while i < steps:
+        i += 1
+        cur = mp.get(cur)
+        if cur is None:
+            return None
+        if cur in pos:
+            cycle_len = i - pos[cur]
+            for _ in range((steps - i) % cycle_len):
+                cur = mp[cur]
+            return cur
+        pos[cur] = i
+    return cur
+
+
+def reference_trace(graph, w, start):
+    gens = graph.partition.generators()
+    fwd = {g: {} for g in gens}
+    bwd = {g: {} for g in gens}
+    for s, i, t in graph.edges:
+        fwd[gens[i]][s] = t
+        bwd[gens[i]][t] = s
+    v = start
+    for g, e in w.runs:
+        v = position_dict_power(fwd[g] if e > 0 else bwd[g], v, abs(e))
+        if v is None:
+            return None
+    return v
+
+
+def test_trace_word_matches_position_dict_walk():
+    # runs of +-1, +- the cycle length, +-(20! + k), and random words, from
+    # every vertex of seeded folded graphs
+    rng = random.Random(42)
+    huge = math.factorial(20)
+    cycles = left = 0
+    for partition in (P11, P22, FactorPartition(13, 13)):
+        gens = partition.generators()
+        for _ in range(12):
+            graph = build_stallings(partition, random_subgroup(rng, partition, 4, 6))
+            forward = {}
+            for s, i, t in graph.edges:
+                forward[s, i] = t
+            for v in range(graph.num_vertices):
+                for i, g in enumerate(gens):
+                    steps = [1] + [huge + k for k in range(-2, 3)]
+                    x, n = forward.get((v, i)), 1
+                    while x not in (None, v):
+                        x, n = forward.get((x, i)), n + 1
+                    if x == v:
+                        steps.append(n)
+                        cycles += 1
+                    for e in steps:
+                        for w in (Word(((g, e),)), Word(((g, -e),))):
+                            assert trace_word(graph, w, v) == reference_trace(graph, w, v)
+                for _ in range(4):
+                    w = random_word(rng, partition, rng.randrange(1, 12))
+                    end = trace_word(graph, w, v)
+                    assert end == reference_trace(graph, w, v)
+                    left += end is None
+    assert cycles and left
 
 
 # --- folding ----------------------------------------------------------------------
@@ -244,7 +336,7 @@ def rescanning_fold(graph):
     queue = [find(0)]
     for v in queue:  # the queue grows while it is read
         for sign in (1, -1):
-            for g in graph.partition.generators():
+            for g in range(graph.partition.rank):
                 end = far.get((v, g, sign))
                 if end is not None and end not in number:
                     number[end] = len(number)
@@ -265,10 +357,10 @@ def test_fold_matches_rescanning_reference():
 
 def test_two_parallel_edges_merge():
     # two a-edges leaving the basepoint toward distinct targets
-    graph = StallingsGraph(P11, 3, frozenset({(0, A, 1), (0, A, 2)}), False)
+    graph = StallingsGraph(P11, 3, frozenset({(0, 0, 1), (0, 0, 2)}), False)
     folded = fold(graph)
     assert folded.num_vertices == 2
-    assert folded.edges == frozenset({(0, A, 1)})
+    assert folded.edges == frozenset({(0, 0, 1)})
 
 
 def test_adjoin_word_path_counts():
@@ -305,11 +397,12 @@ def completed_images(graph):
     """Each label's partial injection completed to a permutation, unmatched
     sources paired with unmatched targets in ascending order."""
     nv = graph.num_vertices
+    gens = graph.partition.generators()
     images = {}
-    for g in graph.partition.generators():
-        mp = {s: t for s, h, t in graph.edges if h == g}
+    for i in range(graph.partition.rank):
+        mp = {s: t for s, h, t in graph.edges if h == i}
         free = iter(sorted(set(range(nv)) - set(mp.values())))
-        images[g] = Permutation([mp[v] if v in mp else next(free) for v in range(nv)])
+        images[gens[i]] = Permutation([mp[v] if v in mp else next(free) for v in range(nv)])
     return images
 
 
