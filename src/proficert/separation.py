@@ -2,19 +2,20 @@
 
 A finitely generated subgroup is represented by its folded based graph
 (vertices 0..v-1, basepoint 0, edges labeled by generator positions).
-Folding the wedge of generator loops, in one worklist pass with union-find
-where each merge touches only the half-edges of the smaller side, yields an
-exact membership test; completing the folded graph's partial injections to
-permutations yields a finite quotient in which the subgroup fixes the
-basepoint while a chosen excluded word moves it — an effective form of the
-classical closedness of finitely generated subgroups in the profinite
-topology.
+One folding engine keeps the graph's label maps folded while the
+generator loops are added: each loop is read from the basepoint as far
+as edges exist, only its unread middle is laid, and merges move the
+smaller side.  The folded graph yields an exact membership test;
+completing its partial injections to permutations yields a finite
+quotient in which the subgroup fixes the basepoint while a chosen
+excluded word moves it — an effective form of the classical closedness
+of finitely generated subgroups in the profinite topology.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import CapExceededError, SchemaError
 from .quotients import (
@@ -26,7 +27,15 @@ from .quotients import (
     quotient_from_obj,
     quotient_to_obj,
 )
-from .words import FactorPartition, Word, exponent_sum, format_word, parse_word, word_length
+from .words import (
+    FactorPartition,
+    Word,
+    _generator_table,
+    exponent_sum,
+    format_word,
+    parse_word,
+    word_length,
+)
 
 MAX_PATH_LETTERS = 10 ** 5
 
@@ -81,15 +90,20 @@ class SeparationCertificate:
     witness_kind: str
 
 
+def _check_letters(length: int) -> None:
+    """Refuse to lay a path of more than ``MAX_PATH_LETTERS`` letters."""
+    if length > MAX_PATH_LETTERS:
+        raise CapExceededError(MAX_PATH_LETTERS, "letter expansion of a long word",
+                               "path letter cap")
+
+
 def _lay_word(partition: FactorPartition, edges: set, nv: int, w: Word, closed: bool) -> int:
     """Add the path of ``w`` from the basepoint to ``edges`` on fresh
     vertices numbered from ``nv``; a ``closed`` path ends back at the
     basepoint.  Returns the new vertex count."""
     runs = [(partition.flat_index(g), e) for g, e in w.runs]
     length = word_length(w)
-    if length > MAX_PATH_LETTERS:
-        raise CapExceededError(MAX_PATH_LETTERS, "letter expansion of a long word",
-                               "path letter cap")
+    _check_letters(length)
     fresh = length - 1 if closed and length else length
     path = [0, *range(nv, nv + fresh)]  # path[k]: the vertex after k letters
     if fresh < length:
@@ -123,61 +137,224 @@ def adjoin_word_path(graph: StallingsGraph, w: Word) -> StallingsGraph:
     return StallingsGraph(graph.partition, nv, frozenset(edges), False)
 
 
+def _letter_runs(partition: FactorPartition, w: Word) -> list:
+    """The runs of ``w`` as ``(label, letters)``: generator i reads forward
+    as label i and backward as label rank + i."""
+    rank = partition.rank
+    position = _generator_table(partition.k_size, partition.l_size).position
+    try:
+        return [(position[g], e) if e > 0 else (rank + position[g], -e) for g, e in w.runs]
+    except KeyError as exc:
+        partition.check(exc.args[0])  # raises: a generator outside the partition
+        raise
+
+
+def _read(maps: list, runs: list, v: int) -> tuple:
+    """Follow ``runs`` from ``v`` while the label maps have edges.
+
+    Returns ``(end, j, t)``: the walk read ``runs[:j]`` and ``t`` letters of
+    ``runs[j]``, and ``j == len(runs)`` when it read them all.  Every map is
+    a partial injection, so a walk can close only at its start; one back
+    there after i steps goes round, and only the run's remaining steps
+    mod i are taken (the rule of :meth:`FiniteQuotient.point_image`).
+    """
+    for j, (lab, count) in enumerate(runs):
+        mp = maps[lab]
+        start = v
+        for t in range(count):
+            x = mp.get(v)
+            if x is None:
+                return v, j, t
+            v = x
+            if v == start:
+                for _ in range((count - t - 1) % (t + 1)):
+                    v = mp[v]
+                break
+    return v, len(runs), 0
+
+
+def _trace(maps: list, runs: list, v: int):
+    """End of reading ``runs`` from ``v``, or None if the walk leaves the maps."""
+    end, j, _ = _read(maps, runs, v)
+    return end if j == len(runs) else None
+
+
+class _Folding:
+    """A based graph kept folded while edges and words are added.
+
+    ``maps[lab]`` is the partial injection of label ``lab``: label i reads
+    generator i forward and label rank + i reads it backward.  Every entry
+    joins two live vertices, and an edge is held under both of its labels.
+    An edge whose source already has another far end under its label, or
+    whose target another near end, is not added; those ends go on
+    ``pending``, and :meth:`settle` merges them.  A merge moves the vertex
+    with fewer edges into the other, adds its edges again from there (which
+    may queue further merges), and records it in ``alias``.  Vertex 0 is
+    the basepoint wherever merges take it; :meth:`find` follows ``alias``.
+    """
+
+    def __init__(self, partition: FactorPartition, num_vertices: int = 1):
+        rank = partition.rank
+        self.partition = partition
+        self.maps = [{} for _ in range(2 * rank)]
+        self.inverse = [*range(rank, 2 * rank), *range(rank)]
+        self.alias = {}
+        self.pending = []
+        self.num_vertices = num_vertices
+
+    def find(self, v: int) -> int:
+        """The live vertex that ``v`` was merged into, halving the alias path."""
+        alias = self.alias
+        while v in alias:
+            u = alias[v]
+            w = alias.get(u)
+            if w is None:
+                return u
+            alias[v] = w
+            v = w
+        return v
+
+    def add_edge(self, u: int, lab: int, v: int) -> None:
+        """Add the edge ``u -lab-> v`` between live vertices, or queue the
+        merges it forces."""
+        mp, back = self.maps[lab], self.maps[self.inverse[lab]]
+        x, y = mp.get(u), back.get(v)
+        if x is None and y is None:
+            mp[u] = v
+            back[v] = u
+        elif x != v:
+            if x is not None:
+                self.pending.append((x, v))
+            if y is not None:
+                self.pending.append((y, u))
+
+    def settle(self) -> None:
+        """Merge the queued pairs until every label is a partial injection."""
+        maps, inverse, pending = self.maps, self.inverse, self.pending
+        while pending:
+            x, y = pending.pop()
+            x, y = self.find(x), self.find(y)
+            if x == y:
+                continue
+            ends = [(lab, mp[x]) for lab, mp in enumerate(maps) if x in mp]
+            other = [(lab, mp[y]) for lab, mp in enumerate(maps) if y in mp]
+            if len(ends) > len(other):
+                x, y, ends = y, x, other
+            for lab, z in ends:
+                del maps[lab][x]
+                if z != x:
+                    del maps[inverse[lab]][z]
+            self.alias[x] = y
+            for lab, z in ends:
+                self.add_edge(y, lab, y if z == x else z)
+
+    def add_word(self, runs: list, closed: bool):
+        """Add the path of a word from the basepoint and fold.  A ``closed``
+        path is a loop back to the basepoint; an open one returns its end.
+
+        The word is read forward from the basepoint as far as edges exist,
+        and a loop is also read backward from it over the letters left.
+        Only the unread middle is laid, on fresh vertices; its first edge
+        leaves a vertex that lacks that label, so a merge can start only at
+        its last edge.  A loop with no middle left merges the two places
+        where the reads stopped.
+        """
+        _check_letters(sum(c for _, c in runs))
+        root = self.find(0)
+        u, j, t = _read(self.maps, runs, root)
+        rest = [(runs[j][0], runs[j][1] - t), *runs[j + 1:]] if j < len(runs) else []
+        if not closed:
+            return self._lay(u, rest, None) if rest else u
+        back = [(self.inverse[lab], c) for lab, c in reversed(rest)]
+        v, jb, tb = _read(self.maps, back, root)
+        if jb == len(back):
+            self.pending.append((u, v))
+            self.settle()
+        else:
+            del rest[len(rest) - jb:]
+            lab, c = rest[-1]
+            rest[-1] = (lab, c - tb)
+            self._lay(u, rest, v)
+        return None
+
+    def _lay(self, u: int, runs: list, v) -> int:
+        """Lay a path spelling ``runs`` from ``u`` on fresh vertices, ending
+        at ``v`` or, if ``v`` is None, at a fresh vertex; returns its end."""
+        labels = list(chain.from_iterable(map(repeat, *zip(*runs))))  # one per letter
+        first = self.num_vertices
+        self.num_vertices += len(labels) - (v is not None)
+        path = [u, *range(first, self.num_vertices)]  # path[k]: the vertex after k letters
+        if v is None:
+            v = path.pop()
+        maps, inverse = self.maps, self.inverse
+        for s, lab, t in zip(path, labels, path[1:]):  # every edge but the last
+            maps[lab][s] = t
+            maps[inverse[lab]][t] = s
+        self.add_edge(path[-1], labels[-1], v)
+        self.settle()
+        return v
+
+    def numbering(self) -> dict:
+        """Canonical vertex numbers, in a dict ordered by them: breadth
+        first from the basepoint, out-labels in generator order, then
+        in-labels."""
+        root = self.find(0)
+        number = {root: 0}
+        queue = [root]
+        for v in queue:  # the queue grows while it is read
+            for mp in self.maps:
+                x = mp.get(v)
+                if x is not None and x not in number:
+                    number[x] = len(number)
+                    queue.append(x)
+        return number
+
+    def rows(self, number: dict) -> list:
+        """For each generator, the number of each numbered vertex's far
+        end, or None where the vertex has no such edge."""
+        order = list(number)
+        return [list(map(number.get, map(mp.get, order)))
+                for mp in self.maps[:self.partition.rank]]
+
+    def graph(self) -> StallingsGraph:
+        """The folded graph, numbered canonically; only what the basepoint
+        reaches is kept."""
+        number = self.numbering()
+        edges = frozenset((s, i, t) for i, row in enumerate(self.rows(number))
+                          for s, t in enumerate(row) if t is not None)
+        return StallingsGraph(self.partition, len(number), edges, True)
+
+
+def _fold_loops(partition: FactorPartition, gens) -> _Folding:
+    """The folding of one loop per generator word at the basepoint."""
+    folding = _Folding(partition)
+    for w in gens:
+        folding.add_word(_letter_runs(partition, w), closed=True)
+    return folding
+
+
 def fold(graph: StallingsGraph) -> StallingsGraph:
     """Fold to partial injections and renumber canonically.
 
-    A worklist holds each edge once as two half-edges ``(v, label, w)``:
-    label ``i`` reads generator ``i`` forward, label ``rank + i`` reads it
-    backward.  Every vertex keeps one far end per label; a half-edge that
-    meets a different far end merges the two ends (union-find), and the
-    side with fewer half-edges pushes its own back onto the survivor, so no
-    edge is rescanned.  The result is independent of merge order, and one
-    BFS from the basepoint (out-labels in generator order, then in-labels)
-    renumbers it, so equality of folded graphs coincides with based
-    labeled-graph isomorphism.
+    The edges go one by one into the folding engine, which merges where an
+    edge meets a different far end, and the survivors are numbered breadth
+    first from the basepoint (out-labels in generator order, then
+    in-labels).  Folding is confluent, so the result does not depend on
+    the order of the merges, and equality of folded graphs coincides with
+    based labeled-graph isomorphism.  :func:`build_stallings` and
+    :func:`separate_from_subgroup` add words to the engine directly and do
+    not call this.
     """
-    rank = graph.partition.rank
-    parent = list(range(graph.num_vertices))
-    ends = [{} for _ in parent]  # vertex -> {label: far end, maybe not a root}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = list(graph.edges)
-    work.extend((t, i + rank, s) for s, i, t in graph.edges)
-    while work:
-        v, lab, w = work.pop()
-        v, w = find(v), find(w)
-        u = find(ends[v].setdefault(lab, w))
-        if u != w:
-            if len(ends[u]) < len(ends[w]):
-                u, w = w, u
-            parent[w] = u
-            work.extend((u, k, x) for k, x in ends[w].items())
-            ends[w] = None
-
-    root = find(0)
-    number = {root: 0}
-    queue = deque([root])
-    edges = []
-    while queue:
-        v = queue.popleft()
-        for lab, x in sorted(ends[v].items()):
-            x = find(x)
-            if x not in number:
-                number[x] = len(number)
-                queue.append(x)
-            if lab < rank:
-                edges.append((number[v], lab, number[x]))
-    return StallingsGraph(graph.partition, len(number), frozenset(edges), True)
+    folding = _Folding(graph.partition, graph.num_vertices)
+    for s, i, t in graph.edges:
+        folding.add_edge(s, i, t)
+    folding.settle()
+    return folding.graph()
 
 
 def build_stallings(partition: FactorPartition, gens) -> StallingsGraph:
     """Folded based graph of the subgroup generated by the given words."""
-    return fold(loop_wedge(partition, gens))
+    return _fold_loops(partition, gens).graph()
 
 
 def _label_maps(graph: StallingsGraph) -> list:
@@ -191,39 +368,11 @@ def _label_maps(graph: StallingsGraph) -> list:
     return maps
 
 
-def _apply_power(mp: dict, v: int, steps: int):
-    """Apply a partial injection ``steps`` times, or None if the walk leaves
-    its domain.  On a folded graph a walk can close only at its start, and
-    one back there after i steps has only ``steps mod i`` steps left (the
-    rule of :meth:`FiniteQuotient.point_image`)."""
-    start = v
-    for i in range(1, steps + 1):
-        v = mp.get(v)
-        if v is None:
-            return None
-        if v == start:
-            for _ in range(steps % i):
-                v = mp[v]
-            return v
-    return v
-
-
-def _trace(maps: list, partition: FactorPartition, w: Word, v: int):
-    """:func:`trace_word` on label maps already built by :func:`_label_maps`."""
-    rank = partition.rank
-    for g, e in w.runs:
-        i = partition.flat_index(g)
-        v = _apply_power(maps[i] if e > 0 else maps[rank + i], v, abs(e))
-        if v is None:
-            return None
-    return v
-
-
 def trace_word(graph: StallingsGraph, w: Word, start=0):
     """Endpoint of reading ``w`` from ``start``, or None if it leaves the graph."""
     if not graph.folded:
         raise ValueError("tracing requires a folded graph")
-    return _trace(_label_maps(graph), graph.partition, w, start)
+    return _trace(_label_maps(graph), _letter_runs(graph.partition, w), start)
 
 
 def membership(graph: StallingsGraph, w: Word) -> bool:
@@ -231,36 +380,39 @@ def membership(graph: StallingsGraph, w: Word) -> bool:
     return trace_word(graph, w) == 0
 
 
-def _complete_to_permutation(mp: dict, nv: int) -> list:
-    """Extend a partial injection to the points of a permutation, pairing
-    unmatched sources with unmatched targets in ascending vertex order."""
-    free = iter(sorted(set(range(nv)).difference(mp.values())))
-    return [mp[v] if v in mp else next(free) for v in range(nv)]
+def _complete_to_permutation(row: list) -> list:
+    """Extend a partial injection, given as each point's image or None, to
+    the points of a permutation, pairing unmatched sources with unmatched
+    targets in ascending vertex order."""
+    free = iter(sorted(set(range(len(row))).difference(row)))
+    return [x if x is not None else next(free) for x in row]
 
 
 def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
                            enumeration_cap=None) -> SeparationCertificate:
     """Certificate that ``w`` lies outside the subgroup ``<gens>``.
 
-    One fold of the generator loops with the word's path hung off the
-    basepoint: the path adds a tree, so the folded graph still carries
-    ``<gens>`` at the basepoint, and ``w`` is a member exactly when its
-    path ends there.  Otherwise the folded action tells the basepoint's
-    orbit under ``w`` apart, and completing each label's partial injection
-    to a permutation gives a quotient of degree equal to the folded graph's
-    vertex count.  A word longer than ``MAX_PATH_LETTERS`` letters is first
-    traced by runs on the subgroup's own folded graph, so that a member is
-    refused as a member; a non-member that long cannot have its path laid
-    and raises :class:`CapExceededError`.
+    One folding of the generator loops, to which the word's path is then
+    added from the basepoint: the path adds a tree, so the folded graph
+    still carries ``<gens>`` at the basepoint, and ``w`` is a member
+    exactly when its path ends there.  Otherwise the folded action tells
+    the basepoint's orbit under ``w`` apart, and completing each label's
+    partial injection to a permutation gives a quotient of degree equal to
+    the folded graph's vertex count.  A word longer than
+    ``MAX_PATH_LETTERS`` letters is first traced by runs on the subgroup's
+    folded graph, so that a member is refused as a member; a non-member
+    that long cannot have its path laid and raises
+    :class:`CapExceededError`.
     """
-    if word_length(w) > MAX_PATH_LETTERS and membership(build_stallings(partition, gens), w):
+    folding = _fold_loops(partition, gens)
+    runs = _letter_runs(partition, w)
+    root = folding.find(0)
+    if word_length(w) > MAX_PATH_LETTERS and _trace(folding.maps, runs, root) == root:
         raise ValueError(_MEMBER_MESSAGE)
-    folded = fold(adjoin_word_path(loop_wedge(partition, gens), w))
-    maps = _label_maps(folded)
-    if _trace(maps, partition, w, 0) == 0:
+    if folding.add_word(runs, closed=False) == root:
         raise ValueError(_MEMBER_MESSAGE)
-    images = {g: _complete_to_permutation(maps[i], folded.num_vertices)
-              for i, g in enumerate(partition.generators())}
+    rows = folding.rows(folding.numbering())
+    images = {g: _complete_to_permutation(row) for g, row in zip(partition.generators(), rows)}
     quotient = make_permutation_quotient(partition, images, enumeration_cap=enumeration_cap)
     return SeparationCertificate(partition, quotient, tuple(gens), w, WITNESS_BASEPOINT)
 

@@ -94,6 +94,9 @@ class FactorPartition:
 class _GeneratorTable(NamedTuple):
     generators: tuple      # K block ascending, then L block ascending
     by_letter: dict        # 'a', 'b', ... -> the first 26 generators
+    position: dict         # generator -> its index in generators
+    letter_of: dict        # generator -> its letter; empty past 26 generators
+    word: re.Pattern       # a whole text of these letters, with exponents
 
 
 @lru_cache(maxsize=64)
@@ -102,7 +105,11 @@ def _generator_table(k_size: int, l_size: int) -> _GeneratorTable:
     shared by every partition of those sizes."""
     gens = tuple([Generator(K, i) for i in range(k_size)]
                  + [Generator(L, i) for i in range(l_size)])
-    return _GeneratorTable(gens, dict(zip(ascii_lowercase, gens)))
+    letter_of = dict(zip(gens, ascii_lowercase)) if len(gens) <= 26 else {}
+    last = ascii_lowercase[min(len(gens), 26) - 1]
+    word = re.compile(rf"(?:\s*[a-{last}](?:\^-?[0-9]+)?)*\s*")
+    return _GeneratorTable(gens, dict(zip(ascii_lowercase, gens)),
+                           {g: i for i, g in enumerate(gens)}, letter_of, word)
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,12 @@ def reduce(pairs) -> Word:
     Adjacent runs on the same generator merge; runs whose exponents cancel
     to zero disappear, which may cascade further merges.
     """
+    return Word(tuple(_cancel(pairs)))
+
+
+def _cancel(pairs) -> list:
+    """The runs of :func:`reduce` for pairs on any symbols that compare
+    equal exactly when their generators are equal."""
     stack = []
     for g, e in pairs:
         if e == 0:
@@ -159,7 +172,7 @@ def reduce(pairs) -> Word:
                 stack.append((g, merged))
         else:
             stack.append((g, e))
-    return Word(tuple(stack))
+    return stack
 
 
 def multiply(u: Word, v: Word) -> Word:
@@ -219,10 +232,11 @@ def syllables(w: Word, partition: FactorPartition | None = None) -> list:
     return [(fac, Word(runs)) for fac, runs in out]
 
 
-# A letter with an optional exponent, or any other character that is not
-# whitespace; the scan skips whitespace between matches.  Exponents are
-# ASCII digits only: \d would read "a^\u0663" as a^3.
-_TOKEN = re.compile(r"([a-z])(?:\^(-?[0-9]+))?|(\S)")
+# A letter with an optional exponent; a token is that or any other character
+# that is not whitespace, and the scan skips whitespace between matches.
+# Exponents are ASCII digits only: \d would read "a^\u0663" as a^3.
+_LETTER = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
+_TOKEN = re.compile(_LETTER.pattern + r"|(\S)")
 
 
 def parse_word(text: str, partition: FactorPartition) -> Word:
@@ -230,32 +244,35 @@ def parse_word(text: str, partition: FactorPartition) -> Word:
 
     Letters are assigned to the K block then the L block in order, `^` takes
     a decimal exponent of any size, and "1" (or an empty string) is the
-    identity.  The result is reduced.  One regex scan reads the tokens, and
-    each letter is looked up in the partition's generator table.
+    identity.  The result is reduced.  A text that the partition's pattern
+    matches whole is read with one ``findall`` and reduced on its letters,
+    which then name the generators; only a text in error is scanned token
+    by token, to name its first bad token.
     """
     s = text.strip()
     if s in ("", "1"):
         return IDENTITY
-    letters = _generator_table(partition.k_size, partition.l_size).by_letter
-    pairs = []
+    table = _generator_table(partition.k_size, partition.l_size)
+    if table.word.fullmatch(s):
+        runs = _cancel([(ch, int(exp) if exp else 1) for ch, exp in _LETTER.findall(s)])
+        letters = table.by_letter
+        return Word(tuple([(letters[ch], e) for ch, e in runs]))
     for m in _TOKEN.finditer(s):
-        ch, exp, other = m.groups()
+        ch, _, other = m.groups()
         if other is not None:
             pos = m.start()
             raise WordSyntaxError(f"cannot parse word at position {pos}: {s[pos:pos + 12]!r}")
-        gen = letters.get(ch)
-        if gen is None:
-            partition.generator_for_letter(ch)  # raises: no such letter here
-        pairs.append((gen, 1 if exp is None else int(exp)))
-    return reduce(pairs)
+        partition.generator_for_letter(ch)  # raises: no such letter here
+    raise AssertionError("a text the pattern does not match has a bad token")
 
 
 def format_word(w: Word, partition: FactorPartition) -> str:
     """Emit the parse syntax losslessly; identity renders as "1"."""
     if w.is_identity():
         return "1"
-    parts = []
-    for g, e in w.runs:
-        letter = partition.letter(g)
-        parts.append(letter if e == 1 else f"{letter}^{e}")
-    return " ".join(parts)
+    letter_of = _generator_table(partition.k_size, partition.l_size).letter_of
+    try:
+        return " ".join([letter_of[g] if e == 1 else f"{letter_of[g]}^{e}" for g, e in w.runs])
+    except KeyError as exc:
+        partition.letter(exc.args[0])  # raises: outside the partition, or past 26 letters
+        raise

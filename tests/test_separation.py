@@ -432,15 +432,91 @@ def test_separate_from_subgroup_random_round_trip():
         done += 1
 
 
+def assert_engine_matches_rescanning(partition, gens, w, reference_gens=None):
+    """``build_stallings`` and ``separate_from_subgroup`` on ``gens`` against
+    the rescanning fold of the laid loops of ``reference_gens`` (default
+    ``gens``), a generating set of the same subgroup."""
+    wedge = loop_wedge(partition, gens if reference_gens is None else reference_gens)
+    assert build_stallings(partition, gens) == rescanning_fold(wedge)
+    folded = rescanning_fold(adjoin_word_path(wedge, w))
+    if reference_trace(folded, w, 0) == 0:
+        with pytest.raises(ValueError) as refused:
+            separate_from_subgroup(partition, gens, w)
+        assert str(refused.value) == MEMBER_MESSAGE
+        return True
+    cert = separate_from_subgroup(partition, gens, w)
+    assert cert.quotient.images == completed_images(folded)
+    return False
+
+
+def test_fold_engine_matches_rescanning_reference():
+    p13 = FactorPartition(13, 13)
+    fixed = [
+        (P11, ["a b a^-1"]),                 # not cyclically reduced
+        (P11, ["b^-1 a^-4", "b^-1 a^-3"]),   # reads back into the first loop
+        (P11, ["a b^-1", "a^-1"]),           # a merge moves the basepoint
+        (P11, ["1", "a b", "1", "a b"]),     # identity and duplicate generators
+        (P22, ["b^-1 a b", "d", "a b"]),     # a merge moves a vertex with a loop
+        (P22, ["a c^-1 a^-1", "a c^2 a^-1", "d b d^-1"]),
+    ]
+    members = cases = 0
+    for partition, texts in fixed:
+        gens = [parse_word(t, partition) for t in texts]
+        for w in ["a", "b", "a b a^-1", "b^-1 a^-1", "a^4", "b a^-7 b^-1"]:
+            members += assert_engine_matches_rescanning(partition, gens, parse_word(w, partition))
+            cases += 1
+    rng = random.Random(38)
+    for _ in range(300):
+        partition = rng.choice([P11, P22, p13])
+        gens = random_subgroup(rng, partition, max_gens=4, max_len=8)
+        gens += [identity()] * rng.randrange(2) + rng.sample(gens, rng.randrange(len(gens) + 1))
+        w = random_word(rng, partition, rng.randrange(1, 9))
+        members += assert_engine_matches_rescanning(partition, gens, w)
+        cases += 1
+    for n in range(2, 41):
+        gens = [parse_word(f"a^{n}", P22), parse_word(f"a^{n - 1}", P22)]
+        w = random_word(rng, P22, 8)
+        members += assert_engine_matches_rescanning(P22, gens, w)
+        cases += 1
+    assert min(members, cases - members) > 30, (members, cases)
+
+
+def test_fold_engine_on_many_conjugates():
+    # 3,000 conjugates u w u^-1 of one 30-letter word, with |u| <= 2, fold
+    # as their distinct members do under the rescanning reference
+    rng = random.Random(39)
+    base = random_word(rng, P22, 30)
+    conjugates = []
+    for _ in range(3000):
+        u = random_word(rng, P22, rng.randrange(3))
+        conjugates.append(multiply(multiply(u, base), invert(u)))
+    distinct = sorted(set(conjugates), key=conjugates.index)
+    assert len(distinct) < 100
+    w = random_word(rng, P22, 6)
+    assert not assert_engine_matches_rescanning(P22, conjugates, w, reference_gens=distinct)
+
+
+def test_fold_engine_on_long_merges():
+    # <a^n, a^(n-1)> = <a> folds to one vertex with an a-loop at any size
+    for n in (400, 50000):
+        gens = [parse_word(f"a^{n}", P22), parse_word(f"a^{n - 1}", P22)]
+        assert build_stallings(P22, gens) == StallingsGraph(P22, 1, frozenset({(0, 0, 0)}), True)
+        cert = separate_from_subgroup(P22, gens, parse_word("b", P22))
+        assert cert.quotient.degree == 2
+        assert verify_separation(cert)
+
+
 def test_separation_folds_once(monkeypatch):
+    # one folding engine per certificate: the word's path is added to the
+    # folded subgroup loops
     calls = []
-    real_fold = separation.fold
 
-    def counting_fold(graph):
-        calls.append(graph)
-        return real_fold(graph)
+    class CountingFolding(separation._Folding):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(separation, "fold", counting_fold)
+    monkeypatch.setattr(separation, "_Folding", CountingFolding)
     w = parse_word("a b a^-1 b^-1", P11)
     separate_from_subgroup(P11, [parse_word("a^2", P11)], w)
     assert len(calls) == 1

@@ -252,7 +252,9 @@ def parse_outcome(parse, text, partition):
 def test_parse_matches_the_token_loop():
     rng = random.Random(2024)
     outcomes = {"word": 0, "error": 0}
-    texts = ["a^" + "9" * 5000, "ab", "a^2b", "a^2b^-3a", " 1 ", "\u30001\x1c"]
+    texts = ["a^" + "9" * 5000, "ab", "a^2b", "a^2b^-3a", " 1 ", "\u30001\x1c",
+             "a^0", "a a^0 a^-1", "a^-0", "a^007",
+             "a b b^-1 a^-1", "a^2 b^3 b^-3 a^-1 c", "a b^-1 b a^-1 a", "d c^-1 c d^-1"]
     partitions = [P11, P22, FactorPartition(13, 13)]
     cases = [(t, p) for t in texts for p in partitions]
     cases += [(random_word_text(rng, p), p)
@@ -266,6 +268,36 @@ def test_parse_matches_the_token_loop():
         else:
             outcomes["error"] += 1
     assert min(outcomes.values()) > 400, outcomes
+
+
+def letter_oracle_format(w, partition):
+    """format_word as one ``partition.letter`` call per run."""
+    parts = []
+    for g, e in w.runs:
+        letter = partition.letter(g)
+        parts.append(letter if e == 1 else f"{letter}^{e}")
+    return " ".join(parts) or "1"
+
+
+def test_format_word_matches_the_letter_oracle():
+    rng = random.Random(2025)
+    for _ in range(2000):
+        partition = rng.choice([P11, P22, FactorPartition(13, 13)])
+        w = reduce(random_pairs(rng, partition, max_runs=12, max_exp=300))
+        assert format_word(w, partition) == letter_oracle_format(w, partition)
+
+
+def test_format_word_errors():
+    outside = Word(((A, 1), (Generator(K, 5), -2)))
+    with pytest.raises(ValueError) as raised:
+        format_word(outside, P22)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == ("generator K5 out of range for partition "
+                                 "FactorPartition(k_size=2, l_size=2)")
+    with pytest.raises(ValueError) as raised:
+        format_word(Word(((A, 1),)), FactorPartition(14, 13))
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "letter syntax supports at most 26 generators"
 
 
 def test_letters_assigned_k_then_l():
