@@ -25,6 +25,7 @@ from .quotients import (
     quotient_from_obj,
     quotient_to_obj,
     _check_keys,
+    _int_field,
 )
 from .separation import (
     CheckResult,
@@ -187,8 +188,7 @@ class Ex1NotClosedWitness:
     cofactor: Word
 
 
-def separate_from_S(w: Word, head_margin: int = 0, head_cap: int = DEFAULT_HEAD_CAP,
-                    enumeration_cap=None) -> Ex1TailCertificate:
+def separate_from_S(w: Word, head_margin: int = 0, enumeration_cap=None) -> Ex1TailCertificate:
     """Certificate that the reduced word ``w`` lies outside S.
 
     Membership is decidable up front because s_j has length at least j!.
@@ -208,8 +208,8 @@ def separate_from_S(w: Word, head_margin: int = 0, head_cap: int = DEFAULT_HEAD_
     else:
         n = separate_integer_from_m0(tb)
     head_bound = max(n, head_margin)
-    if head_bound > head_cap:
-        raise CapExceededError(head_cap, f"head family of size {head_bound}")
+    if head_bound > DEFAULT_HEAD_CAP:
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {head_bound}")
     heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)),
                                     enumeration_cap=enumeration_cap)
              for _, s_i in s_family(head_bound)]
@@ -423,9 +423,7 @@ def ex1_witness_from_obj(obj, path="witness", enumeration_cap=None) -> Ex1NotClo
         raise SchemaError(f"{path}.partition: this family lives in the rank-2 split 1+1")
     quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
                                  enumeration_cap=enumeration_cap)
-    k = obj["k"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise SchemaError(f"{path}.k: expected an integer >= 1")
+    k = _int_field(obj["k"], f"{path}.k", minimum=1)
     s_word = _parse_word_field(obj["s_element"], partition, f"{path}.s_element")
     cofactor = _parse_word_field(obj["cofactor"], partition, f"{path}.cofactor")
     return Ex1NotClosedWitness(quotient, k, s_word, cofactor)

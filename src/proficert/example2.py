@@ -25,12 +25,12 @@ from .quotients import (
     direct_product,
     generated_moves,
     make_abelian_quotient,
-    make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
     subgroup_order,
     table_word,
     _check_keys,
+    _int_field,
 )
 from .separation import partition_from_obj, partition_to_obj, _parse_word_field
 from .words import (
@@ -75,6 +75,7 @@ class MixedQuotientSource:
     cycle, so K-balls grow polynomially; L-generators land on shuffled
     permutations) with abelian quotients at successive fresh primes, which
     guarantee that the K-image keeps growing as factors accumulate.
+    Every image is a bijection by construction and is not checked.
     """
 
     kind = "mixed"
@@ -100,9 +101,9 @@ class MixedQuotientSource:
             for g in self.partition.l_generators():
                 values = list(range(degree))
                 rng.shuffle(values)
-                images[g] = Permutation(tuple(values))
-            yield make_permutation_quotient(self.partition, images,
-                                            enumeration_cap=self.enumeration_cap)
+                images[g] = Permutation(values)
+            yield FiniteQuotient(self.partition, images,
+                                 enumeration_cap=self.enumeration_cap)
             prime = _next_prime(prime)
             yield make_abelian_quotient(self.partition, prime,
                                         enumeration_cap=self.enumeration_cap)
@@ -191,12 +192,7 @@ class Ex2Certificate:
 
 
 def _materialize_f(f, steps: int) -> tuple:
-    if f is None:
-        values = tuple(default_f(n) for n in range(1, steps + 1))
-    elif callable(f):
-        values = tuple(f(n) for n in range(1, steps + 1))
-    else:
-        values = tuple(f)
+    values = tuple(map(default_f, range(1, steps + 1)) if f is None else f)
     if len(values) != steps:
         raise ValueError(f"need {steps} distance requirements, got {len(values)}")
     for i, v in enumerate(values):
@@ -217,6 +213,9 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
     grow the K-image; growth of the index [K : H_n] both drives the chain
     strictly downward and eventually satisfies the index demanded by the
     step-1 bound and by the reciprocal-sum slack.
+
+    ``f``, the distance requirements f(1) .. f(steps), is None for
+    :func:`default_f` or a sequence of strictly increasing positive ints.
     """
     if partition is None:
         partition = FactorPartition(2, 2)
@@ -573,14 +572,6 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
 
     params = Ex2Params(partition, n_steps, f_values, dict(source), cap, draws)
     return Ex2Certificate(params, tuple(steps), reciprocal_sum)
-
-
-def _int_field(value, path: str, minimum=1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise SchemaError(f"{path}: expected an integer >= {minimum}")
-    return value
 
 
 # --- DOT export ---------------------------------------------------------------

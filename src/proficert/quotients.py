@@ -162,38 +162,41 @@ def _check_permutation(values, degree: int, where: str) -> Permutation:
     values = list(values)
     # plain ints that sort to 0..degree-1 form a bijection; anything else
     # takes the loop below, which names the first bad image
-    if (len(values) == degree and set(map(type, values)) <= {int}
-            and sorted(values) == list(range(degree))):
-        return _wrap(bytes(values) if degree <= 256 else tuple(values))
-    if len(values) != degree:
-        raise ValueError(f"{where}: expected {degree} images, got {len(values)}")
-    seen = [False] * degree
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < degree):
-            raise ValueError(f"{where}: image {v!r} is not a point in 0..{degree - 1}")
-        if seen[v]:
-            raise ValueError(f"{where}: not a bijection (point {v} hit twice)")
-        seen[v] = True
-    return Permutation(tuple(values))
+    if (len(values) != degree or not set(map(type, values)) <= {int}
+            or sorted(values) != list(range(degree))):
+        if len(values) != degree:
+            raise ValueError(f"{where}: expected {degree} images, got {len(values)}")
+        seen = [False] * degree
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < degree):
+                raise ValueError(f"{where}: image {v!r} is not a point in 0..{degree - 1}")
+            if seen[v]:
+                raise ValueError(f"{where}: not a bijection (point {v} hit twice)")
+            seen[v] = True
+    return Permutation(values)
 
 
 class FiniteQuotient:
-    """An immutable finite quotient; construct via the make_* factories.
+    """An immutable finite quotient: ``images`` maps each generator to a
+    :class:`Permutation`, all of one degree, which is read off them.
 
-    Elements of the image group are :class:`Permutation` objects.  ``kind``
-    and ``modulus`` only choose the serialized form: an abelian quotient
-    is stored as its modulus and acts by block rotations.  Enumerations
-    run on raw mappings and key their tables by them.  Per-generator steps
-    are memoized lazily and never mutate observable state.
+    ``kind`` is read off ``modulus``: a quotient with one is abelian, acts
+    by block rotations and is stored as its modulus.  Enumerations run on
+    raw mappings and key their tables by them.  Per-generator steps are
+    memoized lazily and never mutate observable state.
+
+    Nothing is checked here.  Images from outside are checked once, where
+    they enter (:func:`make_permutation_quotient`, :func:`quotient_from_obj`);
+    images built as bijections are not checked; verifiers run their own.
     """
 
-    def __init__(self, partition: FactorPartition, kind: str, *, images=None,
-                 degree=None, modulus=None, enumeration_cap=None):
+    def __init__(self, partition: FactorPartition, images: dict, *, modulus=None,
+                 enumeration_cap=None):
         self.partition = partition
-        self.kind = kind
         self.images = images
-        self.degree = degree
         self.modulus = modulus
+        self.kind = PERM if modulus is None else ABELIAN
+        self.degree = degree = next(iter(images.values())).degree
         self.enumeration_cap = (DEFAULT_ENUMERATION_CAP if enumeration_cap is None
                                 else enumeration_cap)
         self._identity = Permutation.identity(degree).mapping
@@ -204,8 +207,8 @@ class FiniteQuotient:
     def __eq__(self, other):
         if not isinstance(other, FiniteQuotient):
             return NotImplemented
-        return (self.partition, self.kind, self.images, self.degree, self.modulus) == (
-            other.partition, other.kind, other.images, other.degree, other.modulus)
+        return (self.partition, self.images, self.modulus) == (
+            other.partition, other.images, other.modulus)
 
     def __repr__(self):
         if self.kind == PERM:
@@ -387,7 +390,7 @@ class FiniteQuotient:
 
 def make_permutation_quotient(partition: FactorPartition, images: dict,
                               enumeration_cap=None) -> FiniteQuotient:
-    """Build and validate a permutation-backend quotient.
+    """Build a quotient from a caller's images, each checked once, here.
 
     ``images`` maps every generator of the partition to a bijection of
     0..d-1 (any sequence of point images, or a Permutation).
@@ -403,15 +406,13 @@ def make_permutation_quotient(partition: FactorPartition, images: dict,
     checked = {}
     for g in gens:
         raw = images[g]
-        values = raw.mapping if isinstance(raw, Permutation) else raw
-        values = list(values)
+        values = list(raw.mapping if isinstance(raw, Permutation) else raw)
         if degree is None:
             degree = len(values)
             if degree < 1:
                 raise ValueError("permutation degree must be at least 1")
         checked[g] = _check_permutation(values, degree, f"images[{partition.letter(g)}]")
-    return FiniteQuotient(partition, PERM, images=checked, degree=degree,
-                          enumeration_cap=enumeration_cap)
+    return FiniteQuotient(partition, checked, enumeration_cap=enumeration_cap)
 
 
 def make_abelian_quotient(partition: FactorPartition, modulus: int,
@@ -438,14 +439,14 @@ def make_abelian_quotient(partition: FactorPartition, modulus: int,
         mapping = points[:]
         mapping[start:start + n] = points[start + 1:start + n] + [points[start]]
         images[g] = Permutation(mapping)
-    return FiniteQuotient(partition, ABELIAN, images=images, degree=degree,
-                          modulus=modulus, enumeration_cap=enumeration_cap)
+    return FiniteQuotient(partition, images, modulus=modulus,
+                          enumeration_cap=enumeration_cap)
 
 
 def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
     """Degree-1 permutation quotient (everything in the kernel)."""
-    return make_permutation_quotient(
-        partition, {g: Permutation.identity(1) for g in partition.generators()})
+    return FiniteQuotient(partition, {g: Permutation.identity(1)
+                                      for g in partition.generators()})
 
 
 def generated_moves(q: FiniteQuotient, gens) -> list:
@@ -613,22 +614,20 @@ def direct_product(*factors: FiniteQuotient) -> FiniteQuotient:
 
     Realized as the disjoint-union permutation action: each factor acts
     on its own block of points, in order.  The images are bijections by
-    construction, so they are not validated again.
+    construction, so they are not checked.
     """
     first = factors[0]
     if any(q.partition != first.partition for q in factors):
         raise ValueError("direct product needs matching partitions")
-    degree = sum(q.degree for q in factors)
     images = {}
     for g in first.partition.generators():
         mapping = []
         for q in factors:
             shift = len(mapping)
             mapping.extend(x + shift for x in q.images[g].mapping)
-        images[g] = _wrap(bytes(mapping) if degree <= 256 else tuple(mapping))
+        images[g] = Permutation(mapping)
     cap = max(q.enumeration_cap for q in factors)
-    return FiniteQuotient(first.partition, PERM, images=images, degree=degree,
-                          enumeration_cap=cap)
+    return FiniteQuotient(first.partition, images, enumeration_cap=cap)
 
 
 # --- JSON form ----------------------------------------------------------------
@@ -646,18 +645,17 @@ def quotient_to_obj(q: FiniteQuotient) -> dict:
 
 def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
                       enumeration_cap=None, shared=None) -> FiniteQuotient:
-    """Parse and build a quotient.  ``shared``, a dict kept for the load of
-    one file, hands every abelian quotient of one partition and modulus
-    the object built first."""
+    """Parse and build a quotient, checking each image once, here, under
+    its field path.  ``shared``, a dict kept for the load of one file,
+    hands every abelian quotient of one partition and modulus the object
+    built first."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = obj.get("kind")
     if kind == PERM:
         allowed = {"kind", "degree", "images"}
         _check_keys(obj, allowed, path)
-        degree = obj["degree"]
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-            raise SchemaError(f"{path}.degree: expected a positive integer")
+        degree = _int_field(obj["degree"], f"{path}.degree", minimum=1)
         raw = obj["images"]
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}.images: expected an object")
@@ -673,16 +671,16 @@ def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
                 images[gen] = _check_permutation(values, degree, f"{path}.images.{letter}")
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
-        try:
-            return make_permutation_quotient(partition, images, enumeration_cap=enumeration_cap)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.images: {exc}") from exc
+        gens = partition.generators()
+        missing = [g for g in gens if g not in images]
+        if missing:
+            raise SchemaError(f"{path}.images: missing images for generators {missing}")
+        return FiniteQuotient(partition, {g: images[g] for g in gens},
+                              enumeration_cap=enumeration_cap)
     if kind == ABELIAN:
         allowed = {"kind", "modulus"}
         _check_keys(obj, allowed, path)
-        modulus = obj["modulus"]
-        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
-            raise SchemaError(f"{path}.modulus: expected an integer >= 2")
+        modulus = _int_field(obj["modulus"], f"{path}.modulus", minimum=2)
         if shared is None:
             shared = {}
         key = (partition, modulus)
@@ -737,3 +735,12 @@ def _check_keys(obj, keys: set, path: str):
     for key in keys:
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing field")
+
+
+def _int_field(value, path: str, minimum=1) -> int:
+    """An int field (not a bool), at least ``minimum`` unless that is None."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{path}: expected an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{path}: expected an integer >= {minimum}")
+    return value

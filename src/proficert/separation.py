@@ -20,10 +20,11 @@ from itertools import chain, repeat
 from .errors import CapExceededError, SchemaError
 from .quotients import (
     FiniteQuotient,
+    Permutation,
     _check_keys,
     _check_permutation,
+    _int_field,
     make_abelian_quotient,
-    make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
 )
@@ -398,11 +399,11 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
     exactly when its path ends there.  Otherwise the folded action tells
     the basepoint's orbit under ``w`` apart, and completing each label's
     partial injection to a permutation gives a quotient of degree equal to
-    the folded graph's vertex count.  A word longer than
-    ``MAX_PATH_LETTERS`` letters is first traced by runs on the subgroup's
-    folded graph, so that a member is refused as a member; a non-member
-    that long cannot have its path laid and raises
-    :class:`CapExceededError`.
+    the folded graph's vertex count, unchecked since the maps are
+    bijections by construction.  A word longer than ``MAX_PATH_LETTERS``
+    letters is first traced by runs on the subgroup's folded graph, so
+    that a member is refused as a member; a non-member that long cannot
+    have its path laid and raises :class:`CapExceededError`.
     """
     folding = _fold_loops(partition, gens)
     runs = _letter_runs(partition, w)
@@ -412,8 +413,9 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
     if folding.add_word(runs, closed=False) == root:
         raise ValueError(_MEMBER_MESSAGE)
     rows = folding.rows(folding.numbering())
-    images = {g: _complete_to_permutation(row) for g, row in zip(partition.generators(), rows)}
-    quotient = make_permutation_quotient(partition, images, enumeration_cap=enumeration_cap)
+    images = {g: Permutation(_complete_to_permutation(row))
+              for g, row in zip(partition.generators(), rows)}
+    quotient = FiniteQuotient(partition, images, enumeration_cap=enumeration_cap)
     return SeparationCertificate(partition, quotient, tuple(gens), w, WITNESS_BASEPOINT)
 
 
@@ -491,9 +493,7 @@ def partition_from_obj(obj, path="partition") -> FactorPartition:
     allowed = {"k_size", "l_size"}
     _check_keys(obj, allowed, path)
     for key in ("k_size", "l_size"):
-        v = obj[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise SchemaError(f"{path}.{key}: expected an integer >= 1")
+        _int_field(obj[key], f"{path}.{key}", minimum=1)
     rank = obj["k_size"] + obj["l_size"]
     if rank > 26:
         raise SchemaError(f"{path}: k_size + l_size is {rank}, but the letter "

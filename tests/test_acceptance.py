@@ -10,7 +10,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import groupby
 
 import pytest
 
@@ -59,6 +58,8 @@ from proficert.words import (
     reduce,
     word_length,
 )
+
+from closure_oracle import letters_of, product_closure, word_of
 
 P11 = FactorPartition(1, 1)
 P22 = FactorPartition(2, 2)
@@ -112,49 +113,6 @@ def random_reduced_word(rng, partition, letters):
 def random_subgroup(rng, partition, max_gens=3, max_len=4):
     return [random_reduced_word(rng, partition, rng.randrange(1, max_len + 1))
             for _ in range(rng.randrange(max_gens + 1))]
-
-
-def letters_of(w, partition):
-    """A word as a tuple of letters: generator i of the partition reads as
-    i + 1, its inverse as -(i + 1)."""
-    letters = []
-    for g, e in w.runs:
-        c = partition.flat_index(g) + 1
-        letters += [c if e > 0 else -c] * abs(e)
-    return tuple(letters)
-
-
-def word_of(letters, partition):
-    """The word of a freely reduced letter tuple, whose groups of equal
-    letters are already its maximal runs."""
-    gens = partition.generators()
-    return Word(tuple((gens[abs(c) - 1], len(list(run)) * (1 if c > 0 else -1))
-                      for c, run in groupby(letters)))
-
-
-def product_closure(gens, partition, rounds):
-    """All reduced products of at most ``rounds`` generator^(+-1) factors,
-    as letter tuples (:func:`letters_of`): each product is a shorter one
-    times a factor, freely cancelled at the seam."""
-    factors = [letters_of(g, partition) for g in gens]
-    factors += [tuple(-c for c in reversed(f)) for f in factors]
-    seen = {()}
-    frontier = [()]
-    for _ in range(rounds):
-        nxt = []
-        for x in frontier:
-            for f in factors:
-                k = 0
-                while k < len(x) and k < len(f) and x[-1 - k] == -f[k]:
-                    k += 1
-                y = x[:len(x) - k] + f[k:]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
 
 
 def quotient_family(count, seed, partition=P11, max_abelian=100, max_degree=7):

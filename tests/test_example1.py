@@ -11,6 +11,7 @@ import pytest
 from proficert.cli import emit_certificate, main
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import (
+    DEFAULT_HEAD_CAP,
     EX1_PARTITION,
     GEN_A,
     GEN_B,
@@ -250,7 +251,7 @@ def test_separate_from_S_head_cap():
     with pytest.raises(CapExceededError):
         separate_from_S(Word(((GEN_A, 4097),)))
     with pytest.raises(CapExceededError):
-        separate_from_S(word("a^10"), head_cap=10)
+        separate_from_S(word("a^10"), head_margin=DEFAULT_HEAD_CAP + 1)
 
 
 def test_verify_ex1_detects_lowered_head_bound():

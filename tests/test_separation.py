@@ -2,7 +2,6 @@
 
 import math
 import random
-from itertools import groupby
 
 import pytest
 
@@ -41,6 +40,8 @@ from proficert.words import (
     reduce,
 )
 
+from closure_oracle import letters_of, product_closure, word_of
+
 P11 = FactorPartition(1, 1)
 P21 = FactorPartition(2, 1)
 P22 = FactorPartition(2, 2)
@@ -68,58 +69,6 @@ def random_word(rng, partition, letters=4):
 def random_subgroup(rng, partition, max_gens=3, max_len=4):
     return [random_word(rng, partition, rng.randrange(1, max_len + 1))
             for _ in range(rng.randrange(max_gens + 1))]
-
-
-def letters_of(w, partition):
-    """A word as a tuple of letters: generator i of the partition reads as
-    i + 1, its inverse as -(i + 1)."""
-    letters = []
-    for g, e in w.runs:
-        c = partition.flat_index(g) + 1
-        letters += [c if e > 0 else -c] * abs(e)
-    return tuple(letters)
-
-
-def word_of(letters, partition):
-    """The word of a freely reduced letter tuple, whose groups of equal
-    letters are already its maximal runs."""
-    gens = partition.generators()
-    return Word(tuple((gens[abs(c) - 1], len(list(run)) * (1 if c > 0 else -1))
-                      for c, run in groupby(letters)))
-
-
-def product_closure(gens, partition, rounds, keep_len=None):
-    """All reduced products of at most ``rounds`` generator^(+-1) factors,
-    as letter tuples (:func:`letters_of`): each product is a shorter one
-    times a factor, freely cancelled at the seam.
-
-    With ``keep_len`` set, intermediate products longer than a fixed
-    corridor above it are pruned.  Pruning can only shrink the closure, so
-    a pruned closure is still sound for "this word is a member" evidence;
-    it is used for the negative-side proxy where missing elements weaken
-    coverage but cannot produce false failures.
-    """
-    factors = [letters_of(g, partition) for g in gens]
-    factors += [tuple(-c for c in reversed(f)) for f in factors]
-    max_factor = max(map(len, factors), default=0)
-    budget = None if keep_len is None else keep_len + 2 * max_factor
-    seen = {()}
-    frontier = [()]
-    for _ in range(rounds):
-        nxt = []
-        for x in frontier:
-            for f in factors:
-                k = 0
-                while k < len(x) and k < len(f) and x[-1 - k] == -f[k]:
-                    k += 1
-                y = x[:len(x) - k] + f[k:]
-                if y not in seen and (budget is None or len(y) <= budget):
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
 
 
 # --- construction examples ------------------------------------------------------
@@ -523,6 +472,33 @@ def test_separation_folds_once(monkeypatch):
     calls.clear()
     separate_from_identity(P11, w)
     assert len(calls) == 1
+
+
+def test_each_image_is_checked_once_where_it_enters(monkeypatch):
+    # completed label maps are bijections by construction and go
+    # unchecked; a file's images are checked once on load, a caller's once
+    # in make_permutation_quotient, and the verifier runs its own check
+    checked = []
+    check = quotients._check_permutation
+
+    def counting_check(values, degree, where):
+        checked.append(where)
+        return check(values, degree, where)
+
+    monkeypatch.setattr(quotients, "_check_permutation", counting_check)
+    monkeypatch.setattr(separation, "_check_permutation", counting_check)
+    letters = [P22.letter(g) for g in P22.generators()]
+    gens = [parse_word("a^2 c", P22), parse_word("b d^-1 b", P22)]
+    cert = separate_from_subgroup(P22, gens, parse_word("a b c d", P22))
+    assert checked == []
+    loaded = separation_from_obj(separation_to_obj(cert))
+    assert checked == [f"certificate.quotient.images.{x}" for x in letters]
+    checked.clear()
+    assert verify_separation(loaded)
+    assert checked == [f"images[{x}]" for x in letters]
+    checked.clear()
+    make_permutation_quotient(P22, {g: list(p.mapping) for g, p in cert.quotient.images.items()})
+    assert checked == [f"images[{x}]" for x in letters]
 
 
 def test_separate_member_raises():
