@@ -8,13 +8,16 @@ kernel eventually (convergence to the identity), the full family is closed
 and discrete, and the set S<b> fails to be closed — each claim is witnessed
 here by finite-quotient certificates that a verifier can recheck from
 scratch.
+
+Records here are immutable NamedTuples equal to plain tuples of their
+fields; ``*_to_obj`` turns them into plain dicts and lists for JSON.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError, SchemaError
 from .quotients import (
@@ -29,7 +32,6 @@ from .quotients import (
 )
 from .separation import (
     CheckResult,
-    SeparationCertificate,
     partition_from_obj,
     partition_to_obj,
     separate_from_identity,
@@ -159,8 +161,7 @@ def separate_integer_from_m0(t: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Ex1TailCertificate:
+class Ex1TailCertificate(NamedTuple):
     """Separates a target word from the whole family S at once.
 
     The abelian quotient mod ``modulus`` tells the target apart from every
@@ -177,8 +178,7 @@ class Ex1TailCertificate:
     composite_quotient: FiniteQuotient
 
 
-@dataclass(frozen=True)
-class Ex1NotClosedWitness:
+class Ex1NotClosedWitness(NamedTuple):
     """For a quotient kernel N: the witness s_k b^(-m_k) = a^(k!) in N,
     putting the coset of the identity inside N·S<b>."""
 

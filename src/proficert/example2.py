@@ -8,13 +8,16 @@ lies in the L factor.  Four per-step conditions, an index bound at step 1,
 strictness of the chain, and a reciprocal-sum bound below one half are all
 that a verifier needs; together they make S = {s_n} closed and discrete
 while S<K-subgroup> fails to be closed.
+
+Records here are immutable NamedTuples equal to plain tuples of their
+fields; ``*_to_obj`` turns them into plain dicts and lists for JSON.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapExceededError, SchemaError
 from .quotients import (
@@ -164,8 +167,7 @@ def make_s(r: Word, q: FiniteQuotient):
     return multiply(r, power(b, e)), e
 
 
-@dataclass(frozen=True)
-class Ex2Params:
+class Ex2Params(NamedTuple):
     partition: FactorPartition
     steps: int
     f_values: tuple
@@ -174,8 +176,7 @@ class Ex2Params:
     max_source_draws: int
 
 
-@dataclass(frozen=True)
-class Ex2Step:
+class Ex2Step(NamedTuple):
     quotient: FiniteQuotient
     r: Word
     s: Word
@@ -184,8 +185,7 @@ class Ex2Step:
     k_index: int
 
 
-@dataclass(frozen=True)
-class Ex2Certificate:
+class Ex2Certificate(NamedTuple):
     params: Ex2Params
     steps: tuple
     reciprocal_sum: Fraction
@@ -276,8 +276,7 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
 
 # --- verification -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ex2Clause:
+class Ex2Clause(NamedTuple):
     clause: str
     m: object
     k: object
@@ -285,8 +284,7 @@ class Ex2Clause:
     detail: str
 
 
-@dataclass(frozen=True)
-class Ex2Report:
+class Ex2Report(NamedTuple):
     clauses: tuple
 
     @property
@@ -441,8 +439,7 @@ def discreteness_witness(cert: Ex2Certificate, n: int) -> frozenset:
                      if step.quotient.coset_equal(cert.steps[m - 1].s, step.s))
 
 
-@dataclass(frozen=True)
-class FiniteIntersectionWitness:
+class FiniteIntersectionWitness(NamedTuple):
     """How the family meets the Q_n-coset of a word x, with the distance
     bookkeeping that keeps the intersection finite."""
 

@@ -10,12 +10,15 @@ completing its partial injections to permutations yields a finite
 quotient in which the subgroup fixes the basepoint while a chosen
 excluded word moves it — an effective form of the classical closedness
 of finitely generated subgroups in the profinite topology.
+
+Records here are immutable NamedTuples equal to plain tuples of their
+fields; ``*_to_obj`` turns them into plain dicts and lists for JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .errors import CapExceededError, SchemaError
 from .quotients import (
@@ -47,8 +50,7 @@ WITNESS_KINDS = (WITNESS_BASEPOINT, WITNESS_IMAGE)
 _MEMBER_MESSAGE = "the excluded word lies in the subgroup; nothing separates it"
 
 
-@dataclass(frozen=True)
-class StallingsGraph:
+class StallingsGraph(NamedTuple):
     """A based labeled graph; basepoint is vertex 0.
 
     ``edges`` holds (source, i, target) triples read positively, where i is
@@ -63,8 +65,7 @@ class StallingsGraph:
     folded: bool
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a from-scratch verification, with human-readable reasons."""
 
     ok: bool
@@ -74,8 +75,7 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """A finite quotient witnessing that ``excluded`` avoids the subgroup.
 
     With witness kind "basepoint-moved" every subgroup generator's image

@@ -5,53 +5,55 @@ arbitrary-precision integer exponents, so ``a^(20!)`` is a single run.  The
 free basis is split into two blocks K and L by a :class:`FactorPartition`;
 the split is what the syllable decomposition and the two-factor
 constructions are built on.
+
+Generators, partitions and words are immutable NamedTuples, as are the
+certificate records of the other modules: a record hashes and orders as the
+tuple of its fields and compares equal to a plain tuple of the same fields
+(nothing in the package compares a record with a bare tuple).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from string import ascii_lowercase
 from typing import NamedTuple
 
 from .errors import WordSyntaxError
 
 K = "K"
 L = "L"
+_LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple("Generator", [("factor", str), ("index", int)])):
     """One free generator, named by its factor ("K" or "L") and index.
 
     The (factor, index) order is total and is used everywhere a
     deterministic generator sweep is needed.
     """
 
-    factor: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.factor not in (K, L):
-            raise ValueError(f"factor must be 'K' or 'L', got {self.factor!r}")
-        if not isinstance(self.index, int) or self.index < 0:
-            raise ValueError(f"generator index must be a nonnegative int, got {self.index!r}")
+    def __new__(cls, factor: str, index: int):
+        if factor not in (K, L):
+            raise ValueError(f"factor must be 'K' or 'L', got {factor!r}")
+        if not isinstance(index, int) or index < 0:
+            raise ValueError(f"generator index must be a nonnegative int, got {index!r}")
+        return super().__new__(cls, factor, index)
 
     def __repr__(self):
         return f"{self.factor}{self.index}"
 
 
-@dataclass(frozen=True)
-class FactorPartition:
+class FactorPartition(NamedTuple("FactorPartition", [("k_size", int), ("l_size", int)])):
     """Declares how many generators belong to the K block and the L block."""
 
-    k_size: int
-    l_size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k_size < 1 or self.l_size < 1:
+    def __new__(cls, k_size: int, l_size: int):
+        if k_size < 1 or l_size < 1:
             raise ValueError("each factor needs at least one generator")
+        return super().__new__(cls, k_size, l_size)
 
     @property
     def rank(self) -> int:
@@ -105,15 +107,14 @@ def _generator_table(k_size: int, l_size: int) -> _GeneratorTable:
     shared by every partition of those sizes."""
     gens = tuple([Generator(K, i) for i in range(k_size)]
                  + [Generator(L, i) for i in range(l_size)])
-    letter_of = dict(zip(gens, ascii_lowercase)) if len(gens) <= 26 else {}
-    last = ascii_lowercase[min(len(gens), 26) - 1]
+    letter_of = dict(zip(gens, _LOWERCASE)) if len(gens) <= 26 else {}
+    last = _LOWERCASE[min(len(gens), 26) - 1]
     word = re.compile(rf"(?:\s*[a-{last}](?:\^-?[0-9]+)?)*\s*")
-    return _GeneratorTable(gens, dict(zip(ascii_lowercase, gens)),
+    return _GeneratorTable(gens, dict(zip(_LOWERCASE, gens)),
                            {g: i for i, g in enumerate(gens)}, letter_of, word)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A reduced word: runs on distinct adjacent generators, exponents nonzero.
 
     Instances are built through :func:`reduce` (or the operations below),

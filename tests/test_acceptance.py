@@ -15,8 +15,6 @@ import pytest
 
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import (
-    EX1_PARTITION,
-    WORD_A,
     convergence_witness,
     m_sequence,
     not_closed_witness,
@@ -56,7 +54,6 @@ from proficert.words import (
     invert,
     multiply,
     reduce,
-    word_length,
 )
 
 from closure_oracle import letters_of, product_closure, word_of

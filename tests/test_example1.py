@@ -1,7 +1,6 @@
 """The factorial family: residue target, tail certificates, not-closed witnesses."""
 
 import copy
-import dataclasses
 import hashlib
 import math
 import random
@@ -17,8 +16,6 @@ from proficert.example1 import (
     GEN_B,
     WORD_A,
     WORD_B,
-    Ex1NotClosedWitness,
-    Ex1TailCertificate,
     a_element,
     convergence_witness,
     ex1_tail_from_obj,
@@ -256,7 +253,7 @@ def test_separate_from_S_head_cap():
 
 def test_verify_ex1_detects_lowered_head_bound():
     cert = separate_from_S(identity())
-    bad = dataclasses.replace(cert, head_bound=1)
+    bad = cert._replace(head_bound=1)
     result = verify_ex1(bad)
     assert not result
     assert any("head bound" in r for r in result.reasons)
@@ -264,7 +261,7 @@ def test_verify_ex1_detects_lowered_head_bound():
 
 def test_verify_ex1_detects_corrupted_modulus():
     cert = separate_from_S(WORD_B)
-    bad = dataclasses.replace(cert, modulus=4)
+    bad = cert._replace(modulus=4)
     result = verify_ex1(bad)
     assert not result
     assert result.reasons == ("modulus 4 exceeds head bound 2",)
@@ -272,8 +269,8 @@ def test_verify_ex1_detects_corrupted_modulus():
 
 def test_verify_ex1_detects_corrupted_head():
     cert = separate_from_S(identity())
-    head = dataclasses.replace(cert.head_certificates[0], excluded=word("b^7"))
-    bad = dataclasses.replace(cert, head_certificates=(head,) + cert.head_certificates[1:])
+    head = cert.head_certificates[0]._replace(excluded=word("b^7"))
+    bad = cert._replace(head_certificates=(head,) + cert.head_certificates[1:])
     result = verify_ex1(bad)
     assert not result
     assert any("head 1" in r for r in result.reasons)
@@ -281,7 +278,7 @@ def test_verify_ex1_detects_corrupted_head():
 
 def test_verify_ex1_detects_useless_composite():
     cert = separate_from_S(identity())
-    bad = dataclasses.replace(cert, composite_quotient=trivial_quotient(EX1_PARTITION))
+    bad = cert._replace(composite_quotient=trivial_quotient(EX1_PARTITION))
     result = verify_ex1(bad)
     assert not result
     assert any("composite" in r for r in result.reasons)
@@ -313,7 +310,7 @@ def test_grouped_composite_clause_matches_per_index_loop(target, head_bound):
     }
     collisions = {}
     for name, q in swaps.items():
-        bad = dataclasses.replace(cert, composite_quotient=q)
+        bad = cert._replace(composite_quotient=q)
         oracle = per_index_composite_reasons(bad)
         assert verify_ex1(bad).reasons == oracle, name
         collisions[name] = len(oracle)
@@ -356,15 +353,15 @@ def test_not_closed_witness_product_in_kernel():
 def test_verify_ex1_witness_detects_corruption():
     w = not_closed_witness(abelian(4))
 
-    bad = dataclasses.replace(w, k=5)
+    bad = w._replace(k=5)
     assert not verify_ex1_witness(bad)
 
-    bad = dataclasses.replace(w, cofactor=identity())
+    bad = w._replace(cofactor=identity())
     result = verify_ex1_witness(bad)
     assert not result
     assert any("cofactor" in r for r in result.reasons)
 
-    bad = dataclasses.replace(w, quotient=abelian(5))
+    bad = w._replace(quotient=abelian(5))
     result = verify_ex1_witness(bad)
     assert not result
     assert any("not divisible" in r or "kernel" in r for r in result.reasons)

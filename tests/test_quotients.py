@@ -13,7 +13,6 @@ from proficert.errors import CapExceededError, SchemaError
 from proficert.example2 import construct_ex2
 from proficert.quotients import (
     DEFAULT_ENUMERATION_CAP,
-    FiniteQuotient,
     Permutation,
     direct_product,
     element_to_obj,
