@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import example1, example2, quotients, separation, words
 from .errors import CapExceededError, SchemaError, WordSyntaxError
@@ -97,7 +96,8 @@ CERTIFICATES = {
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -146,10 +146,10 @@ def _partition(args) -> words.FactorPartition:
 
 
 def _load_quotient(args, partition) -> quotients.FiniteQuotient:
-    if getattr(args, "abelian", None) is not None:
+    if args.abelian is not None:
         return quotients.make_abelian_quotient(partition, args.abelian,
                                                enumeration_cap=args.cap)
-    if getattr(args, "quotient", None) is not None:
+    if args.quotient is not None:
         return quotients.quotient_from_obj(_read_json(args.quotient), partition,
                                            path="quotient", enumeration_cap=args.cap)
     raise SchemaError("a quotient is required: pass --quotient FILE or --abelian N")
@@ -205,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", action="append", default=[],
                    help="subgroup generator word (repeatable)")
     add_partition_flags(p)
-    add_cap_flag(p)
 
     p = sub.add_parser("ex1-elem", help="family elements a^(j!) b^(m_j)")
     p.add_argument("index", type=int)
@@ -216,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tail certificate separating a word from the family")
     p.add_argument("--word", required=True)
     p.add_argument("--head-margin", type=int, default=0)
-    add_cap_flag(p)
 
     p = sub.add_parser("ex1-verify", help="recheck a stored certificate file")
     p.add_argument("certificate")
@@ -299,11 +297,9 @@ def _cmd_separate(args) -> int:
     w = words.parse_word(args.word, partition)
     gens = [words.parse_word(g, partition) for g in args.gen]
     if gens:
-        cert = separation.separate_from_subgroup(partition, gens, w,
-                                                 enumeration_cap=args.cap)
+        cert = separation.separate_from_subgroup(partition, gens, w)
     else:
-        cert = separation.separate_from_identity(partition, w,
-                                                 enumeration_cap=args.cap)
+        cert = separation.separate_from_identity(partition, w)
     sys.stdout.write(emit_certificate(cert))
     return 0
 
@@ -324,8 +320,7 @@ def _cmd_ex1_elem(args) -> int:
 
 def _cmd_ex1_separate(args) -> int:
     w = words.parse_word(args.word, example1.EX1_PARTITION)
-    cert = example1.separate_from_S(w, head_margin=args.head_margin,
-                                    enumeration_cap=args.cap)
+    cert = example1.separate_from_S(w, head_margin=args.head_margin)
     sys.stdout.write(emit_certificate(cert))
     return 0
 
@@ -339,7 +334,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ex1_witness(args) -> int:
-    args.k_size, args.l_size = 1, 1
     q = _load_quotient(args, example1.EX1_PARTITION)
     witness = example1.not_closed_witness(q)
     sys.stdout.write(emit_certificate(witness))
@@ -354,9 +348,9 @@ def _cmd_ex2_construct(args) -> int:
             f = [int(part) for part in args.f.split(",")]
         except ValueError:
             raise SchemaError(f"--f: expected comma-separated integers, got {args.f!r}")
-    cap = quotients.DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
-    cert = example2.construct_ex2(partition, steps=args.steps, f=f, seed=args.seed,
-                                  enumeration_cap=cap, max_source_draws=args.draws)
+    source = example2.MixedQuotientSource(partition, args.seed, args.cap)
+    cert = example2.construct_ex2(partition, steps=args.steps, f=f, source=source,
+                                  max_source_draws=args.draws)
     sys.stdout.write(emit_certificate(cert))
     return 0
 

@@ -188,19 +188,21 @@ class Ex1NotClosedWitness(NamedTuple):
     cofactor: Word
 
 
-def separate_from_S(w: Word, head_margin: int = 0, enumeration_cap=None) -> Ex1TailCertificate:
+def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
     """Certificate that the reduced word ``w`` lies outside S.
 
-    Membership is decidable up front because s_j has length at least j!.
+    Membership is decidable up front because s_j has length at least j!;
+    :func:`s_family` is walked once, until j! passes the length of ``w``.
     The modulus is chosen from the exponent sums so that the target's
     abelian image misses the tail value; everything below the head bound
     J = max(modulus, head_margin) is separated word-by-word.
     """
-    j = 1
-    while math.factorial(j) <= word_length(w):
-        if w == s_element(j):
+    length = word_length(w)
+    for j, s_j in s_family(length + 2):  # j! passes length by j = length + 1
+        if exponent_sum(s_j, GEN_A) > length:
+            break
+        if w == s_j:
             raise ValueError(f"the target word equals s_{j} and lies in the family")
-        j += 1
     ta = exponent_sum(w, GEN_A)
     tb = exponent_sum(w, GEN_B)
     if ta != 0:
@@ -210,13 +212,12 @@ def separate_from_S(w: Word, head_margin: int = 0, enumeration_cap=None) -> Ex1T
     head_bound = max(n, head_margin)
     if head_bound > DEFAULT_HEAD_CAP:
         raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {head_bound}")
-    heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)),
-                                    enumeration_cap=enumeration_cap)
+    heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)))
              for _, s_i in s_family(head_bound)]
     # a repeated factor leaves the kernel as it is, so each distinct one
     # (by generator images) enters once, in first-seen order
     factors = {}
-    abelian = make_abelian_quotient(EX1_PARTITION, n, enumeration_cap=enumeration_cap)
+    abelian = make_abelian_quotient(EX1_PARTITION, n)
     for q in [abelian] + [head.quotient for head in heads]:
         factors.setdefault((q.images[GEN_A], q.images[GEN_B]), q)
     composite = direct_product(*factors.values())

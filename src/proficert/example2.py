@@ -51,6 +51,7 @@ from .words import (
 )
 
 DEFAULT_MAX_SOURCE_DRAWS = 96
+WORD_B = Word(((Generator(L, 0), 1),))  # b, the first L-generator of every partition
 
 
 class NoAdmissibleElementError(RuntimeError):
@@ -67,10 +68,6 @@ def _k_letter_words(partition: FactorPartition) -> list:
     return [Word(((g, 1),)) for g in partition.k_generators()]
 
 
-def _b_word(partition: FactorPartition) -> Word:
-    return Word(((Generator(L, 0), 1),))
-
-
 class MixedQuotientSource:
     """Deterministic seeded stream of quotient factors.
 
@@ -78,13 +75,13 @@ class MixedQuotientSource:
     cycle, so K-balls grow polynomially; L-generators land on shuffled
     permutations) with abelian quotients at successive fresh primes, which
     guarantee that the K-image keeps growing as factors accumulate.
-    Every image is a bijection by construction and is not checked.
+    Every image is a bijection by construction and is not checked; every
+    factor carries ``enumeration_cap`` (None for the default).
     """
 
     kind = "mixed"
 
-    def __init__(self, partition: FactorPartition, seed: int = 0,
-                 enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
+    def __init__(self, partition: FactorPartition, seed: int = 0, enumeration_cap=None):
         self.partition = partition
         self.seed = seed
         self.enumeration_cap = enumeration_cap
@@ -162,9 +159,8 @@ def make_s(r: Word, q: FiniteQuotient):
     """
     if r.is_identity() or any(g.factor != K for g, _ in r.runs):
         raise ValueError("r must be a nonempty word in the K-generators")
-    b = _b_word(q.partition)
-    e = q.element_order(b)
-    return multiply(r, power(b, e)), e
+    e = q.element_order(WORD_B)
+    return multiply(r, power(WORD_B, e)), e
 
 
 class Ex2Params(NamedTuple):
@@ -203,27 +199,28 @@ def _materialize_f(f, steps: int) -> tuple:
     return values
 
 
-def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
-                  seed: int = 0, source=None,
-                  enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-                  max_source_draws: int = DEFAULT_MAX_SOURCE_DRAWS) -> Ex2Certificate:
+def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int = 4, f=None,
+                  source=None, max_source_draws: int = DEFAULT_MAX_SOURCE_DRAWS) -> Ex2Certificate:
     """Build a certificate with ``steps`` steps.
 
     Factors are drawn from the source and multiplied in only when they
     grow the K-image; growth of the index [K : H_n] both drives the chain
     strictly downward and eventually satisfies the index demanded by the
-    step-1 bound and by the reciprocal-sum slack.
+    step-1 bound and by the reciprocal-sum slack.  Each step needs a draw,
+    so more steps than ``max_source_draws`` are refused at once.
 
     ``f``, the distance requirements f(1) .. f(steps), is None for
     :func:`default_f` or a sequence of strictly increasing positive ints.
+    ``source`` (default ``MixedQuotientSource(partition)``) yields factors of
+    ``partition``; the certificate records its seed and its factors' cap.
     """
-    if partition is None:
-        partition = FactorPartition(2, 2)
     if not isinstance(steps, int) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    if steps > max_source_draws:
+        raise CapExceededError(max_source_draws, "quotient source draws")
     f_values = _materialize_f(f, steps)
     if source is None:
-        source = MixedQuotientSource(partition, seed, enumeration_cap)
+        source = MixedQuotientSource(partition)
     stream = source.stream()
     k_words = _k_letter_words(partition)
     kk = partition.k_size
@@ -255,6 +252,9 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
                 raise CapExceededError(max_source_draws, "quotient source draws")
             factor = next(stream)
             draws += 1
+            if factor.partition != partition:
+                raise ValueError(f"the source drew a factor of {factor.partition} "
+                                 f"for {partition}")
             candidate = (factor if quotient is None
                          else direct_product(quotient, factor))
             try:
@@ -268,7 +268,7 @@ def construct_ex2(partition: FactorPartition = None, steps: int = 4, f=None,
         assert recip < Fraction(1, 2)
         built.append(Ex2Step(quotient, r_n, s_n, e_n, f_n, index))
         forbidden.append((quotient, r_n))
-    # the last quotient's cap, under which every K-index was computed
+    # the cap of the source's factors, under which every K-index was computed
     params = Ex2Params(partition, steps, f_values, source.describe(),
                        quotient.enumeration_cap, max_source_draws)
     return Ex2Certificate(params, tuple(built), recip)
@@ -316,7 +316,6 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     n_steps = params.steps
     f_values = params.f_values
     k_words = _k_letter_words(p)
-    b = _b_word(p)
 
     ok = (len(f_values) == n_steps and n_steps >= 1
           and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
@@ -329,6 +328,12 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
                                  f"expected {n_steps} steps, found {len(cert.steps)}"))
         return Ex2Report(tuple(clauses))
 
+    foreign = [m for m, st in enumerate(cert.steps, 1) if st.quotient.partition != p]
+    if foreign:  # a quotient of another group: nothing below applies
+        return Ex2Report(tuple(clauses) + tuple(
+            Ex2Clause("step-structure", m, None, False, f"quotient partition is not {p}")
+            for m in foreign))
+
     indices = []  # K-index of each step: the order of its K-image
     for m in range(1, n_steps + 1):
         st = cert.steps[m - 1]
@@ -336,10 +341,10 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
         problems = []
         if st.r.is_identity() or any(g.factor != K for g, _ in st.r.runs):
             problems.append("r is not a nonempty K-word")
-        order_b = q.element_order(b)
+        order_b = q.element_order(WORD_B)
         if st.e != order_b:
             problems.append(f"e = {st.e} but image(b) has order {order_b}")
-        if st.s != multiply(st.r, power(b, st.e)):
+        if st.s != multiply(st.r, power(WORD_B, st.e)):
             problems.append("s does not equal r * b^e")
         index = subgroup_order(q, k_words)
         indices.append(index)
@@ -573,14 +578,13 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
 
 # --- DOT export ---------------------------------------------------------------
 
-def ex2_ball_dot(cert: Ex2Certificate, n: int, extra_radius: int = 1) -> str:
-    """Graphviz rendering of the Cayley ball of Q_n out to f(n) + extra,
-    with the image of r_n highlighted when it lies inside."""
+def ex2_ball_dot(cert: Ex2Certificate, n: int) -> str:
+    """Graphviz rendering of the Cayley ball of Q_n out to f(n) + 1, with
+    the image of r_n highlighted when it lies inside."""
     step = _step(cert, n)
     q = step.quotient
     p = cert.params.partition
-    radius = step.f_value + extra_radius
-    ball = q.ball(radius)
+    ball = q.ball(step.f_value + 1)
     ids = {element: i for i, element in enumerate(ball)}
     target = q.image(step.r).mapping
     lines = ["digraph cayley_ball {", "  rankdir=LR;"]

@@ -389,8 +389,7 @@ def _complete_to_permutation(row: list) -> list:
     return [x if x is not None else next(free) for x in row]
 
 
-def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
-                           enumeration_cap=None) -> SeparationCertificate:
+def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> SeparationCertificate:
     """Certificate that ``w`` lies outside the subgroup ``<gens>``.
 
     One folding of the generator loops, to which the word's path is then
@@ -415,12 +414,11 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word,
     rows = folding.rows(folding.numbering())
     images = {g: Permutation(_complete_to_permutation(row))
               for g, row in zip(partition.generators(), rows)}
-    quotient = FiniteQuotient(partition, images, enumeration_cap=enumeration_cap)
+    quotient = FiniteQuotient(partition, images)
     return SeparationCertificate(partition, quotient, tuple(gens), w, WITNESS_BASEPOINT)
 
 
-def separate_from_identity(partition: FactorPartition, w: Word,
-                           enumeration_cap=None) -> SeparationCertificate:
+def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCertificate:
     """Certificate that a nontrivial word survives in some finite quotient.
 
     Words with a nonzero exponent sum get the smallest abelian modulus that
@@ -434,10 +432,10 @@ def separate_from_identity(partition: FactorPartition, w: Word,
     if nonzero:
         for n in range(2, min(nonzero) + 2):
             if any(t % n for _, t in sums):
-                quotient = make_abelian_quotient(partition, n, enumeration_cap=enumeration_cap)
+                quotient = make_abelian_quotient(partition, n)
                 return SeparationCertificate(partition, quotient, (), w, WITNESS_IMAGE)
         raise AssertionError("a modulus of min|sum|+1 always separates")
-    return separate_from_subgroup(partition, [], w, enumeration_cap=enumeration_cap)
+    return separate_from_subgroup(partition, [], w)
 
 
 def verify_separation(cert: SeparationCertificate) -> CheckResult:

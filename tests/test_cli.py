@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from proficert.cli import canonical_json, emit_certificate, load_certificate, main
-from proficert.example1 import DEFAULT_HEAD_CAP
+from proficert.cli import _COMMANDS, canonical_json, emit_certificate, load_certificate, main
+from proficert.example1 import DEFAULT_HEAD_CAP, s_family
 from proficert.quotients import make_abelian_quotient, quotient_to_obj
-from proficert.words import FactorPartition
+from proficert.words import FactorPartition, format_word
 
 P11 = FactorPartition(1, 1)
 
@@ -202,6 +202,11 @@ def test_ex1_separate_rejects_family_member(capsys):
     code, _, err = run(capsys, "ex1-separate", "--word", "a^6 b^4")
     assert code == 2
     assert "error" in err
+    # a member past the head cap is still refused as a member
+    *_, (_, s_1500) = s_family(1501)
+    code, out, err = run(capsys, "ex1-separate", "--word", format_word(s_1500, P11))
+    assert (code, out) == (2, "")
+    assert err == "error: the target word equals s_1500 and lies in the family\n"
 
 
 def test_ex1_witness_and_verify(capsys, tmp_path):
@@ -270,6 +275,29 @@ def test_ex2_construct_cap_exceeded(capsys):
     code, _, err = run(capsys, "ex2-construct", "--steps", "2", "--cap", "50")
     assert code == 3
     assert "error" in err
+
+
+def test_cap_flag_only_where_a_quotient_is_loaded_or_enumerated(capsys):
+    # Hall and tail separation build their quotients and take images, but
+    # never enumerate one
+    with_cap = set()
+    for command in _COMMANDS:
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        if "--cap" in out:
+            with_cap.add(command)
+    assert with_cap == {"image", "distance", "ex1-verify", "ex1-witness",
+                        "ex2-construct", "ex2-verify", "ex2-witness"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("separate", "--word", "a", "--gen", "a^2", "--cap", "5"),
+    ("ex1-separate", "--word", "b", "--cap", "5"),
+])
+def test_separations_take_no_cap(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --cap 5" in err
 
 
 def test_ex2_witness_kinds(capsys, chain):
@@ -397,6 +425,7 @@ def test_ex1_verify_bounded_on_hostile_tail_sizes(capsys, tmp_path, field, value
 
 @pytest.mark.parametrize("argv", [
     ("ex1-separate", "--word", "b^1024"),  # head bound 2048
+    ("ex1-separate", "--word", "b^" + "9" * 4000),  # one walk of s_1 .. s_1464
     ("ex1-witness", "--abelian", "2000"),  # k = 2000
     ("ex1-elem", "2000"),  # 2000! has 5,736 digits
     ("ex1-elem", "20000", "--kind", "m"),  # lcm(1..20000) has 8,676
@@ -562,6 +591,16 @@ def test_cap_errors_name_their_cap(capsys, tmp_path):
     code, _, err = run(capsys, "image", "--word", "a", "--abelian", "1000000000")
     assert code == 3
     assert err.startswith("error: enumeration cap 1000000 exceeded")
+
+
+@pytest.mark.parametrize("steps", ["97", "100000000"])
+def test_ex2_construct_refuses_more_steps_than_draws(steps):
+    # each step needs a draw of its own, so past --draws (96) no chain can
+    # be built; under 1 GB these died of MemoryError (exit 1) in 4 to 12 s
+    result = run_process(sys.executable, "-m", "proficert", "ex2-construct",
+                         "--steps", steps, timeout=5, address_space=2 ** 30)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "error: enumeration cap 96 exceeded (quotient source draws)\n"
 
 
 def test_stallings_folds_long_merge_heavy_subgroup():

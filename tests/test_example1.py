@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from proficert import example1
 from proficert.cli import emit_certificate, main
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import (
@@ -227,6 +228,27 @@ def test_separate_from_S_rejects_family_members():
         separate_from_S(WORD_A)            # s_1
     with pytest.raises(ValueError):
         separate_from_S(word("a^2"))       # s_2
+
+
+def test_member_check_walks_the_family_once(monkeypatch):
+    # s_element(j) took a factorial and factored lcm(1..j) afresh for every
+    # j with j! at most the target's length
+    *_, (_, s_1500) = s_family(1501)
+
+    def refuse(j):
+        raise AssertionError(f"s_{j} built on its own")
+
+    monkeypatch.setattr(example1, "s_element", refuse)
+    monkeypatch.setattr(example1, "m_sequence", refuse)
+    for j, member in ((1, WORD_A), (3, word("a^6 b^4")), (1500, s_1500)):
+        with pytest.raises(ValueError, match=f"^the target word equals s_{j} and "):
+            separate_from_S(member)
+    cert = separate_from_S(word("a^6 b^5"))
+    assert (cert.modulus, cert.head_bound) == (7, 7)
+    with pytest.raises(CapExceededError, match="head family of size"):
+        separate_from_S(Word(((GEN_B, 10 ** 4000 - 1),)))
+    monkeypatch.undo()
+    assert verify_ex1(cert)
 
 
 def test_separate_from_S_various_targets():

@@ -270,7 +270,8 @@ def test_counting_soundness_invariant(default_cert):
 
 
 def test_construct_other_shapes():
-    cert = construct_ex2(steps=2, seed=1)
+    cert = construct_ex2(steps=2, source=MixedQuotientSource(P22, 1))
+    assert cert.params.source == {"kind": "mixed", "seed": 1}
     assert verify_ex2(cert)
     cert = construct_ex2(partition=P11, steps=2, f=(1, 3))
     assert verify_ex2(cert)
@@ -304,6 +305,32 @@ class TrivialSource:
 def test_construct_gives_up_on_useless_source():
     with pytest.raises(CapExceededError):
         construct_ex2(steps=1, source=TrivialSource(P22), max_source_draws=5)
+
+
+def test_construct_refuses_more_steps_than_draws():
+    # every step grows the K-index, so it takes a draw of its own; 97 steps
+    # once searched Cayley balls until memory or the enumeration cap ran out
+    with pytest.raises(CapExceededError, match="quotient source draws"):
+        construct_ex2(steps=97)
+    with pytest.raises(CapExceededError, match="quotient source draws"):
+        construct_ex2(steps=3, source=TrivialSource(P22), max_source_draws=2)
+
+
+def test_chain_of_another_partition_is_refused():
+    # a 2+2 source once gave a 1+1 chain that verified in process and
+    # whose file could not be read back ("unknown generator letter")
+    with pytest.raises(ValueError, match="factor of"):
+        construct_ex2(P11, steps=2, source=MixedQuotientSource(P22, 0))
+    cert = construct_ex2(P11, steps=2)
+    # each quotient over 2+2 generators, acting as before on a and b
+    steps = tuple(
+        st._replace(quotient=FiniteQuotient(P22, {
+            g: st.quotient.images.get(g, Permutation.identity(st.quotient.degree))
+            for g in P22.generators()}))
+        for st in cert.steps)
+    report = verify_ex2(cert._replace(steps=steps))
+    assert [(c.clause, c.m) for c in report.failures()] == [
+        ("step-structure", 1), ("step-structure", 2)]
 
 
 # --- verification catches corruption -----------------------------------------------
@@ -550,15 +577,18 @@ def test_file_points_are_budgeted_before_loading(default_cert):
 
 
 def test_construct_records_the_cap_its_tables_were_built_under():
-    # a caller's own source keeps its quotients' caps, so the certificate
-    # records the last quotient's cap, not the construct argument: a file
-    # claiming a cap of 50 would not reload past its 80-element K-image
-    source = MixedQuotientSource(P22, 0)
-    cert = construct_ex2(P22, steps=2, source=source, enumeration_cap=50)
-    assert [st.k_index for st in cert.steps] == [16, 80]
-    assert cert.params.enumeration_cap == DEFAULT_ENUMERATION_CAP
-    loaded = ex2_from_obj(json.loads(emit_certificate(cert)))
-    assert verify_ex2(loaded).ok
+    # the source's factors carry the cap every K-index is computed under,
+    # and the certificate records it; 50 is below the abelian factor mod 5,
+    # so that chain ends as `ex2-construct --cap 50` does
+    for cap in (100, 10 ** 4):
+        cert = construct_ex2(P22, steps=2, source=MixedQuotientSource(P22, 0, cap))
+        assert [st.k_index for st in cert.steps] == [16, 80]
+        assert cert.params.enumeration_cap == cap
+        loaded = ex2_from_obj(json.loads(emit_certificate(cert)))
+        assert verify_ex2(loaded).ok
+    assert construct_ex2(P22, steps=2).params.enumeration_cap == DEFAULT_ENUMERATION_CAP
+    with pytest.raises(CapExceededError, match="^enumeration cap 50 exceeded"):
+        construct_ex2(P22, steps=2, source=MixedQuotientSource(P22, 0, 50))
 
 
 def test_file_cannot_raise_the_verifier_cap(default_cert):
