@@ -67,40 +67,13 @@ WORD_B = Word(((GEN_B, 1),))
 DEFAULT_HEAD_CAP = 1024
 
 
-def _crt(pairs) -> int:
-    """Combine (residue, modulus) pairs with pairwise coprime moduli."""
-    x, m = 0, 1
-    for r, q in pairs:
-        t = ((r - x) * pow(m, -1, q)) % q
-        x += m * t
-        m *= q
-    return x % m
-
-
-def _prime_power_factorization(n: int) -> list:
-    """(p, p^e) pairs by trial division; fast whenever n is smooth."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                n //= d
-                q *= d
-            out.append((d, q))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, n))
-    return out
-
-
 def m0_residue(n: int) -> int:
-    """The target's residue mod n: 0 at powers of two, 1 at odd prime powers,
-    combined by the Chinese remainder theorem for composite n."""
+    """The target's residue mod n: 0 mod the 2-part t of n and 1 mod its odd
+    part o, that is t * (t^-1 mod o), which is already below n."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"modulus must be a positive integer, got {n!r}")
-    pairs = [(0 if p == 2 else 1, q) for p, q in _prime_power_factorization(n)]
-    return _crt(pairs)
+    t = n & -n
+    return t * pow(t, -1, n // t)
 
 
 def m_sequence(j: int) -> int:
@@ -128,19 +101,16 @@ def s_family(h: int):
     """Yield (j, s_j) for j = 1 .. h-1 in order, in one pass.
 
     j! is a running product.  m_j moves only when j = p^e is a prime power,
-    where lcm(1..j) gains one factor p over L = lcm(1..j-1): one CRT step
-    m += L*t with t = ((r - m)/p^(e-1)) * (L/p^(e-1))^-1 mod p keeps m the
-    smallest nonnegative residue, as :func:`m_sequence` returns it.
+    where lcm(1..j) gains one factor p; m is then read afresh by the
+    odd-part rule of :func:`m0_residue`, as :func:`m_sequence` reads it.
     """
     fact, m, lcm = 1, 0, 1
     for j in range(1, h):
         fact *= j
         p = j // math.gcd(j, lcm)  # p when j = p^e, else 1
         if p > 1:
-            q = j // p  # p^(e-1), the p-part of lcm(1..j-1)
-            r = 0 if p == 2 else 1
-            m += lcm * ((r - m) // q * pow(lcm // q, -1, p) % p)
             lcm *= p
+            m = m0_residue(lcm)
         yield j, reduce(((GEN_A, fact), (GEN_B, m)))
 
 
@@ -211,7 +181,10 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
         n = separate_integer_from_m0(tb)
     head_bound = max(n, head_margin)
     if head_bound > DEFAULT_HEAD_CAP:
-        raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {head_bound}")
+        # the refusal stays one short line however long the bound is
+        size = (head_bound if head_bound < 10 ** 20
+                else f"with {_digit_count(head_bound):,} digits")
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {size}")
     heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)))
              for _, s_i in s_family(head_bound)]
     # a repeated factor leaves the kernel as it is, so each distinct one
@@ -222,6 +195,13 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
         factors.setdefault((q.images[GEN_A], q.images[GEN_B]), q)
     composite = direct_product(*factors.values())
     return Ex1TailCertificate(w, n, head_bound, tuple(heads), composite)
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n >= 10, which str() refuses past 4,300 of them;
+    the float logarithm d is off by at most one."""
+    d = int(math.log10(n))
+    return d - 1 + sum(n >= 10 ** k for k in range(d - 1, d + 2))
 
 
 def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
@@ -280,8 +260,8 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
 
     # every s_j with j >= head_bound has this image once n <= head_bound
     # (checked above): n then divides lcm(1..head_bound), hence j!, and
-    # m_j agrees with m_head_bound modulo it; equals (0, m0_residue(n))
-    # and needs no factorization of n
+    # m_j agrees with m_head_bound modulo it; equals (0, m0_residue(n)),
+    # 0 mod the 2-part of n and 1 mod its odd part
     tail_value = (0, m_sequence(head_bound) % n)
     if abelian_image(w) == tail_value:
         reasons.append("target word collides with the tail value mod n")
@@ -324,26 +304,9 @@ def verify_ex1_witness(witness: Ex1NotClosedWitness) -> CheckResult:
     if not witness.quotient.in_kernel(multiply(witness.s_word, witness.cofactor)):
         reasons.append("witness product is not in the kernel")
     order_a = witness.quotient.element_order(WORD_A)
-    if not _factorial_divisible(k, order_a):
+    if math.factorial(k) % order_a:
         reasons.append(f"k! is not divisible by the order {order_a} of image(a)")
     return CheckResult(not reasons, tuple(reasons))
-
-
-def _factorial_divisible(k: int, n: int) -> bool:
-    """Whether n divides k!, via Legendre's valuation of k! at each prime."""
-    for p, q in _prime_power_factorization(n):
-        need = 0
-        while q > p:
-            q //= p
-            need += 1
-        need += 1
-        have, power = 0, p
-        while power <= k:
-            have += k // power
-            power *= p
-        if have < need:
-            return False
-    return True
 
 
 # --- serialization ------------------------------------------------------------

@@ -217,7 +217,8 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
     if not isinstance(steps, int) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if steps > max_source_draws:
-        raise CapExceededError(max_source_draws, "quotient source draws")
+        raise CapExceededError(max_source_draws, "quotient source draws",
+                               "source draw limit")
     f_values = _materialize_f(f, steps)
     if source is None:
         source = MixedQuotientSource(partition)
@@ -249,7 +250,8 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
                 except NoAdmissibleElementError:
                     pass
             if draws >= max_source_draws:
-                raise CapExceededError(max_source_draws, "quotient source draws")
+                raise CapExceededError(max_source_draws, "quotient source draws",
+                                       "source draw limit")
             factor = next(stream)
             draws += 1
             if factor.partition != partition:

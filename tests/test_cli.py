@@ -430,15 +430,18 @@ def test_ex1_verify_bounded_on_hostile_tail_sizes(capsys, tmp_path, field, value
     ("ex1-elem", "2000"),  # 2000! has 5,736 digits
     ("ex1-elem", "20000", "--kind", "m"),  # lcm(1..20000) has 8,676
     ("ex1-elem", "1025", "--kind", "m"),  # printable, but past the cap all the same
+    ("ex1-separate", "--word", "b^" + "9" * 4300),  # head bound of 4,301 digits
 ])
 def test_ex1_head_cap_refuses_factorials_past_the_digit_limit(argv):
     # j! has more than 4,300 digits once j > 1,558, which CPython will not
     # convert to a string; under a head cap of 4096 the first two commands
     # built the family and then exited 2 while writing it, and uncapped
-    # ex1-elem exited 2 the same way
+    # ex1-elem exited 2 the same way; a head bound past 4,300 digits exited
+    # 2 while writing the refusal, and one below wrote all of its digits
     result = run_process(sys.executable, "-m", "proficert", *argv, timeout=2)
     assert result.returncode == 3
     assert f"enumeration cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
+    assert result.stderr.count("\n") == 1 and len(result.stderr) < 200
     assert result.stdout == ""
 
 
@@ -600,7 +603,7 @@ def test_ex2_construct_refuses_more_steps_than_draws(steps):
     result = run_process(sys.executable, "-m", "proficert", "ex2-construct",
                          "--steps", steps, timeout=5, address_space=2 ** 30)
     assert (result.returncode, result.stdout) == (3, "")
-    assert result.stderr == "error: enumeration cap 96 exceeded (quotient source draws)\n"
+    assert result.stderr == "error: source draw limit 96 exceeded (quotient source draws)\n"
 
 
 def test_stallings_folds_long_merge_heavy_subgroup():

@@ -13,6 +13,7 @@ from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import (
     DEFAULT_HEAD_CAP,
     EX1_PARTITION,
+    Ex1NotClosedWitness,
     GEN_A,
     GEN_B,
     WORD_A,
@@ -76,6 +77,25 @@ def brute_force_residue(n):
     return candidates[0]
 
 
+def crt_residue(n):
+    """Reference by the definition: factor n by trial division, then combine
+    residue 0 at the power of two and 1 at each odd prime power by CRT."""
+    x, m, d, rest = 0, 1, 2, n
+    while rest > 1:
+        if d * d > rest:
+            d = rest
+        q = 1
+        while rest % d == 0:
+            rest //= d
+            q *= d
+        if q > 1:
+            r = 0 if d == 2 else 1
+            x += m * ((r - x) * pow(m, -1, q) % q)
+            m *= q
+        d += 1
+    return x
+
+
 def test_m0_residue_examples():
     assert m0_residue(1) == 0
     assert m0_residue(2) == 0
@@ -90,6 +110,16 @@ def test_m0_residue_examples():
 def test_m0_residue_matches_brute_force():
     for n in range(1, 400):
         assert m0_residue(n) == brute_force_residue(n)
+
+
+def test_m0_residue_matches_factor_and_crt():
+    # lcm(1..j) for j <= 1,100 are the moduli s_family reads
+    lcm = 1
+    for j in range(1, 1101):
+        lcm = math.lcm(lcm, j)
+        assert m0_residue(lcm) == crt_residue(lcm), j
+    for n in range(1, 10 ** 4 + 1):
+        assert m0_residue(n) == crt_residue(n), n
 
 
 def test_m0_residue_prime_power_rule():
@@ -150,7 +180,7 @@ def test_family_elements():
 
 def test_s_family_matches_s_element():
     # h up to 1,100 passes the prime powers 2^10, 3^6, 5^4 and 31^2, where
-    # the running CRT takes a step with e > 1
+    # lcm(1..j) gains a factor p at j = p^e with e > 1
     oracle = [(j, s_element(j)) for j in range(1, 1100)]
     for h in range(1, 1101):
         assert list(s_family(h)) == oracle[:h - 1]
@@ -271,6 +301,13 @@ def test_separate_from_S_head_cap():
         separate_from_S(Word(((GEN_A, 4097),)))
     with pytest.raises(CapExceededError):
         separate_from_S(word("a^10"), head_margin=DEFAULT_HEAD_CAP + 1)
+    # up to 20 digits the refusal writes the head bound, past them its length
+    for margin, size in ((10 ** 20 - 1, "9" * 20), (10 ** 20, "with 21 digits"),
+                         (10 ** 4300, "with 4,301 digits"),
+                         (2 ** 20000, "with 6,021 digits")):
+        with pytest.raises(CapExceededError) as info:
+            separate_from_S(word("a^10"), head_margin=margin)
+        assert str(info.value).endswith(f"(head family of size {size})")
 
 
 def test_verify_ex1_detects_lowered_head_bound():
@@ -389,12 +426,17 @@ def test_verify_ex1_witness_detects_corruption():
     assert any("not divisible" in r or "kernel" in r for r in result.reasons)
 
 
-def test_factorial_divisibility_matches_brute_force():
-    from proficert.example1 import _factorial_divisible
-    for k in range(1, 13):
-        fact = math.factorial(k)
-        for n in range(1, 200):
-            assert _factorial_divisible(k, n) == (fact % n == 0)
+def test_witness_divisibility_clause_matches_factorial():
+    # image(a) an n-cycle and b fixed: the witness names the reason exactly
+    # when n does not divide k!
+    for n in range(1, 61):
+        q = perm(tuple(range(1, n)) + (0,), tuple(range(n)))
+        for k in range(1, 13):
+            m_k = m_sequence(k)
+            cofactor = Word(((GEN_B, -m_k),)) if m_k else identity()
+            result = verify_ex1_witness(Ex1NotClosedWitness(q, k, s_element(k), cofactor))
+            named = any(r.startswith("k! is not divisible") for r in result.reasons)
+            assert named == (math.factorial(k) % n != 0), (n, k)
 
 
 # --- serialization --------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""No module of the package or of the tests imports a name it never uses."""
+"""No module of the package or of the tests imports a name it never uses, and
+no private helper of the package is kept for the tests alone."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # __init__.py imports only to re-export, so its names are used elsewhere.
-MODULES = sorted(p for p in [*(ROOT / "src" / "proficert").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "proficert").glob("*.py"))
+MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
 
 
@@ -34,3 +35,42 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list:
+    """Private names (``_x``, not dunder) that ``source`` binds at module
+    level, as ``(line, name)`` pairs."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in defined
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(source: str) -> set:
+    """Names that ``source`` reads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_scan_finds_an_unread_private_definition():
+    source = "_A = 1\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n"
+    assert private_definitions(source) == [(1, "_A"), (3, "_f"), (5, "_C")]
+    assert {"_A"} <= read_names(source) and not {"_f", "_C"} & read_names(source)
+
+
+def test_every_private_definition_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    read = set().union(*map(read_names, sources.values()))
+    unread = [(name, line, defined) for name, source in sources.items()
+              for line, defined in private_definitions(source) if defined not in read]
+    assert unread == []
