@@ -151,7 +151,9 @@ def _letter_runs(partition: FactorPartition, w: Word) -> list:
 
 
 def _read(maps: list, runs: list, v: int) -> tuple:
-    """Follow ``runs`` from ``v`` while the label maps have edges.
+    """Follow ``runs`` from ``v`` while the label maps have edges.  The
+    engine's maps are lists with None where a vertex has no edge; dict
+    maps, which :func:`trace_word` reads, raise KeyError there instead.
 
     Returns ``(end, j, t)``: the walk read ``runs[:j]`` and ``t`` letters of
     ``runs[j]``, and ``j == len(runs)`` when it read them all.  Every map is
@@ -163,7 +165,7 @@ def _read(maps: list, runs: list, v: int) -> tuple:
         mp = maps[lab]
         start = v
         for t in range(count):
-            x = mp.get(v)
+            x = mp[v]
             if x is None:
                 return v, j, t
             v = x
@@ -183,11 +185,12 @@ def _trace(maps: list, runs: list, v: int):
 class _Folding:
     """A based graph kept folded while edges and words are added.
 
-    ``maps[lab]`` is the partial injection of label ``lab``: label i reads
-    generator i forward and label rank + i reads it backward.  Every entry
-    joins two live vertices, and an edge is held under both of its labels.
-    An edge whose source already has another far end under its label, or
-    whose target another near end, is not added; those ends go on
+    ``maps[lab]`` is the partial injection of label ``lab``, a list indexed
+    by vertex with None where the vertex has no edge under that label:
+    label i reads generator i forward and label rank + i reads it backward.
+    Every entry joins two live vertices, and an edge is held under both of
+    its labels.  An edge whose source already has another far end under its
+    label, or whose target another near end, is not added; those ends go on
     ``pending``, and :meth:`settle` merges them.  A merge moves the vertex
     with fewer edges into the other, adds its edges again from there (which
     may queue further merges), and records it in ``alias``.  Vertex 0 is
@@ -197,7 +200,7 @@ class _Folding:
     def __init__(self, partition: FactorPartition, num_vertices: int = 1):
         rank = partition.rank
         self.partition = partition
-        self.maps = [{} for _ in range(2 * rank)]
+        self.maps = [[None] * num_vertices for _ in range(2 * rank)]
         self.inverse = [*range(rank, 2 * rank), *range(rank)]
         self.alias = {}
         self.pending = []
@@ -219,7 +222,7 @@ class _Folding:
         """Add the edge ``u -lab-> v`` between live vertices, or queue the
         merges it forces."""
         mp, back = self.maps[lab], self.maps[self.inverse[lab]]
-        x, y = mp.get(u), back.get(v)
+        x, y = mp[u], back[v]
         if x is None and y is None:
             mp[u] = v
             back[v] = u
@@ -237,14 +240,12 @@ class _Folding:
             x, y = self.find(x), self.find(y)
             if x == y:
                 continue
-            ends = [(lab, mp[x]) for lab, mp in enumerate(maps) if x in mp]
-            other = [(lab, mp[y]) for lab, mp in enumerate(maps) if y in mp]
+            ends = [(lab, z) for lab, mp in enumerate(maps) if (z := mp[x]) is not None]
+            other = [(lab, z) for lab, mp in enumerate(maps) if (z := mp[y]) is not None]
             if len(ends) > len(other):
                 x, y, ends = y, x, other
             for lab, z in ends:
-                del maps[lab][x]
-                if z != x:
-                    del maps[inverse[lab]][z]
+                maps[lab][x] = maps[inverse[lab]][z] = None
             self.alias[x] = y
             for lab, z in ends:
                 self.add_edge(y, lab, y if z == x else z)
@@ -288,6 +289,9 @@ class _Folding:
         if v is None:
             v = path.pop()
         maps, inverse = self.maps, self.inverse
+        fresh = [None] * (self.num_vertices - first)
+        for mp in maps:
+            mp += fresh
         for s, lab, t in zip(path, labels, path[1:]):  # every edge but the last
             maps[lab][s] = t
             maps[inverse[lab]][t] = s
@@ -295,35 +299,39 @@ class _Folding:
         self.settle()
         return v
 
-    def numbering(self) -> dict:
-        """Canonical vertex numbers, in a dict ordered by them: breadth
-        first from the basepoint, out-labels in generator order, then
-        in-labels."""
+    def rows(self, complete: bool = False) -> list:
+        """For each generator, the number of each numbered vertex's far end,
+        or None where the vertex has no such edge.  Only what the basepoint
+        reaches is numbered, breadth first from it, out-labels in generator
+        order, then in-labels.  ``complete`` pairs the vertices without an
+        out-edge with those without an in-edge in ascending order, which
+        completes each row to a permutation."""
+        maps = self.maps
         root = self.find(0)
-        number = {root: 0}
-        queue = [root]
-        for v in queue:  # the queue grows while it is read
-            for mp in self.maps:
-                x = mp.get(v)
-                if x is not None and x not in number:
-                    number[x] = len(number)
-                    queue.append(x)
-        return number
-
-    def rows(self, number: dict) -> list:
-        """For each generator, the number of each numbered vertex's far
-        end, or None where the vertex has no such edge."""
-        order = list(number)
-        return [list(map(number.get, map(mp.get, order)))
-                for mp in self.maps[:self.partition.rank]]
+        number = [None] * self.num_vertices
+        number[root] = 0
+        order = [root]
+        for v in order:  # the queue grows while it is read
+            for mp in maps:
+                x = mp[v]
+                if x is not None and number[x] is None:
+                    number[x] = len(order)
+                    order.append(x)
+        rows = []
+        for mp, back in zip(maps, maps[self.partition.rank:]):
+            free = (iter([k for k, x in enumerate(map(back.__getitem__, order)) if x is None])
+                    if complete else repeat(None))
+            rows.append([next(free) if x is None else number[x]
+                         for x in map(mp.__getitem__, order)])
+        return rows
 
     def graph(self) -> StallingsGraph:
         """The folded graph, numbered canonically; only what the basepoint
         reaches is kept."""
-        number = self.numbering()
-        edges = frozenset((s, i, t) for i, row in enumerate(self.rows(number))
+        rows = self.rows()
+        edges = frozenset((s, i, t) for i, row in enumerate(rows)
                           for s, t in enumerate(row) if t is not None)
-        return StallingsGraph(self.partition, len(number), edges, True)
+        return StallingsGraph(self.partition, len(rows[0]), edges, True)
 
 
 def _fold_loops(partition: FactorPartition, gens) -> _Folding:
@@ -342,13 +350,19 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
     first from the basepoint (out-labels in generator order, then
     in-labels).  Folding is confluent, so the result does not depend on
     the order of the merges, and equality of folded graphs coincides with
-    based labeled-graph isomorphism.  :func:`build_stallings` and
-    :func:`separate_from_subgroup` add words to the engine directly and do
-    not call this.
+    based labeled-graph isomorphism.  The engine holds only the vertices
+    the edges name, renumbered from the basepoint, so its lists do not grow
+    with ``num_vertices`` and any vertex names work.
+    :func:`build_stallings` and :func:`separate_from_subgroup` add words to
+    the engine directly and do not call this.
     """
-    folding = _Folding(graph.partition, graph.num_vertices)
+    names = {0: 0}
+    for s, _, t in graph.edges:
+        names.setdefault(s, len(names))
+        names.setdefault(t, len(names))
+    folding = _Folding(graph.partition, len(names))
     for s, i, t in graph.edges:
-        folding.add_edge(s, i, t)
+        folding.add_edge(names[s], i, names[t])
     folding.settle()
     return folding.graph()
 
@@ -370,23 +384,20 @@ def _label_maps(graph: StallingsGraph) -> list:
 
 
 def trace_word(graph: StallingsGraph, w: Word, start=0):
-    """Endpoint of reading ``w`` from ``start``, or None if it leaves the graph."""
+    """Endpoint of reading ``w`` from ``start``, or None if it leaves the
+    graph.  The label maps are dicts, so a graph may name any vertices."""
     if not graph.folded:
         raise ValueError("tracing requires a folded graph")
-    return _trace(_label_maps(graph), _letter_runs(graph.partition, w), start)
+    runs = _letter_runs(graph.partition, w)
+    try:
+        return _trace(_label_maps(graph), runs, start)
+    except KeyError:  # a vertex without an edge under the next label
+        return None
 
 
 def membership(graph: StallingsGraph, w: Word) -> bool:
     """Exact subgroup membership via the folded graph."""
     return trace_word(graph, w) == 0
-
-
-def _complete_to_permutation(row: list) -> list:
-    """Extend a partial injection, given as each point's image or None, to
-    the points of a permutation, pairing unmatched sources with unmatched
-    targets in ascending vertex order."""
-    free = iter(sorted(set(range(len(row))).difference(row)))
-    return [x if x is not None else next(free) for x in row]
 
 
 def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> SeparationCertificate:
@@ -411,9 +422,8 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> Separat
         raise ValueError(_MEMBER_MESSAGE)
     if folding.add_word(runs, closed=False) == root:
         raise ValueError(_MEMBER_MESSAGE)
-    rows = folding.rows(folding.numbering())
-    images = {g: Permutation(_complete_to_permutation(row))
-              for g, row in zip(partition.generators(), rows)}
+    images = {g: Permutation(row)
+              for g, row in zip(partition.generators(), folding.rows(complete=True))}
     quotient = FiniteQuotient(partition, images)
     return SeparationCertificate(partition, quotient, tuple(gens), w, WITNESS_BASEPOINT)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -41,6 +42,7 @@ from proficert.words import (
 )
 
 from closure_oracle import letters_of, product_closure, word_of
+from test_cli import run_process
 
 P11 = FactorPartition(1, 1)
 P21 = FactorPartition(2, 1)
@@ -312,6 +314,30 @@ def test_two_parallel_edges_merge():
     assert folded.edges == frozenset({(0, 0, 1)})
 
 
+def test_hand_built_graphs_fold_and_trace_as_named():
+    # edges may name vertices past num_vertices, or by any hashable name;
+    # a start that no edge names has no edges
+    a = parse_word("a", P22)
+    graph = StallingsGraph(P22, 2, frozenset({(0, 0, 5), (5, 0, 0)}), True)
+    assert [trace_word(graph, a, v) for v in (0, 5, 99, -1)] == [5, 0, None, None]
+    assert trace_word(graph, identity(), 99) == 99
+    assert fold(graph) == StallingsGraph(P22, 2, frozenset({(0, 0, 1), (1, 0, 0)}), True)
+    named = StallingsGraph(P22, 1, frozenset({(0, 0, -1), (-1, 1, "x"), (0, 0, 10 ** 9)}), False)
+    assert fold(named) == StallingsGraph(P22, 3, frozenset({(0, 0, 1), (1, 1, 2)}), True)
+
+
+def test_fold_sizes_its_lists_by_the_named_vertices():
+    # a graph that claims 10^9 vertices but names four folds under a
+    # 512 MB address space
+    code = ("from proficert.separation import StallingsGraph, fold\n"
+            "from proficert.words import FactorPartition\n"
+            "edges = frozenset({(0, 0, 1), (1, 1, 2), (0, 0, 3)})\n"
+            "g = fold(StallingsGraph(FactorPartition(2, 2), 10 ** 9, edges, False))\n"
+            "print(g.num_vertices, sorted(g.edges))\n")
+    result = run_process(sys.executable, "-c", code, timeout=5, address_space=512 * 2 ** 20)
+    assert (result.returncode, result.stdout) == (0, "3 [(0, 0, 1), (1, 1, 2)]\n"), result.stderr
+
+
 def test_adjoin_word_path_counts():
     graph = build_stallings(P11, [parse_word("b", P11)])
     adjoined = adjoin_word_path(graph, parse_word("a^3", P11))
@@ -428,6 +454,98 @@ def test_fold_engine_matches_rescanning_reference():
         members += assert_engine_matches_rescanning(P22, gens, w)
         cases += 1
     assert min(members, cases - members) > 30, (members, cases)
+
+
+def dict_numbering(maps, root):
+    """Canonical vertex numbers of dict label maps, in a dict ordered by
+    them: breadth first from ``root``, out-labels in generator order, then
+    in-labels; with dict_rows and complete_to_permutation, the reference
+    for the engine's canonical pass."""
+    number = {root: 0}
+    queue = [root]
+    for v in queue:  # the queue grows while it is read
+        for mp in maps:
+            x = mp.get(v)
+            if x is not None and x not in number:
+                number[x] = len(number)
+                queue.append(x)
+    return number
+
+
+def dict_rows(maps, number, rank):
+    """For each generator, the number of each numbered vertex's far end,
+    or None where the vertex has no such edge."""
+    order = list(number)
+    return [list(map(number.get, map(mp.get, order))) for mp in maps[:rank]]
+
+
+def complete_to_permutation(row):
+    """Pair the unmatched sources with the unmatched targets of a partial
+    injection in ascending vertex order."""
+    free = iter(sorted(set(range(len(row))).difference(row)))
+    return [x if x is not None else next(free) for x in row]
+
+
+def dict_pipeline(folding):
+    """The folded graph and completed images of a folding engine, read off
+    dict copies of its label lists by the dict-based clean-up."""
+    partition = folding.partition
+    maps = [{v: x for v, x in enumerate(mp) if x is not None} for mp in folding.maps]
+    rows = dict_rows(maps, dict_numbering(maps, folding.find(0)), partition.rank)
+    edges = frozenset((s, i, t) for i, row in enumerate(rows)
+                      for s, t in enumerate(row) if t is not None)
+    images = {g: Permutation(complete_to_permutation(row))
+              for g, row in zip(partition.generators(), rows)}
+    return StallingsGraph(partition, len(rows[0]), edges, True), images
+
+
+def assert_canonical_pass_matches_dicts(partition, gens, w):
+    """The engine's graphs and a certificate's images equal the dict-based
+    clean-up's, before and after the path of ``w`` is added; returns
+    whether the path ended on a fresh vertex, or None for a member."""
+    folding = separation._fold_loops(partition, gens)
+    graph, _ = dict_pipeline(folding)
+    assert build_stallings(partition, gens) == folding.graph() == graph
+    laid = folding.num_vertices
+    end = folding.add_word(separation._letter_runs(partition, w), closed=False)
+    graph, images = dict_pipeline(folding)
+    assert folding.graph() == graph
+    separate = separate_from_identity if not gens else separate_from_subgroup
+    args = (partition, w) if not gens else (partition, gens, w)
+    if end == folding.find(0):
+        with pytest.raises(ValueError, match=MEMBER_MESSAGE):
+            separate(*args)
+        return None
+    cert = separate(*args)
+    assert cert.witness_kind == WITNESS_BASEPOINT
+    assert cert.quotient.images == images
+    return end >= laid
+
+
+def test_canonical_pass_matches_dict_pipeline():
+    # excluded words whose path ends on a fresh vertex, on one the subgroup
+    # graph had, and members
+    rng = random.Random(40)
+    ends = []
+    for partition in (P11, P22, FactorPartition(13, 13)):
+        for _ in range(60):
+            gens = random_subgroup(rng, partition, max_gens=4, max_len=12)
+            if not gens:
+                continue
+            past_a_loop = multiply(rng.choice(gens), random_word(rng, partition, 2))
+            for w in (random_word(rng, partition, rng.randrange(1, 9)), past_a_loop, gens[0]):
+                ends.append(assert_canonical_pass_matches_dicts(partition, gens, w))
+    for n in (2, 400, 50000):
+        gens = [parse_word(f"a^{n}", P22), parse_word(f"a^{n - 1}", P22)]
+        for w in ("b a", "a^-3"):
+            ends.append(assert_canonical_pass_matches_dicts(P22, gens, parse_word(w, P22)))
+    # the trivial subgroup: separate_from_identity falls back to a path
+    # graph for words of zero exponent sums
+    for partition in (P11, P22):
+        for w in ("a b a^-1 b^-1", "b^2 a^-1 b^-2 a", "a b a^-1 b a b^-1 a^-1 b^-1"):
+            ends.append(assert_canonical_pass_matches_dicts(partition, [], parse_word(w, partition)))
+    counts = [ends.count(kind) for kind in (True, False, None)]
+    assert min(counts) > 20, counts
 
 
 def test_fold_engine_on_many_conjugates():
