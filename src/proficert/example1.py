@@ -343,11 +343,8 @@ def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailC
     check_point_budget([(obj["composite_quotient"], partition.rank)]
                        + [(h.get("quotient"), p.rank)
                           for h, p in zip(raw_heads, partitions) if p], enumeration_cap)
-    # the budget charged every head in full; the heads share the abelian
-    # quotients they have in common, which is all of them at b^t, t odd
-    shared = {}
     heads = tuple(
-        separation_from_obj(h, f"{path}.head_certificates[{i}]", enumeration_cap, p, shared)
+        separation_from_obj(h, f"{path}.head_certificates[{i}]", enumeration_cap, p)
         for i, (h, p) in enumerate(zip(raw_heads, partitions)))
     composite = quotient_from_obj(obj["composite_quotient"], partition,
                                   f"{path}.composite_quotient", enumeration_cap=enumeration_cap)

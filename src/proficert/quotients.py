@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import CapExceededError, SchemaError
@@ -183,7 +184,8 @@ class FiniteQuotient:
     ``kind`` is read off ``modulus``: a quotient with one is abelian, acts
     by block rotations and is stored as its modulus.  Enumerations run on
     raw mappings and key their tables by them.  Per-generator steps are
-    memoized lazily and never mutate observable state.
+    memoized lazily and change nothing observable; abelian ones are shared
+    (:func:`make_abelian_quotient`), so no caller may change a quotient.
 
     Nothing is checked here.  Images from outside are checked once, where
     they enter (:func:`make_permutation_quotient`, :func:`quotient_from_obj`);
@@ -422,25 +424,32 @@ def make_abelian_quotient(partition: FactorPartition, modulus: int,
     Generator i rotates its own block of ``modulus`` points, so the image
     of a word holds its i-th exponent sum as the shift of block i.  The
     ``rank`` images of ``modulus * rank`` points each must fit the
-    enumeration cap together.
+    enumeration cap together.  Once the arguments pass, a quotient of at
+    most 256 points (byte-backed images) is built once per (partition,
+    modulus, cap) and shared by every caller in the process; a larger one
+    is built afresh on each call, so none of those is kept alive.
     """
     if not isinstance(modulus, int) or modulus < 2:
         raise ValueError(f"abelian modulus must be an integer >= 2, got {modulus!r}")
     cap = DEFAULT_ENUMERATION_CAP if enumeration_cap is None else enumeration_cap
-    n = modulus
-    degree = n * partition.rank
+    degree = modulus * partition.rank
     if degree * partition.rank > cap:
-        raise CapExceededError(cap, f"permutation form of abelian modulus {n}")
+        raise CapExceededError(cap, f"permutation form of abelian modulus {modulus}")
+    build = _abelian_quotient if degree <= 256 else _abelian_quotient.__wrapped__
+    return build(partition, modulus, cap)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _abelian_quotient(partition: FactorPartition, n: int, cap) -> FiniteQuotient:
     # the images share these int objects; at 10^6 points a copy costs 28 MB
-    points = list(range(degree))
+    points = list(range(n * partition.rank))
     images = {}
     for g in partition.generators():
         start = partition.flat_index(g) * n
         mapping = points[:]
         mapping[start:start + n] = points[start + 1:start + n] + [points[start]]
         images[g] = Permutation(mapping)
-    return FiniteQuotient(partition, images, modulus=modulus,
-                          enumeration_cap=enumeration_cap)
+    return FiniteQuotient(partition, images, modulus=n, enumeration_cap=cap)
 
 
 def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
@@ -644,11 +653,11 @@ def quotient_to_obj(q: FiniteQuotient) -> dict:
 
 
 def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
-                      enumeration_cap=None, shared=None) -> FiniteQuotient:
+                      enumeration_cap=None) -> FiniteQuotient:
     """Parse and build a quotient, checking each image once, here, under
-    its field path.  ``shared``, a dict kept for the load of one file,
-    hands every abelian quotient of one partition and modulus the object
-    built first."""
+    its field path.  An abelian one comes from :func:`make_abelian_quotient`,
+    so the abelian quotients of at most 256 points that a file repeats are
+    one object."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = obj.get("kind")
@@ -681,13 +690,7 @@ def quotient_from_obj(obj, partition: FactorPartition, path="quotient",
         allowed = {"kind", "modulus"}
         _check_keys(obj, allowed, path)
         modulus = _int_field(obj["modulus"], f"{path}.modulus", minimum=2)
-        if shared is None:
-            shared = {}
-        key = (partition, modulus)
-        if key not in shared:
-            shared[key] = make_abelian_quotient(partition, modulus,
-                                                enumeration_cap=enumeration_cap)
-        return shared[key]
+        return make_abelian_quotient(partition, modulus, enumeration_cap=enumeration_cap)
     raise SchemaError(f"{path}.kind: expected 'perm' or 'abelian', got {kind!r}")
 
 

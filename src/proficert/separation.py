@@ -521,11 +521,10 @@ def separation_to_obj(cert: SeparationCertificate) -> dict:
     }
 
 
-def separation_from_obj(obj, path="certificate", enumeration_cap=None, partition=None,
-                        shared=None) -> SeparationCertificate:
+def separation_from_obj(obj, path="certificate", enumeration_cap=None,
+                        partition=None) -> SeparationCertificate:
     """Parse a separation certificate.  A caller that has parsed the
-    partition field already passes it as ``partition``; ``shared`` goes to
-    :func:`quotient_from_obj`."""
+    partition field already passes it as ``partition``."""
     allowed = {"type", "partition", "quotient", "subgroup_gens", "excluded", "witness_kind"}
     _check_keys(obj, allowed, path)
     if obj["type"] != "separation":
@@ -533,7 +532,7 @@ def separation_from_obj(obj, path="certificate", enumeration_cap=None, partition
     if partition is None:
         partition = partition_from_obj(obj["partition"], f"{path}.partition")
     quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
-                                 enumeration_cap=enumeration_cap, shared=shared)
+                                 enumeration_cap=enumeration_cap)
     raw_gens = obj["subgroup_gens"]
     if not isinstance(raw_gens, list):
         raise SchemaError(f"{path}.subgroup_gens: expected a list of word strings")

@@ -56,7 +56,7 @@ from proficert.words import (
     reduce,
 )
 
-from closure_oracle import letters_of, product_closure, word_of
+from closure_oracle import letters_of, product_closure, runs_word
 
 P11 = FactorPartition(1, 1)
 P22 = FactorPartition(2, 2)
@@ -207,8 +207,8 @@ def test_criterion_stallings_membership_equals_brute_force():
         gens = random_subgroup(rng, P11)
         graph = build_stallings(P11, gens)
         closure = product_closure(gens, P11, 6)
-        for letters in closure:
-            assert membership(graph, word_of(letters, P11))
+        for runs in closure.values():
+            assert membership(graph, runs_word(runs, P11))
         for _ in range(10):
             w = random_reduced_word(rng, P11, rng.randrange(1, 5))
             if not membership(graph, w):

@@ -476,6 +476,23 @@ def test_ex1_verify_budgets_the_points_of_all_heads(capsys, tmp_path):
     assert "points of the file's quotients" in result.stderr
 
 
+def test_ex1_verify_builds_each_large_head_quotient_within_bounds(capsys, tmp_path):
+    # 255 heads that all declare the abelian quotient mod 400: 800 points,
+    # past the size that make_abelian_quotient shares, so each head builds
+    # its own (408,000 points against the file's budget of a million)
+    _, out, _ = run(capsys, "ex1-separate", "--word", "b^255")
+    obj = json.loads(out)
+    assert len(obj["head_certificates"]) == 255
+    for head in obj["head_certificates"]:
+        head["quotient"] = {"kind": "abelian", "modulus": 400}
+    path = tmp_path / "tail.json"
+    path.write_text(canonical_json(obj))
+    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
+                         timeout=5, address_space=512 * 2 ** 20)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"ok": True, "reasons": []}
+
+
 def wide_separation_file(tmp_path, k_size, modulus):
     obj = {"type": "separation", "partition": {"k_size": k_size, "l_size": 1},
            "quotient": {"kind": "abelian", "modulus": modulus},

@@ -9,7 +9,10 @@ from collections import deque
 
 import pytest
 
+from proficert import quotients
+from proficert.cli import CERTIFICATES, emit_certificate
 from proficert.errors import CapExceededError, SchemaError
+from proficert.example1 import not_closed_witness, separate_from_S
 from proficert.example2 import construct_ex2
 from proficert.quotients import (
     DEFAULT_ENUMERATION_CAP,
@@ -25,6 +28,7 @@ from proficert.quotients import (
     table_word,
     trivial_quotient,
 )
+from proficert.separation import separate_from_identity
 from proficert.words import (
     K,
     L,
@@ -471,6 +475,86 @@ def test_default_cap_value():
     assert DEFAULT_ENUMERATION_CAP == 10 ** 6
     q = make_abelian_quotient(P11, 3)
     assert q.enumeration_cap == 10 ** 6
+
+
+# --- one abelian quotient per (partition, modulus, cap) ---------------------------
+
+def test_abelian_quotients_up_to_256_points_are_shared():
+    # FactorPartition(1, 3) has the rank of P22 but other blocks
+    p13 = FactorPartition(1, 3)
+    for partition, modulus in ((P11, 2), (P11, 128), (P22, 64), (p13, 64)):
+        q = make_abelian_quotient(partition, modulus)
+        assert q.partition == partition and q.modulus == modulus
+        assert make_abelian_quotient(partition, modulus) is q
+        assert make_abelian_quotient(partition, modulus, DEFAULT_ENUMERATION_CAP) is q
+        assert quotient_from_obj({"kind": "abelian", "modulus": modulus}, partition) is q
+    assert make_abelian_quotient(P22, 64) is not make_abelian_quotient(p13, 64)
+
+
+def test_each_cap_has_its_own_shared_abelian_quotient():
+    small = make_abelian_quotient(P22, 5, enumeration_cap=100)
+    large = make_abelian_quotient(P22, 5, enumeration_cap=1000)
+    assert small is not large and small == large  # equality ignores the cap
+    assert (small.enumeration_cap, large.enumeration_cap) == (100, 1000)
+    assert make_abelian_quotient(P22, 5, enumeration_cap=100) is small
+    # the whole group of 625 elements lies within distance 4 * 2
+    with pytest.raises(CapExceededError, match=r"\(image group enumeration\)"):
+        small.ball(8)
+    assert len(large.ball(8)) == 5 ** 4
+
+
+def test_abelian_quotients_past_256_points_are_built_per_call():
+    lookups = quotients._abelian_quotient.cache_info()[:2]  # hits, misses
+    q = make_abelian_quotient(P11, 129)  # 258 points
+    r = quotient_from_obj({"kind": "abelian", "modulus": 129}, P11)
+    assert q is not r and q == r
+    assert make_abelian_quotient(P11, 129) is not q
+    assert quotients._abelian_quotient.cache_info()[:2] == lookups
+
+
+def test_the_shared_abelian_quotients_are_bounded():
+    info = quotients._abelian_quotient.cache_info()
+    assert info.maxsize is not None
+    for cap in range(10 ** 6, 10 ** 6 + info.maxsize + 10):
+        make_abelian_quotient(P11, 2, enumeration_cap=cap)
+    assert quotients._abelian_quotient.cache_info().currsize == info.maxsize
+
+
+@pytest.mark.parametrize("modulus", [True, False, 2.0, "2", 1, 0, -2])
+def test_bad_abelian_moduli_raise_before_the_shared_ones(modulus):
+    # (P11, 2) is shared first; 2.0 equals 2 and hashes alike
+    make_abelian_quotient(P11, 2)
+    with pytest.raises(ValueError, match="abelian modulus must be an integer >= 2"):
+        make_abelian_quotient(P11, modulus)
+
+
+def test_abelian_moduli_past_the_cap_raise_before_the_shared_ones():
+    # 100 * 2 points in each of 2 images: 400 entries
+    make_abelian_quotient(P11, 100)
+    make_abelian_quotient(P11, 100, enumeration_cap=400)
+    for cap in (399, 10):
+        with pytest.raises(CapExceededError, match="abelian modulus 100"):
+            make_abelian_quotient(P11, 100, enumeration_cap=cap)
+        with pytest.raises(CapExceededError, match="abelian modulus 100"):
+            quotient_from_obj({"kind": "abelian", "modulus": 100}, P11, enumeration_cap=cap)
+
+
+def test_certificates_are_the_same_bytes_from_a_cold_and_a_warm_cache():
+    build = {
+        "separation": lambda: separate_from_identity(P22, parse_word("a^6 c^4", P22)),
+        "ex1_tail": lambda: separate_from_S(parse_word("b^21", P11)),
+        "ex1_not_closed": lambda: not_closed_witness(make_abelian_quotient(P11, 6)),
+        "ex2": lambda: construct_ex2(P22, steps=3),
+    }
+    assert build.keys() == CERTIFICATES.keys()
+    for tag, make in build.items():
+        from_obj = CERTIFICATES[tag][1]
+        quotients._abelian_quotient.cache_clear()
+        cold = emit_certificate(make())
+        quotients._abelian_quotient.cache_clear()
+        assert emit_certificate(from_obj(json.loads(cold))) == cold
+        assert emit_certificate(make()) == cold
+        assert emit_certificate(from_obj(json.loads(cold))) == cold
 
 
 # --- validation and serialization -------------------------------------------------

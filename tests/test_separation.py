@@ -41,7 +41,7 @@ from proficert.words import (
     reduce,
 )
 
-from closure_oracle import letters_of, product_closure, word_of
+from closure_oracle import letter_runs, letters_of, product_closure, runs_word
 from test_cli import run_process
 
 P11 = FactorPartition(1, 1)
@@ -117,11 +117,24 @@ def test_membership_matches_product_enumeration():
         gens = random_subgroup(rng, partition)
         graph = build_stallings(partition, gens)
         # every product of up to 5 generator factors is a member
-        closure = list(product_closure(gens, partition, 5))
+        closure = list(product_closure(gens, partition, 5).values())
         if len(closure) > 2000:
             closure = rng.sample(closure, 2000)
-        for letters in closure:
-            assert membership(graph, word_of(letters, partition))
+        for runs in closure:
+            assert membership(graph, runs_word(runs, partition))
+
+
+def test_closure_runs_are_the_runs_of_their_letters():
+    # the oracle joins each product's runs at the seam; letter_runs reads
+    # them off the whole letter tuple, and runs_word inverts letters_of
+    rng = random.Random(34)
+    for _ in range(20):
+        partition = rng.choice([P11, P22])
+        gens = random_subgroup(rng, partition)
+        for keep_len in (None, 4):
+            for letters, runs in product_closure(gens, partition, 4, keep_len).items():
+                assert runs == letter_runs(letters)
+                assert letters_of(runs_word(runs, partition), partition) == letters
 
 
 def test_non_membership_against_pruned_closure():
