@@ -36,7 +36,6 @@ from .quotients import (
     make_permutation_quotient,
     quotient_from_obj,
     quotient_to_obj,
-    trivial_quotient,
 )
 from .separation import (
     SeparationCertificate,

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import example1, example2, quotients, separation, words
-from .errors import CapExceededError, SchemaError, WordSyntaxError
+from .errors import CapExceededError, SchemaError
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -172,18 +172,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="enumeration cap (default 10^6 image elements)")
 
-    p = sub.add_parser("reduce", help="reduce a word and print its normal form")
+    def command(name, run, **kw):
+        p = sub.add_parser(name, **kw)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("reduce", _cmd_reduce, help="reduce a word and print its normal form")
     p.add_argument("word")
     add_partition_flags(p)
 
-    p = sub.add_parser("image", help="image of a word in a finite quotient")
+    p = command("image", _cmd_image, help="image of a word in a finite quotient")
     p.add_argument("--word", required=True)
     p.add_argument("--quotient", help="quotient JSON file")
     p.add_argument("--abelian", type=int, help="use the abelian quotient mod N")
     add_partition_flags(p)
     add_cap_flag(p)
 
-    p = sub.add_parser("distance", help="Cayley distance from the identity")
+    p = command("distance", _cmd_distance, help="Cayley distance from the identity")
     p.add_argument("--word", required=True)
     p.add_argument("--quotient", help="quotient JSON file")
     p.add_argument("--abelian", type=int, help="use the abelian quotient mod N")
@@ -192,43 +197,42 @@ def _build_parser() -> argparse.ArgumentParser:
     add_partition_flags(p)
     add_cap_flag(p)
 
-    p = sub.add_parser("stallings", help="folded subgroup graph for generators")
+    p = command("stallings", _cmd_stallings, help="folded subgroup graph for generators")
     p.add_argument("--gen", action="append", default=[],
                    help="subgroup generator word (repeatable)")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     add_partition_flags(p)
 
-    p = sub.add_parser("separate",
-                       help="certificate separating a word from a subgroup "
-                            "(or from the identity)")
+    p = command("separate", _cmd_separate,
+                help="certificate separating a word from a subgroup (or from the identity)")
     p.add_argument("--word", required=True, help="the word to exclude")
     p.add_argument("--gen", action="append", default=[],
                    help="subgroup generator word (repeatable)")
     add_partition_flags(p)
 
-    p = sub.add_parser("ex1-elem", help="family elements a^(j!) b^(m_j)")
+    p = command("ex1-elem", _cmd_ex1_elem, help="family elements a^(j!) b^(m_j)")
     p.add_argument("index", type=int)
     p.add_argument("--kind", choices=["a", "s", "m"], default="s",
                    help="a: a^(j!); s: the family member; m: the integer m_j")
 
-    p = sub.add_parser("ex1-separate",
-                       help="tail certificate separating a word from the family")
+    p = command("ex1-separate", _cmd_ex1_separate,
+                help="tail certificate separating a word from the family")
     p.add_argument("--word", required=True)
     p.add_argument("--head-margin", type=int, default=0)
 
-    p = sub.add_parser("ex1-verify", help="recheck a stored certificate file")
+    p = command("ex1-verify", _cmd_verify, help="recheck a stored certificate file")
     p.add_argument("certificate")
     p.set_defaults(accepts=("separation", "ex1_tail", "ex1_not_closed"))
     add_cap_flag(p)
 
-    p = sub.add_parser("ex1-witness",
-                       help="kernel element of the given quotient witnessing "
-                            "non-closedness of the extended family")
+    p = command("ex1-witness", _cmd_ex1_witness,
+                help="kernel element of the given quotient witnessing "
+                     "non-closedness of the extended family")
     p.add_argument("--quotient", help="quotient JSON file (rank-2 split 1+1)")
     p.add_argument("--abelian", type=int, help="use the abelian quotient mod N")
     add_cap_flag(p)
 
-    p = sub.add_parser("ex2-construct", help="build a chain certificate")
+    p = command("ex2-construct", _cmd_ex2_construct, help="build a chain certificate")
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--f", default=None,
@@ -238,14 +242,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_partition_flags(p, k_default=2, l_default=2)
     add_cap_flag(p)
 
-    p = sub.add_parser("ex2-verify", help="recheck a chain certificate file")
+    p = command("ex2-verify", _cmd_verify, help="recheck a chain certificate file")
     p.add_argument("certificate")
     p.set_defaults(accepts=("ex2",))
     add_cap_flag(p)
 
-    p = sub.add_parser("ex2-witness",
-                       help="discreteness / intersection / non-closedness "
-                            "witnesses from a chain certificate")
+    p = command("ex2-witness", _cmd_ex2_witness,
+                help="discreteness / intersection / non-closedness "
+                     "witnesses from a chain certificate")
     p.add_argument("certificate")
     p.add_argument("--step", type=int, required=True)
     p.add_argument("--kind", choices=["discreteness", "intersection", "not-closed"],
@@ -308,8 +312,8 @@ def _cmd_ex1_elem(args) -> int:
     # the head cap keeps j! and lcm(1..j) inside the digits CPython converts
     # to a string
     if args.index > example1.DEFAULT_HEAD_CAP:
-        raise CapExceededError(example1.DEFAULT_HEAD_CAP,
-                               f"ex1-elem index {args.index}")
+        raise CapExceededError(example1.DEFAULT_HEAD_CAP, f"ex1-elem index {args.index}",
+                               "head cap")
     if args.kind == "m":
         sys.stdout.write(str(example1.m_sequence(args.index)) + "\n")
         return 0
@@ -389,22 +393,6 @@ def _cmd_ex2_witness(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "reduce": _cmd_reduce,
-    "image": _cmd_image,
-    "distance": _cmd_distance,
-    "stallings": _cmd_stallings,
-    "separate": _cmd_separate,
-    "ex1-elem": _cmd_ex1_elem,
-    "ex1-separate": _cmd_ex1_separate,
-    "ex1-verify": _cmd_verify,
-    "ex1-witness": _cmd_ex1_witness,
-    "ex2-construct": _cmd_ex2_construct,
-    "ex2-verify": _cmd_verify,
-    "ex2-witness": _cmd_ex2_witness,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -412,14 +400,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except example2.NoAdmissibleElementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SchemaError, WordSyntaxError, ValueError) as exc:
+    except (ValueError, example2.NoAdmissibleElementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -184,7 +184,8 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
         # the refusal stays one short line however long the bound is
         size = (head_bound if head_bound < 10 ** 20
                 else f"with {_digit_count(head_bound):,} digits")
-        raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {size}")
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {size}",
+                               "head cap")
     heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)))
              for _, s_i in s_family(head_bound)]
     # a repeated factor leaves the kernel as it is, so each distinct one
@@ -277,7 +278,7 @@ def not_closed_witness(q: FiniteQuotient) -> Ex1NotClosedWitness:
     """
     k = q.element_order(WORD_A)
     if k > DEFAULT_HEAD_CAP:
-        raise CapExceededError(DEFAULT_HEAD_CAP, f"s_k and m_k for k = {k}")
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"s_k and m_k for k = {k}", "head cap")
     s_word = s_element(k)
     m_k = m_sequence(k)
     cofactor = Word(((GEN_B, -m_k),)) if m_k else identity_word()
@@ -294,7 +295,7 @@ def verify_ex1_witness(witness: Ex1NotClosedWitness) -> CheckResult:
     reasons = []
     k = witness.k
     if k > DEFAULT_HEAD_CAP:
-        raise CapExceededError(DEFAULT_HEAD_CAP, f"s_k and m_k for k = {k}")
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"s_k and m_k for k = {k}", "head cap")
     if witness.s_word != s_element(k):
         reasons.append(f"s_element does not equal s_{k}")
     m_k = m_sequence(k)

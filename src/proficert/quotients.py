@@ -219,9 +219,6 @@ class FiniteQuotient:
 
     # --- element arithmetic -------------------------------------------------
 
-    def identity_element(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def generator_image(self, gen: Generator) -> Permutation:
         self.partition.check(gen)
         return self.images[gen]
@@ -450,12 +447,6 @@ def _abelian_quotient(partition: FactorPartition, n: int, cap) -> FiniteQuotient
         mapping[start:start + n] = points[start + 1:start + n] + [points[start]]
         images[g] = Permutation(mapping)
     return FiniteQuotient(partition, images, modulus=n, enumeration_cap=cap)
-
-
-def trivial_quotient(partition: FactorPartition) -> FiniteQuotient:
-    """Degree-1 permutation quotient (everything in the kernel)."""
-    return FiniteQuotient(partition, {g: Permutation.identity(1)
-                                      for g in partition.generators()})
 
 
 def generated_moves(q: FiniteQuotient, gens) -> list:

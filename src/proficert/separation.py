@@ -98,17 +98,14 @@ def _check_letters(length: int) -> None:
                                "path letter cap")
 
 
-def _lay_word(partition: FactorPartition, edges: set, nv: int, w: Word, closed: bool) -> int:
-    """Add the path of ``w`` from the basepoint to ``edges`` on fresh
-    vertices numbered from ``nv``; a ``closed`` path ends back at the
-    basepoint.  Returns the new vertex count."""
+def _lay_word(partition: FactorPartition, edges: set, nv: int, w: Word) -> int:
+    """Add the loop of ``w`` at the basepoint to ``edges`` on fresh
+    vertices numbered from ``nv``.  Returns the new vertex count."""
     runs = [(partition.flat_index(g), e) for g, e in w.runs]
     length = word_length(w)
     _check_letters(length)
-    fresh = length - 1 if closed and length else length
-    path = [0, *range(nv, nv + fresh)]  # path[k]: the vertex after k letters
-    if fresh < length:
-        path.append(0)
+    fresh = max(length - 1, 0)
+    path = [0, *range(nv, nv + fresh), 0]  # path[k]: the vertex after k letters
     steps = []  # (generator position, forward) for each letter
     for i, e in runs:
         steps += [(i, e > 0)] * abs(e)
@@ -122,20 +119,8 @@ def loop_wedge(partition: FactorPartition, gens) -> StallingsGraph:
     edges = set()
     nv = 1
     for w in gens:
-        nv = _lay_word(partition, edges, nv, w, closed=True)
+        nv = _lay_word(partition, edges, nv, w)
     return StallingsGraph(partition, nv, frozenset(edges), False)
-
-
-def adjoin_word_path(graph: StallingsGraph, w: Word) -> StallingsGraph:
-    """Hang the path of ``w`` off the basepoint with all-fresh vertices.
-
-    The result is unfolded; folding merges the path into the graph while
-    keeping the path's endpoint distinguishable from the basepoint exactly
-    when ``w`` is outside the subgroup.
-    """
-    edges = set(graph.edges)
-    nv = _lay_word(graph.partition, edges, graph.num_vertices, w, closed=False)
-    return StallingsGraph(graph.partition, nv, frozenset(edges), False)
 
 
 def _letter_runs(partition: FactorPartition, w: Word) -> list:

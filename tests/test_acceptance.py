@@ -37,7 +37,6 @@ from proficert.quotients import (
     make_permutation_quotient,
 )
 from proficert.separation import (
-    adjoin_word_path,
     build_stallings,
     fold,
     membership,
@@ -57,6 +56,7 @@ from proficert.words import (
 )
 
 from closure_oracle import letters_of, product_closure, runs_word
+from fixtures import adjoin_word_path
 
 P11 = FactorPartition(1, 1)
 P22 = FactorPartition(2, 2)
@@ -174,7 +174,7 @@ def test_criterion_quotient_laws_and_fast_powering():
     family = quotient_family(20, seed=77, partition=P11)
 
     def naive_image(q, word):
-        acc = q.identity_element()
+        acc = Permutation.identity(q.degree)
         for g, e in word.runs:
             step = q.generator_image(g)
             if e < 0:

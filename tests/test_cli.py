@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from proficert.cli import _COMMANDS, canonical_json, emit_certificate, load_certificate, main
+from proficert.cli import _build_parser, canonical_json, emit_certificate, load_certificate, main
 from proficert.example1 import DEFAULT_HEAD_CAP, s_family
 from proficert.quotients import make_abelian_quotient, quotient_to_obj
 from proficert.words import FactorPartition, format_word
@@ -281,7 +281,8 @@ def test_cap_flag_only_where_a_quotient_is_loaded_or_enumerated(capsys):
     # Hall and tail separation build their quotients and take images, but
     # never enumerate one
     with_cap = set()
-    for command in _COMMANDS:
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    for command in subcommands:
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
         if "--cap" in out:
@@ -417,7 +418,7 @@ def test_ex1_verify_bounded_on_hostile_tail_sizes(capsys, tmp_path, field, value
                          timeout=2)
     if field == "k":
         assert result.returncode == 3
-        assert f"enumeration cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
+        assert f"head cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
     else:
         assert result.returncode == 1
         assert json.loads(result.stdout)["ok"] is False
@@ -440,7 +441,7 @@ def test_ex1_head_cap_refuses_factorials_past_the_digit_limit(argv):
     # 2 while writing the refusal, and one below wrote all of its digits
     result = run_process(sys.executable, "-m", "proficert", *argv, timeout=2)
     assert result.returncode == 3
-    assert f"enumeration cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
+    assert f"head cap {DEFAULT_HEAD_CAP} exceeded" in result.stderr
     assert result.stderr.count("\n") == 1 and len(result.stderr) < 200
     assert result.stdout == ""
 

@@ -39,9 +39,10 @@ from proficert.quotients import (
     element_to_obj,
     make_abelian_quotient,
     make_permutation_quotient,
-    trivial_quotient,
 )
 from proficert.words import Word, identity, multiply, parse_word
+
+from fixtures import trivial_quotient
 
 
 def abelian(n):

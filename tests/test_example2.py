@@ -41,7 +41,6 @@ from proficert.quotients import (
     quotient_to_obj,
     subgroup_order,
     table_word,
-    trivial_quotient,
 )
 from proficert.words import (
     K,
@@ -56,6 +55,8 @@ from proficert.words import (
     power,
     word_length,
 )
+
+from fixtures import trivial_quotient
 
 P11 = FactorPartition(1, 1)
 P22 = FactorPartition(2, 2)

@@ -14,7 +14,6 @@ from proficert.separation import (
     StallingsGraph,
     WITNESS_BASEPOINT,
     WITNESS_IMAGE,
-    adjoin_word_path,
     build_stallings,
     fold,
     graph_to_dot,
@@ -42,6 +41,7 @@ from proficert.words import (
 )
 
 from closure_oracle import letter_runs, letters_of, product_closure, runs_word
+from fixtures import adjoin_word_path
 from test_cli import run_process
 
 P11 = FactorPartition(1, 1)
@@ -359,8 +359,13 @@ def test_adjoin_word_path_counts():
 
 
 def test_path_letter_cap():
-    with pytest.raises(CapExceededError):
-        adjoin_word_path(build_stallings(P11, []), Word(((A, 10 ** 6),)))
+    # every layer that lays a word's letters refuses 10^6 of them
+    w = Word(((A, 10 ** 6),))
+    for lay in (lambda: build_stallings(P11, [w]),
+                lambda: separate_from_subgroup(P11, [], w),
+                lambda: loop_wedge(P11, [w])):
+        with pytest.raises(CapExceededError, match="^path letter cap "):
+            lay()
 
 
 # --- separation certificates ------------------------------------------------------
