@@ -21,6 +21,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 # type -> its JSON text, for values written without recursion
 _LEAVES = {str: _encode_str, int: int.__repr__, type(None): lambda _: "null",
            bool: lambda b: "true" if b else "false"}
+# the text of every int a point list holds at the degrees certificates reach
+_INT_TEXT = {i: str(i) for i in range(4096)}
 
 
 def canonical_json(obj) -> str:
@@ -36,8 +38,8 @@ def canonical_json(obj) -> str:
 def _write_json(x, newline, out):
     """Append the JSON of ``x`` to ``out``; ``newline`` is a line break
     plus the indent of the line ``x`` starts on.  A dict writes its leaf
-    values in its own loop and a list of ints in one join; floats,
-    non-string keys and other types go to ``json.dumps``."""
+    values in its own loop and a list of ints in one join (from a text
+    table); floats, non-string keys and other types go to ``json.dumps``."""
     t = type(x)
     inner = newline + "  "
     if t in _LEAVES:
@@ -46,7 +48,11 @@ def _write_json(x, newline, out):
         out("[]")
     elif t is list or t is tuple:
         if set(map(type, x)) == {int}:
-            out("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            try:
+                body = ("," + inner).join(map(_INT_TEXT.__getitem__, x))
+            except KeyError:  # negative, or past the table
+                body = ("," + inner).join(map(int.__repr__, x))
+            out("[" + inner + body + newline + "]")
             return
         sep = "[" + inner
         for v in x:

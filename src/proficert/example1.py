@@ -180,12 +180,7 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
     else:
         n = separate_integer_from_m0(tb)
     head_bound = max(n, head_margin)
-    if head_bound > DEFAULT_HEAD_CAP:
-        # the refusal stays one short line however long the bound is
-        size = (head_bound if head_bound < 10 ** 20
-                else f"with {_digit_count(head_bound):,} digits")
-        raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {size}",
-                               "head cap")
+    _check_head_cap(head_bound)
     heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)))
              for _, s_i in s_family(head_bound)]
     # a repeated factor leaves the kernel as it is, so each distinct one
@@ -196,6 +191,15 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
         factors.setdefault((q.images[GEN_A], q.images[GEN_B]), q)
     composite = direct_product(*factors.values())
     return Ex1TailCertificate(w, n, head_bound, tuple(heads), composite)
+
+
+def _check_head_cap(head_bound: int):
+    if head_bound > DEFAULT_HEAD_CAP:
+        # the refusal stays one short line however long the bound is
+        size = (head_bound if head_bound < 10 ** 20
+                else f"with {_digit_count(head_bound):,} digits")
+        raise CapExceededError(DEFAULT_HEAD_CAP, f"head family of size {size}",
+                               "head cap")
 
 
 def _digit_count(n: int) -> int:
@@ -225,6 +229,7 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
         reasons.append(f"expected at least {head_bound - 2} head certificates, "
                        f"found {len(cert.head_certificates)}")
         return CheckResult(False, tuple(reasons))
+    _check_head_cap(head_bound)  # as separate_from_S does, before any factorial
 
     family = list(s_family(head_bound))
     expected = [(j, s) for j, s in family if s != w]

@@ -99,6 +99,16 @@ class _GeneratorTable(NamedTuple):
     position: dict         # generator -> its index in generators
     letter_of: dict        # generator -> its letter; empty past 26 generators
     word: re.Pattern       # a whole text of these letters, with exponents
+    tokens: dict           # 'a' -> (a, 1), 'a^-1' -> (a, -1); reads 'a^N' unstored
+
+
+class _Tokens(dict):
+    def __missing__(self, token):
+        # one letter with an exponent other than -1; anything else is a KeyError
+        m = _LETTER.fullmatch(token)
+        if m is None or m[2] is None:
+            raise KeyError(token)
+        return self[m[1]][0], int(m[2])
 
 
 @lru_cache(maxsize=64)
@@ -110,8 +120,11 @@ def _generator_table(k_size: int, l_size: int) -> _GeneratorTable:
     letter_of = dict(zip(gens, _LOWERCASE)) if len(gens) <= 26 else {}
     last = _LOWERCASE[min(len(gens), 26) - 1]
     word = re.compile(rf"(?:\s*[a-{last}](?:\^-?[0-9]+)?)*\s*")
-    return _GeneratorTable(gens, dict(zip(_LOWERCASE, gens)),
-                           {g: i for i, g in enumerate(gens)}, letter_of, word)
+    by_letter = dict(zip(_LOWERCASE, gens))
+    tokens = _Tokens({ch: (g, 1) for ch, g in by_letter.items()})
+    tokens.update({ch + "^-1": (g, -1) for ch, g in by_letter.items()})
+    return _GeneratorTable(gens, by_letter, {g: i for i, g in enumerate(gens)},
+                           letter_of, word, tokens)
 
 
 class Word(NamedTuple):
@@ -245,15 +258,22 @@ def parse_word(text: str, partition: FactorPartition) -> Word:
 
     Letters are assigned to the K block then the L block in order, `^` takes
     a decimal exponent of any size, and "1" (or an empty string) is the
-    identity.  The result is reduced.  A text that the partition's pattern
-    matches whole is read with one ``findall`` and reduced on its letters,
-    which then name the generators; only a text in error is scanned token
-    by token, to name its first bad token.
+    identity.  The result is reduced.  Whitespace-separated tokens are read
+    from the generator table's token map; a text with any other token
+    (juxtaposed letters, a letter outside the partition, a stray character)
+    is matched whole by the partition's pattern and read with one
+    ``findall``, or else scanned token by token to name its first bad token.
     """
     s = text.strip()
     if s in ("", "1"):
         return IDENTITY
     table = _generator_table(partition.k_size, partition.l_size)
+    try:
+        return Word(tuple(_cancel(map(table.tokens.__getitem__, s.split()))))
+    except (KeyError, ValueError):
+        # a token outside the map, or an exponent past int()'s digit limit,
+        # which the whole-text path reports unless it finds a bad token first
+        pass
     if table.word.fullmatch(s):
         runs = _cancel([(ch, int(exp) if exp else 1) for ch, exp in _LETTER.findall(s)])
         letters = table.by_letter

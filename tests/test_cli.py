@@ -46,6 +46,7 @@ JSON_STRINGS = ("", "a", '"', "\\", "\\\"", "\n\r\t\b\f", "\x00\x1f\x7f", "caf\u
 JSON_LEAVES = (None, True, False, 0, 1, -1, -7, 255, 256, 2 ** 63, -(10 ** 40),
                0.0, -0.0, 0.5, -2.5, 1e300, 1e-300, float("inf"), float("-inf"),
                float("nan")) + JSON_STRINGS
+TABLE_EDGES = (0, 4095, 4096, -1, 2 ** 63, 10 ** 40)
 
 
 def random_json_value(rng, depth):
@@ -59,8 +60,11 @@ def random_json_value(rng, depth):
         return [random_json_value(rng, depth - 1) for _ in range(size)]
     if roll < 0.65:
         return tuple(random_json_value(rng, depth - 1) for _ in range(size))
-    if roll < 0.75:
+    if roll < 0.70:
         return [rng.randrange(-1000, 1000) for _ in range(size)]
+    if roll < 0.75:
+        # both edges of the int-text table (0 .. 4095) in one list
+        return [rng.choice(TABLE_EDGES) for _ in range(size)]
     if roll < 0.95:
         keys = JSON_STRINGS + ("type", "k_size", "images")
         return {rng.choice(keys): random_json_value(rng, depth - 1) for _ in range(size)}
@@ -73,7 +77,8 @@ def random_json_value(rng, depth):
 def test_canonical_json_matches_json_dumps_on_random_values():
     rng = random.Random(20261018)
     values = [random_json_value(rng, 4) for _ in range(2000)]
-    values += [[], {}, (), [[]], {"a": {}}, {"a": []}, [1, True], [1, 1.0], [None, 0]]
+    values += [[], {}, (), [[]], {"a": {}}, {"a": []}, [1, True], [1, 1.0], [None, 0],
+               list(TABLE_EDGES), [4095, 4096], (-1, 0), {"images": [[4095], [4096, 0]]}]
     for value in values:
         assert (either_text_or_error(canonical_json, value)
                 == either_text_or_error(dumps_oracle, value)), value

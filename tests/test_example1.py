@@ -311,6 +311,24 @@ def test_separate_from_S_head_cap():
         assert str(info.value).endswith(f"(head family of size {size})")
 
 
+def test_verify_ex1_refuses_a_head_bound_past_the_head_cap(monkeypatch, capsys):
+    # separate_from_S refuses any head bound above the head cap; verify_ex1
+    # accepted a b^2047 tail (head bound 2,048) built under a raised cap
+    monkeypatch.setattr(example1, "DEFAULT_HEAD_CAP", 4096)
+    cert = separate_from_S(Word(((GEN_B, 2047),)))
+    monkeypatch.undo()
+    assert cert.head_bound == 2048 and len(cert.head_certificates) == 2047
+    with pytest.raises(CapExceededError) as info:
+        verify_ex1(cert)
+    assert str(info.value) == (f"head cap {DEFAULT_HEAD_CAP} exceeded "
+                               "(head family of size 2048)")
+    # such a file cannot be written (2047! has 5,891 digits), so the
+    # command reads the certificate in-process
+    monkeypatch.setattr("proficert.cli.load_certificate", lambda *_, **__: cert)
+    assert main(["ex1-verify", "tail.json"]) == 3
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+
 def test_verify_ex1_detects_lowered_head_bound():
     cert = separate_from_S(identity())
     bad = cert._replace(head_bound=1)

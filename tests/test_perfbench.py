@@ -6,6 +6,7 @@ API.  A refactor that deletes or renames one of them fails here at once
 instead of in a benchmark run.
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -37,15 +38,28 @@ def test_benchmark_binds_to_the_package():
         assert cases.make_cases(workload, 0)
 
 
+# SHA-256 of repr(Round.digests) for each workload's seed-1 round: every
+# operation's verdict and the SHA-256 of its output text, in order.  A change
+# that alters certificate bytes on purpose re-pins these and names the old
+# and new values in CHANGES.md.
+ROUND_DIGESTS = {
+    "chain": "2051db25df6f3c65e1f46df44feb988531990b8337e9130bf37016ed804875a2",
+    "factorial": "195441d40b84397248f6bbbfb8834953e20baeeb5953a3d79a678cdc2a857bc3",
+    "hall": "e4d55c43781d8f5a71225789d6acb214ad47dca81e29ed6be2e6e0da6842fe49",
+}
+
+
 def test_benchmark_known_answers_hold():
     # one untraced round of each workload: every certificate verifies, loads
-    # back and emits the same bytes again, and every hostile edit is
-    # rejected by the clause it targets
+    # back and emits the same bytes again, every hostile edit is rejected by
+    # the clause it targets, and every output keeps its pinned bytes
     cases, run, tracing = load("cases"), load("run"), load("tracing")
     for workload in ("chain", "factorial", "hall"):
         result = run.Round(cases.make_cases(workload, 1), tracing.NullTracer(), perf_counter,
                            canonical=True)
         assert (workload, result.failed, result.unexpected) == (workload, 0, [])
+        digest = hashlib.sha256(repr(result.digests).encode()).hexdigest()
+        assert (workload, digest) == (workload, ROUND_DIGESTS[workload])
 
 
 def test_canonical_json_matches_json_dumps_on_a_bench_round():

@@ -254,8 +254,14 @@ def test_parse_matches_the_token_loop():
     outcomes = {"word": 0, "error": 0}
     texts = ["a^" + "9" * 5000, "ab", "a^2b", "a^2b^-3a", " 1 ", "\u30001\x1c",
              "a^0", "a a^0 a^-1", "a^-0", "a^007",
-             "a b b^-1 a^-1", "a^2 b^3 b^-3 a^-1 c", "a b^-1 b a^-1 a", "d c^-1 c d^-1"]
-    partitions = [P11, P22, FactorPartition(13, 13)]
+             "a b b^-1 a^-1", "a^2 b^3 b^-3 a^-1 c", "a b^-1 b a^-1 a", "d c^-1 c d^-1",
+             # tokens of the token map only, then with the tokens it reads
+             # where they occur, then juxtaposed or split by rarer spaces
+             "a", "a^-1", "b^-1 a", "a a^-1 b", "z^-1 y", "a b^-1 c d^-1 z",
+             "a^5 b^-1 a^0 c^007 a^-1", "b a^-12 a^12 b^-1", "z^3 z^-1 z^-2", "a^-007 a^7",
+             "a^-1b", "ab^-1", "a^0b", "a^007b^-1", "a\x1cb^-1\x1ca^3", "a^-1\u3000a^0\u3000b",
+             "\u3000a^-1\x1c", "a^-1\x1cab"]
+    partitions = [P11, P22, FactorPartition(13, 13), FactorPartition(14, 13)]
     cases = [(t, p) for t in texts for p in partitions]
     cases += [(random_word_text(rng, p), p)
               for p in (rng.choice(partitions) for _ in range(2000))]
@@ -264,7 +270,8 @@ def test_parse_matches_the_token_loop():
         assert got == parse_outcome(token_loop_parse, text, partition), text
         if isinstance(got, Word):
             outcomes["word"] += 1
-            assert parse_word(format_word(got, partition), partition) == got
+            if partition.rank <= 26:  # format_word names at most 26 letters
+                assert parse_word(format_word(got, partition), partition) == got
         else:
             outcomes["error"] += 1
     assert min(outcomes.values()) > 400, outcomes
