@@ -5,9 +5,7 @@ images of the generators (degree-d right action on 0..d-1).  The
 abelianization modulo n is one such quotient: generator i rotates its own
 block of n points, and only its JSON form remembers the modulus.  Image
 computation reduces each run's exponent modulo the order of the
-generator's image, so words like ``a^(20!)`` cost sub-millisecond time;
-the image of a single point is traced run by run instead, each run costing
-at most one walk round the point's cycle.
+generator's image, so words like ``a^(20!)`` cost sub-millisecond time.
 Enumerations (group order, Cayley balls, generated subgroups) are
 breadth-first, deterministic, and hard-fail on a configurable cap instead
 of truncating.
@@ -204,7 +202,6 @@ class FiniteQuotient:
         self._identity = Permutation.identity(degree).mapping
         self._compose = _composer(degree)
         self._steps = {}  # generator -> (image order, lifted image, lifted inverse)
-        self._inverses = {}  # generator -> raw mapping of its image's inverse
 
     def __eq__(self, other):
         if not isinstance(other, FiniteQuotient):
@@ -247,30 +244,6 @@ class FiniteQuotient:
             else:
                 acc = _times_power(acc, step, e, compose)
         return _wrap(acc)
-
-    def point_image(self, w: Word, x: int) -> int:
-        """Image of the point ``x`` under ``w``, followed run by run with no
-        composition.  A run g^e steps |e| times along g's image, or along
-        its inverse for e < 0; a walk back at its start after i steps has
-        gone once round its cycle, so only |e| mod i steps remain.  A run
-        costs at most twice the degree in lookups, whatever its exponent."""
-        images, inverses = self.images, self._inverses
-        for g, e in w.runs:
-            if e > 0:
-                m = images[g].mapping
-            else:
-                m = inverses.get(g)
-                if m is None:
-                    m = inverses[g] = _inverse(images[g].mapping)
-                e = -e
-            start = x
-            for i in range(1, e + 1):
-                x = m[x]
-                if x == start:
-                    for _ in range(e % i):
-                        x = m[x]
-                    break
-        return x
 
     def in_kernel(self, w: Word) -> bool:
         return self.image(w).mapping == self._identity

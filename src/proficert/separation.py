@@ -5,11 +5,11 @@ A finitely generated subgroup is represented by its folded based graph
 One folding engine keeps the graph's label maps folded while the
 generator loops are added: each loop is read from the basepoint as far
 as edges exist, only its unread middle is laid, and merges move the
-smaller side.  The folded graph yields an exact membership test;
-completing its partial injections to permutations yields a finite
-quotient in which the subgroup fixes the basepoint while a chosen
-excluded word moves it — an effective form of the classical closedness
-of finitely generated subgroups in the profinite topology.
+smaller side.  The folded graph yields an exact membership test; its
+partial injections, which extend to permutations, are a partial action in
+which the subgroup fixes the basepoint while a chosen excluded word moves
+it — an effective form of the classical closedness of finitely generated
+subgroups in the profinite topology.
 
 Records here are immutable NamedTuples equal to plain tuples of their
 fields; ``*_to_obj`` turns them into plain dicts and lists for JSON.
@@ -17,6 +17,7 @@ fields; ``*_to_obj`` turns them into plain dicts and lists for JSON.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -27,6 +28,7 @@ from .quotients import (
     _check_keys,
     _check_permutation,
     _int_field,
+    _inverse,
     make_abelian_quotient,
     quotient_from_obj,
     quotient_to_obj,
@@ -46,6 +48,7 @@ MAX_PATH_LETTERS = 10 ** 5
 WITNESS_BASEPOINT = "basepoint-moved"
 WITNESS_IMAGE = "image-differs"
 WITNESS_KINDS = (WITNESS_BASEPOINT, WITNESS_IMAGE)
+PARTIAL = "partial"
 
 _MEMBER_MESSAGE = "the excluded word lies in the subgroup; nothing separates it"
 
@@ -75,13 +78,25 @@ class CheckResult(NamedTuple):
         return self.ok
 
 
+class PartialAction(NamedTuple):
+    """Partial injections of 0..degree-1: ``targets[g][i]`` is the image of
+    ``sources[g][i]`` under ``g`` (tuples, sources ascending).  Each extends
+    to a permutation, and a walk along the pairs ends as in any extension."""
+
+    partition: FactorPartition
+    degree: int
+    sources: dict
+    targets: dict
+    kind = PARTIAL
+
+
 class SeparationCertificate(NamedTuple):
     """A finite quotient witnessing that ``excluded`` avoids the subgroup.
 
     With witness kind "basepoint-moved" every subgroup generator's image
-    fixes point 0 while the excluded word's image moves it; with
-    "image-differs" the subgroup generators land in the kernel while the
-    excluded word does not.
+    fixes point 0 while the excluded word's image moves it (along the
+    pairs of a :class:`PartialAction`); with "image-differs" the subgroup
+    generators land in the kernel while the excluded word does not.
     """
 
     partition: FactorPartition
@@ -137,14 +152,14 @@ def _letter_runs(partition: FactorPartition, w: Word) -> list:
 
 def _read(maps: list, runs: list, v: int) -> tuple:
     """Follow ``runs`` from ``v`` while the label maps have edges.  The
-    engine's maps are lists with None where a vertex has no edge; dict
-    maps, which :func:`trace_word` reads, raise KeyError there instead.
+    engine's maps are lists with None where a vertex has no edge; the dict
+    maps of :func:`trace_word` raise KeyError there, the verifier's read None.
 
     Returns ``(end, j, t)``: the walk read ``runs[:j]`` and ``t`` letters of
     ``runs[j]``, and ``j == len(runs)`` when it read them all.  Every map is
     a partial injection, so a walk can close only at its start; one back
     there after i steps goes round, and only the run's remaining steps
-    mod i are taken (the rule of :meth:`FiniteQuotient.point_image`).
+    mod i are taken, whatever the run's exponent.
     """
     for j, (lab, count) in enumerate(runs):
         mp = maps[lab]
@@ -284,13 +299,11 @@ class _Folding:
         self.settle()
         return v
 
-    def rows(self, complete: bool = False) -> list:
+    def rows(self) -> list:
         """For each generator, the number of each numbered vertex's far end,
         or None where the vertex has no such edge.  Only what the basepoint
         reaches is numbered, breadth first from it, out-labels in generator
-        order, then in-labels.  ``complete`` pairs the vertices without an
-        out-edge with those without an in-edge in ascending order, which
-        completes each row to a permutation."""
+        order, then in-labels."""
         maps = self.maps
         root = self.find(0)
         number = [None] * self.num_vertices
@@ -302,13 +315,8 @@ class _Folding:
                 if x is not None and number[x] is None:
                     number[x] = len(order)
                     order.append(x)
-        rows = []
-        for mp, back in zip(maps, maps[self.partition.rank:]):
-            free = (iter([k for k, x in enumerate(map(back.__getitem__, order)) if x is None])
-                    if complete else repeat(None))
-            rows.append([next(free) if x is None else number[x]
-                         for x in map(mp.__getitem__, order)])
-        return rows
+        return [[None if x is None else number[x] for x in map(mp.__getitem__, order)]
+                for mp in maps[:self.partition.rank]]
 
     def graph(self) -> StallingsGraph:
         """The folded graph, numbered canonically; only what the basepoint
@@ -391,14 +399,11 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> Separat
     One folding of the generator loops, to which the word's path is then
     added from the basepoint: the path adds a tree, so the folded graph
     still carries ``<gens>`` at the basepoint, and ``w`` is a member
-    exactly when its path ends there.  Otherwise the folded action tells
-    the basepoint's orbit under ``w`` apart, and completing each label's
-    partial injection to a permutation gives a quotient of degree equal to
-    the folded graph's vertex count, unchecked since the maps are
-    bijections by construction.  A word longer than ``MAX_PATH_LETTERS``
-    letters is first traced by runs on the subgroup's folded graph, so
-    that a member is refused as a member; a non-member that long cannot
-    have its path laid and raises :class:`CapExceededError`.
+    exactly when its path ends there.  Otherwise the graph's label maps,
+    unchecked partial injections, are the certificate.  A word longer than
+    ``MAX_PATH_LETTERS`` letters is first traced by runs on the subgroup's
+    folded graph, so that a member is refused as a member; a non-member
+    that long cannot have its path laid and raises :class:`CapExceededError`.
     """
     folding = _fold_loops(partition, gens)
     runs = _letter_runs(partition, w)
@@ -407,18 +412,28 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> Separat
         raise ValueError(_MEMBER_MESSAGE)
     if folding.add_word(runs, closed=False) == root:
         raise ValueError(_MEMBER_MESSAGE)
-    images = {g: Permutation(row)
-              for g, row in zip(partition.generators(), folding.rows(complete=True))}
-    quotient = FiniteQuotient(partition, images)
-    return SeparationCertificate(partition, quotient, tuple(gens), w, WITNESS_BASEPOINT)
+    rows = folding.rows()
+    sources = {g: tuple([k for k, x in enumerate(row) if x is not None])
+               for g, row in zip(partition.generators(), rows)}
+    targets = {g: tuple([x for x in row if x is not None])
+               for g, row in zip(partition.generators(), rows)}
+    action = PartialAction(partition, len(rows[0]), sources, targets)
+    return SeparationCertificate(partition, action, tuple(gens), w, WITNESS_BASEPOINT)
+
+
+def _complete(action: PartialAction, g) -> Permutation:
+    """``g``'s pairs completed by pairing the rest of 0..degree-1 ascending."""
+    row = dict(zip(action.sources[g], action.targets[g]))
+    free = iter(sorted(set(range(action.degree)).difference(row.values())))
+    return Permutation([row[x] if x in row else next(free) for x in range(action.degree)])
 
 
 def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCertificate:
     """Certificate that a nontrivial word survives in some finite quotient.
 
     Words with a nonzero exponent sum get the smallest abelian modulus that
-    sees it; words in the commutator subgroup fall back to the path-graph
-    permutation quotient from :func:`separate_from_subgroup`.
+    sees it; commutators get :func:`separate_from_subgroup`'s partial action
+    on the trivial subgroup, completed so that it can enter a direct product.
     """
     if w.is_identity():
         raise ValueError("cannot separate the identity from itself")
@@ -430,43 +445,88 @@ def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCer
                 quotient = make_abelian_quotient(partition, n)
                 return SeparationCertificate(partition, quotient, (), w, WITNESS_IMAGE)
         raise AssertionError("a modulus of min|sum|+1 always separates")
-    return separate_from_subgroup(partition, [], w)
+    action = separate_from_subgroup(partition, [], w).quotient
+    images = {g: _complete(action, g) for g in partition.generators()}
+    return SeparationCertificate(partition, FiniteQuotient(partition, images), (), w,
+                                 WITNESS_BASEPOINT)
+
+
+def _check_partial(triples, degree: int, prefix: str = "") -> None:
+    """Refuse ``(letter, sources, targets)`` triples unless each is a partial
+    injection (two lists of one length, of ints >= 0, sources strictly
+    ascending, targets distinct) and ``degree`` is one past the largest point."""
+    top = 0
+    for x, sources, targets in triples:
+        for name, points in (("sources", sources), ("targets", targets)):
+            if not isinstance(points, (list, tuple)) or points and not (
+                    set(map(type, points)) == {int} and min(points) >= 0):
+                raise SchemaError(f"{prefix}{name}.{x}: expected a list of points")
+        if len(sources) != len(targets):
+            raise SchemaError(f"{prefix}targets.{x}: expected {len(sources)} points")
+        if len(set(sources)) != len(sources) or list(sources) != sorted(sources):
+            raise SchemaError(f"{prefix}sources.{x}: not strictly ascending")
+        if len(set(targets)) != len(targets):
+            raise SchemaError(f"{prefix}targets.{x}: not injective (a point is hit twice)")
+        top = max(top, sources[-1], max(targets)) if sources else top
+    if degree != top + 1:
+        raise SchemaError(f"{prefix}degree: expected {top + 1}, one past the largest point")
 
 
 def verify_separation(cert: SeparationCertificate) -> CheckResult:
     """Recompute the witness from scratch; False carries the reasons.
 
     A basepoint witness is checked on point 0 alone: each word is traced
-    from it run by run (:meth:`FiniteQuotient.point_image`), and no word's
-    whole image is composed.  An image witness composes the images and
-    compares them with the identity.
+    from it run by run along the label maps, composing no image; a walk
+    that leaves a partial action's pairs shows nothing.  An image witness
+    composes the images and compares them with the identity.
     """
     reasons = []
     q = cert.quotient
-    if q.partition != cert.partition:
+    p = cert.partition
+    if q.partition != p:
         reasons.append("quotient partition differs from certificate partition")
-    for g in cert.partition.generators():
-        p = q.images.get(g)
-        if p is None:
-            reasons.append(f"images[{cert.partition.letter(g)}]: missing")
-            continue
+    gens = p.generators()
+    letter_of = _generator_table(p.k_size, p.l_size).letter_of
+    letters = [letter_of.get(g, g) for g in gens]  # past 26 generators, the repr
+    if q.kind == PARTIAL:
         try:
-            _check_permutation(p.mapping, q.degree, f"images[{cert.partition.letter(g)}]")
-        except ValueError as exc:
+            _check_partial([(x, q.sources.get(g), q.targets.get(g))
+                            for g, x in zip(gens, letters)], q.degree)
+        except SchemaError as exc:
             reasons.append(str(exc))
+    else:
+        for g, x in zip(gens, letters):
+            try:
+                if g not in q.images:
+                    raise ValueError(f"images[{x}]: missing")
+                _check_permutation(q.images[g].mapping, q.degree, f"images[{x}]")
+            except ValueError as exc:
+                reasons.append(str(exc))
     if cert.witness_kind not in WITNESS_KINDS:
         reasons.append(f"unknown witness kind {cert.witness_kind!r}")
+    elif q.kind == PARTIAL and cert.witness_kind != WITNESS_BASEPOINT:
+        reasons.append(f"a partial action witnesses only {WITNESS_BASEPOINT!r}")
     if reasons:
         return CheckResult(False, tuple(reasons))
 
     if cert.witness_kind == WITNESS_BASEPOINT:
-        # sound for any permutation action: the stabilizer of point 0
-        # contains the subgroup but not the excluded word
+        # sound for any permutation action and its partial parts: the
+        # stabilizer of point 0 contains the subgroup but not the excluded word
+        if q.kind == PARTIAL:  # sized by the pairs; type(None)() reads None off them
+            maps = [defaultdict(type(None), zip(q.sources[g], q.targets[g])) for g in gens]
+            maps += [defaultdict(type(None), zip(q.targets[g], q.sources[g])) for g in gens]
+        else:
+            maps = [q.images[g].mapping for g in gens]
+            maps += [_inverse(m) for m in maps]
         for i, gw in enumerate(cert.subgroup_gens):
-            if q.point_image(gw, 0) != 0:
-                reasons.append(f"subgroup generator {i} moves the basepoint")
-        if q.point_image(cert.excluded, 0) == 0:
-            reasons.append("excluded word fixes the basepoint")
+            end = _trace(maps, _letter_runs(p, gw), 0)
+            if end != 0:
+                reasons.append(f"subgroup generator {i} " + (
+                    "moves the basepoint" if end is not None else "leaves the partial action"))
+        end = _trace(maps, _letter_runs(p, cert.excluded), 0)
+        if end in (0, None):
+            reasons.append("excluded word " + (
+                "fixes the basepoint" if end == 0 else "leaves the partial action"))
     else:
         for i, gw in enumerate(cert.subgroup_gens):
             if not q.in_kernel(gw):
@@ -494,12 +554,34 @@ def partition_from_obj(obj, path="partition") -> FactorPartition:
     return FactorPartition(obj["k_size"], obj["l_size"])
 
 
+def _partial_to_obj(action: PartialAction) -> dict:
+    letters = {g: action.partition.letter(g) for g in action.partition.generators()}
+    return {"kind": PARTIAL, "degree": action.degree,
+            "sources": {x: list(action.sources[g]) for g, x in letters.items()},
+            "targets": {x: list(action.targets[g]) for g, x in letters.items()}}
+
+
+def _partial_from_obj(obj, partition: FactorPartition, path: str) -> PartialAction:
+    """Parse a partial action, checking its pairs once, here; nothing is
+    sized by the declared degree before the pairs bear it out."""
+    _check_keys(obj, {"kind", "degree", "sources", "targets"}, path)
+    degree = _int_field(obj["degree"], f"{path}.degree", minimum=1)
+    letters = {partition.letter(g): g for g in partition.generators()}
+    for name in ("sources", "targets"):
+        _check_keys(obj[name], set(letters), f"{path}.{name}")
+    _check_partial([(x, obj["sources"][x], obj["targets"][x]) for x in letters], degree,
+                   f"{path}.")
+    return PartialAction(partition, degree, *({g: tuple(obj[name][x]) for x, g in letters.items()}
+                                              for name in ("sources", "targets")))
+
+
 def separation_to_obj(cert: SeparationCertificate) -> dict:
     p = cert.partition
+    q = cert.quotient
     return {
         "type": "separation",
         "partition": partition_to_obj(p),
-        "quotient": quotient_to_obj(cert.quotient),
+        "quotient": _partial_to_obj(q) if q.kind == PARTIAL else quotient_to_obj(q),
         "subgroup_gens": [format_word(w, p) for w in cert.subgroup_gens],
         "excluded": format_word(cert.excluded, p),
         "witness_kind": cert.witness_kind,
@@ -516,8 +598,10 @@ def separation_from_obj(obj, path="certificate", enumeration_cap=None,
         raise SchemaError(f"{path}.type: expected 'separation', got {obj['type']!r}")
     if partition is None:
         partition = partition_from_obj(obj["partition"], f"{path}.partition")
-    quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
-                                 enumeration_cap=enumeration_cap)
+    raw, where = obj["quotient"], f"{path}.quotient"
+    quotient = (_partial_from_obj(raw, partition, where)
+                if isinstance(raw, dict) and raw.get("kind") == PARTIAL
+                else quotient_from_obj(raw, partition, where, enumeration_cap=enumeration_cap))
     raw_gens = obj["subgroup_gens"]
     if not isinstance(raw_gens, list):
         raise SchemaError(f"{path}.subgroup_gens: expected a list of word strings")
@@ -528,6 +612,9 @@ def separation_from_obj(obj, path="certificate", enumeration_cap=None,
     kind = obj["witness_kind"]
     if kind not in WITNESS_KINDS:
         raise SchemaError(f"{path}.witness_kind: expected one of {WITNESS_KINDS}, got {kind!r}")
+    if quotient.kind == PARTIAL and kind != WITNESS_BASEPOINT:
+        raise SchemaError(f"{path}.witness_kind: a partial action witnesses only "
+                          f"{WITNESS_BASEPOINT!r}")
     return SeparationCertificate(partition, quotient, tuple(gens), excluded, kind)
 
 

@@ -140,6 +140,18 @@ def test_image_requires_a_quotient(capsys):
     assert "--quotient" in err or "--abelian" in err
 
 
+@pytest.mark.parametrize("command", ["image", "distance"])
+def test_image_and_distance_refuse_a_partial_action(capsys, tmp_path, command):
+    # a Hall certificate's partial action witnesses one separation; it is no
+    # finite quotient that words can be imaged in
+    _, out, _ = run(capsys, "separate", "--word", "a", "--gen", "a^2", "--gen", "b")
+    path = tmp_path / "partial.json"
+    path.write_text(canonical_json(json.loads(out)["quotient"]))
+    code, out, err = run(capsys, command, "--word", "a", "--quotient", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: quotient.kind: expected 'perm' or 'abelian', got 'partial'\n"
+
+
 def test_distance(capsys):
     code, out, _ = run(capsys, "distance", "--word", "a b", "--abelian", "5")
     assert (code, json.loads(out)) == (0, {"distance": 2})
@@ -732,7 +744,7 @@ PINNED = (
     (None, ("stallings", "--gen", "a^2", "--gen", "b a b^-1", "--dot"), 0,
      "37f8d1849154801adce21109480dc49abf9a9d8b285c2d2557828e2ce047c8c4", None),
     ("sep", ("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), 0,
-     "8f336a04ad56101102b0f066ab56d8de3e5b5b2a6f81f178d52d6336021e0c5a", None),
+     "180e42f4d4319e4bbec7c34276ba4d6e80a4be97945d2bba08a2eb1ecaea8240", None),
     ("sep_id", ("separate", "--word", "a b a^-1 b^-1"), 0,
      "b9b63927c0817e6187fe5a19f6a5b722bf60985151317d4569874ac54981a50a", None),
     (None, ("ex1-elem", "5"), 0,

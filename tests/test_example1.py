@@ -500,6 +500,21 @@ def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
         "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80")
 
 
+def test_commutator_heads_keep_permutation_quotients():
+    # the head for s_1 = a is b a b^-1 a^-1, in the commutator subgroup: its
+    # folded path is completed to permutations, which enter the composite's
+    # direct product; the text was recorded before Hall certificates became
+    # partial actions
+    cert = separate_from_S(word("b a b^-1"))
+    head = cert.head_certificates[0]
+    assert head.excluded == word("b a b^-1 a^-1")
+    assert (head.quotient.kind, head.witness_kind) == ("perm", "basepoint-moved")
+    assert verify_ex1(cert).ok
+    text = emit_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c40c713d026279dcc67baa2a87abfc2b43db54e5e14dcc656312a8d0581b07b3")
+
+
 def test_composite_takes_each_distinct_factor_once():
     # b^t, t odd: every head is the abelian quotient mod 2, so the composite
     # is mod n times mod 2 (mod 2 alone when n = 2) whatever the head count

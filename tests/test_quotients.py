@@ -9,7 +9,7 @@ from collections import deque
 
 import pytest
 
-from proficert import quotients
+from proficert import quotients, separation
 from proficert.cli import CERTIFICATES, emit_certificate
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import not_closed_witness, separate_from_S
@@ -27,7 +27,12 @@ from proficert.quotients import (
     subgroup_order,
     table_word,
 )
-from proficert.separation import separate_from_identity
+from proficert.separation import (
+    WITNESS_BASEPOINT,
+    SeparationCertificate,
+    separate_from_identity,
+    verify_separation,
+)
 from proficert.words import (
     K,
     L,
@@ -762,8 +767,10 @@ def cycle_length(mapping, x):
 
 @pytest.mark.parametrize("degree", [1, 6, 256, 257, 400, "abelian"])
 def test_point_image_matches_the_image(degree):
-    # point_image walks one point without composing; image composes the
-    # whole permutation, so the two must agree at every point
+    # the Hall verifier walks one point along the images and their inverses
+    # without composing; image composes the whole permutation, so the two
+    # must agree at every point, and the verifier's basepoint clause with
+    # the image of point 0
     rng = random.Random(f"point-image-{degree}")
     if degree == "abelian":
         q = make_abelian_quotient(P22, 7)
@@ -783,9 +790,14 @@ def test_point_image_matches_the_image(degree):
             g = rng.choice(P22.generators())
             runs.append((g, rng.choice((1, -1)) * rng.choice(exponents[g])))
         words.append(reduce(runs))
+    maps = [q.images[g].mapping for g in P22.generators()]
+    maps += [quotients._inverse(m) for m in maps]
     for w in words:
         image = q.image(w).mapping
-        assert [q.point_image(w, x) for x in range(q.degree)] == list(image), w
+        runs = separation._letter_runs(P22, w)
+        assert [separation._trace(maps, runs, x) for x in range(q.degree)] == list(image), w
+        cert = SeparationCertificate(P22, q, (), w, WITNESS_BASEPOINT)
+        assert verify_separation(cert).ok == (image[0] != 0), w
 
 
 def naive_ball(images, partition, radius):

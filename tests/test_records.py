@@ -22,7 +22,7 @@ from proficert.words import IDENTITY, K, L, FactorPartition, Generator, Word, pa
 SRC = Path(__file__).resolve().parent.parent / "src"
 RECORD_TYPES = (
     "Generator", "FactorPartition", "Word", "StallingsGraph", "CheckResult",
-    "SeparationCertificate", "Ex1TailCertificate", "Ex1NotClosedWitness",
+    "SeparationCertificate", "PartialAction", "Ex1TailCertificate", "Ex1NotClosedWitness",
     "Ex2Params", "Ex2Step", "Ex2Certificate", "Ex2Clause", "Ex2Report",
     "FiniteIntersectionWitness",
 )
@@ -38,7 +38,7 @@ def records():
     chain = construct_ex2(steps=2)
     report = verify_ex2(chain)
     found = [a.runs[0][0], p, a, build_stallings(p, [a]), verify_separation(separation),
-             separation, tail, not_closed_witness(make_abelian_quotient(p, 4)),
+             separation, separation.quotient, tail, not_closed_witness(make_abelian_quotient(p, 4)),
              chain.params, chain.steps[0], chain, report.clauses[0], report,
              finite_intersection_witness(chain, chain.steps[0].s, 1)]
     return {type(r).__name__: r for r in found}

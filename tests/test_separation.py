@@ -1,5 +1,7 @@
 """Stallings graphs, folding, membership, and Hall separation certificates."""
 
+import hashlib
+import json
 import math
 import random
 import sys
@@ -7,6 +9,7 @@ import sys
 import pytest
 
 from proficert import quotients, separation
+from proficert.cli import canonical_json, emit_certificate
 from proficert.errors import CapExceededError, SchemaError
 from proficert.quotients import Permutation, make_permutation_quotient
 from proficert.separation import (
@@ -43,6 +46,7 @@ from proficert.words import (
 from closure_oracle import letter_runs, letters_of, product_closure, runs_word
 from fixtures import adjoin_word_path
 from test_cli import run_process
+from test_perfbench import load
 
 P11 = FactorPartition(1, 1)
 P21 = FactorPartition(2, 1)
@@ -371,37 +375,47 @@ def test_path_letter_cap():
 # --- separation certificates ------------------------------------------------------
 
 def test_separate_from_subgroup_examples():
+    # <a> against b: an a-loop at 0 and one b-edge 0 -> 1
     cert = separate_from_subgroup(P11, [parse_word("a", P11)], parse_word("b", P11))
     q = cert.quotient
-    assert q.degree == 2
-    assert q.image(parse_word("a", P11))(0) == 0
-    assert q.image(parse_word("b", P11))(0) != 0
+    assert (q.kind, q.degree) == ("partial", 2)
+    assert (q.sources, q.targets) == ({A: (0,), B11: (0,)}, {A: (0,), B11: (1,)})
     assert verify_separation(cert)
 
     gens = [parse_word("a^2", P11), parse_word("b", P11)]
     cert2 = separate_from_subgroup(P11, gens, parse_word("a", P11))
-    assert cert2.quotient.image(parse_word("a", P11))(0) != 0
+    completed = completed_certificate(cert2).quotient
+    assert completed.image(parse_word("a", P11))(0) != 0
     for g in gens:
-        assert cert2.quotient.image(g)(0) == 0
+        assert completed.image(g)(0) == 0
     assert verify_separation(cert2)
 
 
-def completed_images(graph):
-    """Each label's partial injection completed to a permutation, unmatched
-    sources paired with unmatched targets in ascending order."""
-    nv = graph.num_vertices
-    gens = graph.partition.generators()
+def action_graph(action):
+    """The folded graph whose edges are a partial action's pairs."""
+    gens = action.partition.generators()
+    edges = frozenset((s, i, t) for i, g in enumerate(gens)
+                      for s, t in zip(action.sources[g], action.targets[g]))
+    return StallingsGraph(action.partition, action.degree, edges, True)
+
+
+def completed_certificate(cert):
+    """A partial-action certificate with each generator's pairs completed to
+    a permutation as Hall certificates were before they were partial: the
+    points without an image go, ascending, to the points that are no image."""
+    action = cert.quotient
     images = {}
-    for i in range(graph.partition.rank):
-        mp = {s: t for s, h, t in graph.edges if h == i}
-        free = iter(sorted(set(range(nv)) - set(mp.values())))
-        images[gens[i]] = Permutation([mp[v] if v in mp else next(free) for v in range(nv)])
-    return images
+    for g in action.partition.generators():
+        row = [None] * action.degree
+        for s, t in zip(action.sources[g], action.targets[g]):
+            row[s] = t
+        images[g] = complete_to_permutation(row)
+    return cert._replace(quotient=make_permutation_quotient(cert.partition, images))
 
 
 def test_separate_from_subgroup_random_round_trip():
     # oracle: fold the subgroup graph, then fold again with the word's path
-    # adjoined, and complete the partial injections
+    # adjoined; the certificate's pairs are that graph's edges
     rng = random.Random(37)
     done = 0
     while done < 100:
@@ -421,7 +435,7 @@ def test_separate_from_subgroup_random_round_trip():
         assert cert.witness_kind == WITNESS_BASEPOINT
         result = verify_separation(cert)
         assert result.ok, result.reasons
-        assert cert.quotient.images == completed_images(fold(adjoin_word_path(graph, w)))
+        assert action_graph(cert.quotient) == fold(adjoin_word_path(graph, w))
         done += 1
 
 
@@ -438,7 +452,7 @@ def assert_engine_matches_rescanning(partition, gens, w, reference_gens=None):
         assert str(refused.value) == MEMBER_MESSAGE
         return True
     cert = separate_from_subgroup(partition, gens, w)
-    assert cert.quotient.images == completed_images(folded)
+    assert action_graph(cert.quotient) == folded
     return False
 
 
@@ -518,9 +532,10 @@ def dict_pipeline(folding):
 
 
 def assert_canonical_pass_matches_dicts(partition, gens, w):
-    """The engine's graphs and a certificate's images equal the dict-based
-    clean-up's, before and after the path of ``w`` is added; returns
-    whether the path ended on a fresh vertex, or None for a member."""
+    """The engine's graphs and a certificate's pairs (or, separated from
+    the identity, completed images) equal the dict-based clean-up's, before
+    and after the path of ``w`` is added; returns whether the path ended on
+    a fresh vertex, or None for a member."""
     folding = separation._fold_loops(partition, gens)
     graph, _ = dict_pipeline(folding)
     assert build_stallings(partition, gens) == folding.graph() == graph
@@ -536,7 +551,10 @@ def assert_canonical_pass_matches_dicts(partition, gens, w):
         return None
     cert = separate(*args)
     assert cert.witness_kind == WITNESS_BASEPOINT
-    assert cert.quotient.images == images
+    if gens:
+        assert action_graph(cert.quotient) == graph
+    else:
+        assert cert.quotient.images == images
     return end >= laid
 
 
@@ -611,22 +629,35 @@ def test_separation_folds_once(monkeypatch):
 
 
 def test_each_image_is_checked_once_where_it_enters(monkeypatch):
-    # completed label maps are bijections by construction and go
-    # unchecked; a file's images are checked once on load, a caller's once
-    # in make_permutation_quotient, and the verifier runs its own check
+    # built maps are injective by construction and go unchecked; a file's
+    # pairs or images are checked once on load, a caller's images once in
+    # make_permutation_quotient, and the verifier runs its own check
     checked = []
-    check = quotients._check_permutation
+    check, check_partial = quotients._check_permutation, separation._check_partial
 
     def counting_check(values, degree, where):
         checked.append(where)
         return check(values, degree, where)
 
+    def counting_partial(triples, degree, prefix=""):
+        checked.append((prefix, [x for x, _, _ in triples]))
+        return check_partial(triples, degree, prefix)
+
     monkeypatch.setattr(quotients, "_check_permutation", counting_check)
     monkeypatch.setattr(separation, "_check_permutation", counting_check)
+    monkeypatch.setattr(separation, "_check_partial", counting_partial)
     letters = [P22.letter(g) for g in P22.generators()]
     gens = [parse_word("a^2 c", P22), parse_word("b d^-1 b", P22)]
     cert = separate_from_subgroup(P22, gens, parse_word("a b c d", P22))
     assert checked == []
+    loaded = separation_from_obj(separation_to_obj(cert))
+    assert checked == [("certificate.quotient.", letters)]
+    checked.clear()
+    assert verify_separation(loaded)
+    assert checked == [("", letters)]
+    checked.clear()
+    cert = separate_from_identity(P22, parse_word("a b a^-1 b^-1 c d c^-1 d^-1", P22))
+    assert cert.quotient.kind == "perm" and checked == []
     loaded = separation_from_obj(separation_to_obj(cert))
     assert checked == [f"certificate.quotient.images.{x}" for x in letters]
     checked.clear()
@@ -722,6 +753,151 @@ def test_verify_separation_traces_the_basepoint_without_images(monkeypatch):
     fixed = SeparationCertificate(P11, cert.quotient, cert.subgroup_gens,
                                   multiply(big, gens[1]), WITNESS_BASEPOINT)
     assert verify_separation(fixed).reasons == ("excluded word fixes the basepoint",)
+
+
+# --- partial actions -----------------------------------------------------------------
+
+# SHA-256 of the joined texts of Hall certificates as written before they
+# were partial actions, when every generator's pairs were completed to a
+# permutation: each RoundTrip of a seed's `hall` benchmark round, and the
+# separations of differential_inputs().
+COMPLETED_HALL_DIGESTS = {
+    1: "ab8f0150b8cfbc8c919bcfdba79e32c3b5320dc024f294c665a4fff23b8995c8",
+    2: "e384b811873fc4b285995b485b3fda4347e1c9aac74955135bf07d7a284f4054",
+    3: "44f5edd8c6ab0774ea4433d582539cdc399dfb19f8ef74e0c9970a96dbe526fe",
+}
+COMPLETED_RANDOM_DIGEST = "e4df6c2e962875cde235443b9e9a3ea4bcaa4c05196aaf0c2ab02bc9b8874285"
+
+
+def differential_inputs(count=100):
+    """Seeded (partition, generators, non-member) triples."""
+    rng = random.Random(2026)
+    while count:
+        partition = rng.choice([P11, P22, FactorPartition(13, 13)])
+        gens = random_subgroup(rng, partition, max_gens=4, max_len=12)
+        w = random_word(rng, partition, rng.randrange(1, 12))
+        if gens and not membership(build_stallings(partition, gens), w):
+            count -= 1
+            yield partition, gens, w
+
+
+def assert_completion_is_the_old_certificate(certs, digest):
+    """Each partial certificate verifies, and so does its completion as a
+    permutation certificate, whose texts hash to ``digest``: the partial
+    witness is the defined part of the completed one."""
+    texts = []
+    for cert in certs:
+        assert cert.quotient.kind == "partial"
+        assert verify_separation(cert).ok
+        completed = completed_certificate(cert)
+        result = verify_separation(completed)
+        assert result.ok, result.reasons
+        texts.append(emit_certificate(completed))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_completed_hall_round_emits_the_permutation_certificates(seed):
+    cases, tracing = load("cases"), load("tracing")
+    builds = [op.build for op in cases.make_cases("hall", seed) if isinstance(op, cases.RoundTrip)]
+    assert len(builds) == 28
+    certs = [build(tracing.NullTracer()) for build in builds]
+    assert_completion_is_the_old_certificate(certs, COMPLETED_HALL_DIGESTS[seed])
+
+
+def test_completed_random_separations_emit_the_permutation_certificates():
+    certs = [separate_from_subgroup(*args) for args in differential_inputs()]
+    assert_completion_is_the_old_certificate(certs, COMPLETED_RANDOM_DIGEST)
+
+
+def edited_separation(text, **quotient):
+    """A separation certificate's JSON with fields of its quotient replaced."""
+    obj = json.loads(text)
+    obj["quotient"].update(quotient)
+    return obj
+
+
+def test_verify_rejects_tampered_partial_actions():
+    # <a^2, b> against a: a swaps 0 and 1, b fixes 0
+    text = emit_certificate(separate_from_subgroup(
+        P11, [parse_word("a^2", P11), parse_word("b", P11)], parse_word("a", P11)))
+    assert json.loads(text)["quotient"] == {
+        "kind": "partial", "degree": 2, "sources": {"a": [0, 1], "b": [0]},
+        "targets": {"a": [1, 0], "b": [0]}}
+    edits = [
+        # b's edge retargeted: generator 1 misses 0
+        ({"targets": {"a": [1, 0], "b": [1]}}, ["subgroup generator 1 moves the basepoint"]),
+        # a's edges retargeted into a loop at 0: the excluded word ends at 0
+        ({"sources": {"a": [0], "b": [0]}, "targets": {"a": [0], "b": [0]}, "degree": 1},
+         ["excluded word fixes the basepoint"]),
+        # a's edge out of 0 dropped: a^2 and the excluded word fall off the maps
+        ({"sources": {"a": [1], "b": [0]}, "targets": {"a": [0], "b": [0]}},
+         ["subgroup generator 0 leaves the partial action",
+          "excluded word leaves the partial action"]),
+    ]
+    for edit, reasons in edits:
+        cert = separation_from_obj(edited_separation(text, **edit))
+        assert verify_separation(cert).reasons == tuple(reasons)
+    # a partial action is no quotient whose kernel an image witness reads
+    cert = separation_from_obj(json.loads(text))._replace(witness_kind=WITNESS_IMAGE)
+    assert verify_separation(cert).reasons == (
+        "a partial action witnesses only 'basepoint-moved'",)
+
+
+def test_verify_rejects_partial_actions_without_an_edge_on_a_walk():
+    # the first edge of a walk from 0 dropped from random certificates: that
+    # walk leaves the pairs at once
+    rng = random.Random(43)
+    dropped = 0
+    for partition, gens, w in differential_inputs(40):
+        cert = separate_from_subgroup(partition, gens, w)
+        i = rng.randrange(len(gens) + 1)
+        word = gens[i] if i < len(gens) else w
+        if word.is_identity():
+            continue
+        g, e = word.runs[0]
+        action = cert.quotient
+        pairs = list(zip(action.sources[g], action.targets[g]))
+        pairs.remove(next(pair for pair in pairs if pair[0 if e > 0 else 1] == 0))
+        edited = action._replace(sources={**action.sources, g: tuple(s for s, _ in pairs)},
+                                 targets={**action.targets, g: tuple(t for _, t in pairs)})
+        reasons = verify_separation(cert._replace(quotient=edited)).reasons
+        which = f"subgroup generator {i}" if i < len(gens) else "excluded word"
+        assert f"{which} leaves the partial action" in reasons, reasons
+        dropped += 1
+    assert dropped > 30
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"degree": 10 ** 12, "sources": {"a": [], "b": []}, "targets": {"a": [], "b": []}},
+     "quotient.degree: expected 1, one past the largest point"),
+    ({"targets": {"a": [1, 1], "b": [0]}}, "quotient.targets.a: not injective"),
+    ({"sources": {"a": [1, 0], "b": [0]}}, "quotient.sources.a: not strictly ascending"),
+    ({"sources": {"a": [0, 0], "b": [0]}}, "quotient.sources.a: not strictly ascending"),
+    ({"targets": {"a": [1, 2], "b": [0]}}, "quotient.degree: expected 3"),
+    ({"targets": {"a": [1, -1], "b": [0]}}, "quotient.targets.a: expected a list of points"),
+    ({"targets": {"a": [True, 0], "b": [0]}}, "quotient.targets.a: expected a list of points"),
+    ({"targets": {"a": [1.0, 0], "b": [0]}}, "quotient.targets.a: expected a list of points"),
+    ({"targets": {"a": [1], "b": [0]}}, "quotient.targets.a: expected 2 points"),
+    ({"sources": {"a": [0, 1]}}, "quotient.sources.b: missing field"),
+    ({"targets": {"a": [1, 0], "b": [0], "z": []}}, "quotient.targets.z: unknown field"),
+    ({"witness_kind": "image-differs"}, "witness_kind: a partial action witnesses only"),
+])
+def test_hostile_partial_files_are_refused_within_bounds(tmp_path, edit, message):
+    # each file loads in a 512 MB address space and is refused as a schema
+    # error: nothing is sized by the declared degree
+    text = emit_certificate(separate_from_subgroup(
+        P11, [parse_word("a^2", P11), parse_word("b", P11)], parse_word("a", P11)))
+    kind = edit.pop("witness_kind", None)
+    obj = edited_separation(text, **edit)
+    if kind is not None:
+        obj["witness_kind"] = kind
+    path = tmp_path / "partial.json"
+    path.write_text(canonical_json(obj))
+    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
+                         timeout=5, address_space=512 * 2 ** 20)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert message in result.stderr and "Traceback" not in result.stderr
 
 
 def test_verify_rejects_non_bijective_table():
