@@ -31,7 +31,10 @@ from .quotients import (
     _int_field,
 )
 from .separation import (
+    PARTIAL,
     CheckResult,
+    _completed,
+    abelian_image,
     partition_from_obj,
     partition_to_obj,
     separate_from_identity,
@@ -184,10 +187,10 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
     heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)))
              for _, s_i in s_family(head_bound)]
     # a repeated factor leaves the kernel as it is, so each distinct one
-    # (by generator images) enters once, in first-seen order
+    # (by generator images) enters once, in first-seen order, completed
     factors = {}
-    abelian = make_abelian_quotient(EX1_PARTITION, n)
-    for q in [abelian] + [head.quotient for head in heads]:
+    for q in [make_abelian_quotient(EX1_PARTITION, n)] + [head.quotient for head in heads]:
+        q = _completed(q) if q.kind == PARTIAL else q
         factors.setdefault((q.images[GEN_A], q.images[GEN_B]), q)
     composite = direct_product(*factors.values())
     return Ex1TailCertificate(w, n, head_bound, tuple(heads), composite)
@@ -259,17 +262,12 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
         if same[key]:
             reasons.append(f"composite quotient cannot tell the target from s_{j}")
 
-    def abelian_image(word):
-        # the image in the abelianization mod n, read off the exponent sums
-        # so that a modulus of any size costs nothing to build
-        return (exponent_sum(word, GEN_A) % n, exponent_sum(word, GEN_B) % n)
-
     # every s_j with j >= head_bound has this image once n <= head_bound
     # (checked above): n then divides lcm(1..head_bound), hence j!, and
     # m_j agrees with m_head_bound modulo it; equals (0, m0_residue(n)),
     # 0 mod the 2-part of n and 1 mod its odd part
     tail_value = (0, m_sequence(head_bound) % n)
-    if abelian_image(w) == tail_value:
+    if abelian_image(EX1_PARTITION, w, n) == tail_value:
         reasons.append("target word collides with the tail value mod n")
     return CheckResult(not reasons, tuple(reasons))
 

@@ -187,7 +187,7 @@ class FiniteQuotient:
 
     Nothing is checked here.  Images from outside are checked once, where
     they enter (:func:`make_permutation_quotient`, :func:`quotient_from_obj`);
-    images built as bijections are not checked; verifiers run their own.
+    images built as bijections are not checked.
     """
 
     def __init__(self, partition: FactorPartition, images: dict, *, modulus=None,

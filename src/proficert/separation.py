@@ -18,17 +18,16 @@ fields; ``*_to_obj`` turns them into plain dicts and lists for JSON.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 from .errors import CapExceededError, SchemaError
 from .quotients import (
+    ABELIAN,
     FiniteQuotient,
     Permutation,
     _check_keys,
-    _check_permutation,
     _int_field,
-    _inverse,
     make_abelian_quotient,
     quotient_from_obj,
     quotient_to_obj,
@@ -47,8 +46,8 @@ MAX_PATH_LETTERS = 10 ** 5
 
 WITNESS_BASEPOINT = "basepoint-moved"
 WITNESS_IMAGE = "image-differs"
-WITNESS_KINDS = (WITNESS_BASEPOINT, WITNESS_IMAGE)
 PARTIAL = "partial"
+WITNESS_OF = {PARTIAL: WITNESS_BASEPOINT, ABELIAN: WITNESS_IMAGE}  # quotient kind -> witness
 
 _MEMBER_MESSAGE = "the excluded word lies in the subgroup; nothing separates it"
 
@@ -90,13 +89,23 @@ class PartialAction(NamedTuple):
     kind = PARTIAL
 
 
-class SeparationCertificate(NamedTuple):
-    """A finite quotient witnessing that ``excluded`` avoids the subgroup.
+def _completed(action: PartialAction) -> FiniteQuotient:
+    """``action`` completed to permutations by pairing its free points ascending."""
+    images, points = {}, range(action.degree)
+    for g in action.partition.generators():
+        row = dict(zip(action.sources[g], action.targets[g]))
+        free = iter(sorted(set(points).difference(row.values())))
+        images[g] = Permutation([row[x] if x in row else next(free) for x in points])
+    return FiniteQuotient(action.partition, images)
 
-    With witness kind "basepoint-moved" every subgroup generator's image
-    fixes point 0 while the excluded word's image moves it (along the
-    pairs of a :class:`PartialAction`); with "image-differs" the subgroup
-    generators land in the kernel while the excluded word does not.
+
+class SeparationCertificate(NamedTuple):
+    """A finite action witnessing that ``excluded`` avoids the subgroup.
+
+    A :class:`PartialAction` witnesses "basepoint-moved": walked from point
+    0, each subgroup generator returns there and the excluded word does not.
+    An abelian quotient mod n witnesses "image-differs": of these words only
+    the excluded one has an exponent sum nonzero mod n (:data:`WITNESS_OF`).
     """
 
     partition: FactorPartition
@@ -151,9 +160,8 @@ def _letter_runs(partition: FactorPartition, w: Word) -> list:
 
 
 def _read(maps: list, runs: list, v: int) -> tuple:
-    """Follow ``runs`` from ``v`` while the label maps have edges.  The
-    engine's maps are lists with None where a vertex has no edge; the dict
-    maps of :func:`trace_word` raise KeyError there, the verifier's read None.
+    """Follow ``runs`` from ``v`` while the label maps have edges; the
+    engine's lists and :func:`_label_maps`' dicts read None for a missing one.
 
     Returns ``(end, j, t)``: the walk read ``runs[:j]`` and ``t`` letters of
     ``runs[j]``, and ``j == len(runs)`` when it read them all.  Every map is
@@ -365,15 +373,11 @@ def build_stallings(partition: FactorPartition, gens) -> StallingsGraph:
     return _fold_loops(partition, gens).graph()
 
 
-def _label_maps(graph: StallingsGraph) -> list:
-    """The 2·rank partial injections of the graph's labels: map ``i`` reads
-    generator ``i`` forward and map ``rank + i`` reads it backward."""
-    rank = graph.partition.rank
-    maps = [{} for _ in range(2 * rank)]
-    for s, i, t in graph.edges:
-        maps[i][s] = t
-        maps[rank + i][t] = s
-    return maps
+def _label_maps(pairs: list) -> list:
+    """Label maps sized by ``(sources, targets)`` per generator: map ``i``
+    reads generator ``i`` forward, ``rank + i`` backward, None off the pairs."""
+    return ([defaultdict(type(None), zip(s, t)) for s, t in pairs]
+            + [defaultdict(type(None), zip(t, s)) for s, t in pairs])
 
 
 def trace_word(graph: StallingsGraph, w: Word, start=0):
@@ -381,11 +385,11 @@ def trace_word(graph: StallingsGraph, w: Word, start=0):
     graph.  The label maps are dicts, so a graph may name any vertices."""
     if not graph.folded:
         raise ValueError("tracing requires a folded graph")
-    runs = _letter_runs(graph.partition, w)
-    try:
-        return _trace(_label_maps(graph), runs, start)
-    except KeyError:  # a vertex without an edge under the next label
-        return None
+    pairs = [([], []) for _ in range(graph.partition.rank)]
+    for s, i, t in graph.edges:
+        pairs[i][0].append(s)
+        pairs[i][1].append(t)
+    return _trace(_label_maps(pairs), _letter_runs(graph.partition, w), start)
 
 
 def membership(graph: StallingsGraph, w: Word) -> bool:
@@ -421,11 +425,9 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> Separat
     return SeparationCertificate(partition, action, tuple(gens), w, WITNESS_BASEPOINT)
 
 
-def _complete(action: PartialAction, g) -> Permutation:
-    """``g``'s pairs completed by pairing the rest of 0..degree-1 ascending."""
-    row = dict(zip(action.sources[g], action.targets[g]))
-    free = iter(sorted(set(range(action.degree)).difference(row.values())))
-    return Permutation([row[x] if x in row else next(free) for x in range(action.degree)])
+def abelian_image(partition: FactorPartition, w: Word, n: int) -> tuple:
+    """``w``'s image in the abelianization mod ``n``: its exponent sums mod ``n``."""
+    return tuple(exponent_sum(w, g) % n for g in partition.generators())
 
 
 def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCertificate:
@@ -433,22 +435,17 @@ def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCer
 
     Words with a nonzero exponent sum get the smallest abelian modulus that
     sees it; commutators get :func:`separate_from_subgroup`'s partial action
-    on the trivial subgroup, completed so that it can enter a direct product.
+    on the trivial subgroup.
     """
     if w.is_identity():
         raise ValueError("cannot separate the identity from itself")
-    sums = [(g, exponent_sum(w, g)) for g in partition.generators()]
-    nonzero = [abs(t) for _, t in sums if t]
-    if nonzero:
-        for n in range(2, min(nonzero) + 2):
-            if any(t % n for _, t in sums):
-                quotient = make_abelian_quotient(partition, n)
-                return SeparationCertificate(partition, quotient, (), w, WITNESS_IMAGE)
-        raise AssertionError("a modulus of min|sum|+1 always separates")
-    action = separate_from_subgroup(partition, [], w).quotient
-    images = {g: _complete(action, g) for g in partition.generators()}
-    return SeparationCertificate(partition, FiniteQuotient(partition, images), (), w,
-                                 WITNESS_BASEPOINT)
+    sums = [exponent_sum(w, g) for g in partition.generators()]
+    if any(sums):
+        # a nonzero sum t is seen mod |t| + 1 at the latest
+        n = next(n for n in count(2) if any(t % n for t in sums))
+        return SeparationCertificate(partition, make_abelian_quotient(partition, n), (), w,
+                                     WITNESS_IMAGE)
+    return separate_from_subgroup(partition, [], w)
 
 
 def _check_partial(triples, degree: int, prefix: str = "") -> None:
@@ -472,13 +469,17 @@ def _check_partial(triples, degree: int, prefix: str = "") -> None:
         raise SchemaError(f"{prefix}degree: expected {top + 1}, one past the largest point")
 
 
+def _wrong_witness(kind: str) -> str:
+    owner = "a partial action" if kind == PARTIAL else "an abelian quotient"
+    return f"{owner} witnesses only {WITNESS_OF[kind]!r}"
+
+
 def verify_separation(cert: SeparationCertificate) -> CheckResult:
     """Recompute the witness from scratch; False carries the reasons.
 
-    A basepoint witness is checked on point 0 alone: each word is traced
-    from it run by run along the label maps, composing no image; a walk
-    that leaves a partial action's pairs shows nothing.  An image witness
-    composes the images and compares them with the identity.
+    No permutation image is read.  A basepoint witness walks each word from
+    point 0 run by run along the partial action's pairs; a walk that leaves
+    them shows nothing.  An image witness reads exponent sums mod n.
     """
     reasons = []
     q = cert.quotient
@@ -486,38 +487,26 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
     if q.partition != p:
         reasons.append("quotient partition differs from certificate partition")
     gens = p.generators()
-    letter_of = _generator_table(p.k_size, p.l_size).letter_of
-    letters = [letter_of.get(g, g) for g in gens]  # past 26 generators, the repr
-    if q.kind == PARTIAL:
-        try:
-            _check_partial([(x, q.sources.get(g), q.targets.get(g))
-                            for g, x in zip(gens, letters)], q.degree)
+    if q.kind not in WITNESS_OF:
+        reasons.append(f"quotient kind {q.kind!r}: expected 'partial' or 'abelian'")
+    elif cert.witness_kind != WITNESS_OF[q.kind]:
+        reasons.append(_wrong_witness(q.kind))
+    elif q.kind == PARTIAL:
+        letter_of = _generator_table(p.k_size, p.l_size).letter_of
+        try:  # past 26 generators, a generator is named by its repr
+            _check_partial([(letter_of.get(g, g), q.sources.get(g), q.targets.get(g))
+                            for g in gens], q.degree)
         except SchemaError as exc:
             reasons.append(str(exc))
-    else:
-        for g, x in zip(gens, letters):
-            try:
-                if g not in q.images:
-                    raise ValueError(f"images[{x}]: missing")
-                _check_permutation(q.images[g].mapping, q.degree, f"images[{x}]")
-            except ValueError as exc:
-                reasons.append(str(exc))
-    if cert.witness_kind not in WITNESS_KINDS:
-        reasons.append(f"unknown witness kind {cert.witness_kind!r}")
-    elif q.kind == PARTIAL and cert.witness_kind != WITNESS_BASEPOINT:
-        reasons.append(f"a partial action witnesses only {WITNESS_BASEPOINT!r}")
+    elif not isinstance(q.modulus, int) or q.modulus < 2:
+        reasons.append(f"modulus: expected an integer >= 2, got {q.modulus!r}")
     if reasons:
         return CheckResult(False, tuple(reasons))
 
-    if cert.witness_kind == WITNESS_BASEPOINT:
-        # sound for any permutation action and its partial parts: the
+    if q.kind == PARTIAL:
+        # sound because the pairs extend to a permutation action, whose
         # stabilizer of point 0 contains the subgroup but not the excluded word
-        if q.kind == PARTIAL:  # sized by the pairs; type(None)() reads None off them
-            maps = [defaultdict(type(None), zip(q.sources[g], q.targets[g])) for g in gens]
-            maps += [defaultdict(type(None), zip(q.targets[g], q.sources[g])) for g in gens]
-        else:
-            maps = [q.images[g].mapping for g in gens]
-            maps += [_inverse(m) for m in maps]
+        maps = _label_maps([(q.sources[g], q.targets[g]) for g in gens])
         for i, gw in enumerate(cert.subgroup_gens):
             end = _trace(maps, _letter_runs(p, gw), 0)
             if end != 0:
@@ -529,9 +518,9 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
                 "fixes the basepoint" if end == 0 else "leaves the partial action"))
     else:
         for i, gw in enumerate(cert.subgroup_gens):
-            if not q.in_kernel(gw):
+            if any(abelian_image(p, gw, q.modulus)):
                 reasons.append(f"subgroup generator {i} falls outside the kernel")
-        if q.in_kernel(cert.excluded):
+        if not any(abelian_image(p, cert.excluded, q.modulus)):
             reasons.append("excluded word lies in the kernel")
     return CheckResult(not reasons, tuple(reasons))
 
@@ -596,26 +585,24 @@ def separation_from_obj(obj, path="certificate", enumeration_cap=None,
     _check_keys(obj, allowed, path)
     if obj["type"] != "separation":
         raise SchemaError(f"{path}.type: expected 'separation', got {obj['type']!r}")
+    raw, where = obj["quotient"], f"{path}.quotient"
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in tuple(WITNESS_OF):  # a tuple: the field may be unhashable
+        raise SchemaError(f"{where}.kind: expected 'partial' or 'abelian', got {kind!r}")
     if partition is None:
         partition = partition_from_obj(obj["partition"], f"{path}.partition")
-    raw, where = obj["quotient"], f"{path}.quotient"
-    quotient = (_partial_from_obj(raw, partition, where)
-                if isinstance(raw, dict) and raw.get("kind") == PARTIAL
+    quotient = (_partial_from_obj(raw, partition, where) if kind == PARTIAL
                 else quotient_from_obj(raw, partition, where, enumeration_cap=enumeration_cap))
     raw_gens = obj["subgroup_gens"]
     if not isinstance(raw_gens, list):
         raise SchemaError(f"{path}.subgroup_gens: expected a list of word strings")
-    gens = []
-    for i, s in enumerate(raw_gens):
-        gens.append(_parse_word_field(s, partition, f"{path}.subgroup_gens[{i}]"))
+    gens = tuple(_parse_word_field(s, partition, f"{path}.subgroup_gens[{i}]")
+                 for i, s in enumerate(raw_gens))
     excluded = _parse_word_field(obj["excluded"], partition, f"{path}.excluded")
-    kind = obj["witness_kind"]
-    if kind not in WITNESS_KINDS:
-        raise SchemaError(f"{path}.witness_kind: expected one of {WITNESS_KINDS}, got {kind!r}")
-    if quotient.kind == PARTIAL and kind != WITNESS_BASEPOINT:
-        raise SchemaError(f"{path}.witness_kind: a partial action witnesses only "
-                          f"{WITNESS_BASEPOINT!r}")
-    return SeparationCertificate(partition, quotient, tuple(gens), excluded, kind)
+    witness = obj["witness_kind"]
+    if witness != WITNESS_OF[kind]:
+        raise SchemaError(f"{path}.witness_kind: {_wrong_witness(kind)}, got {witness!r}")
+    return SeparationCertificate(partition, quotient, gens, excluded, witness)
 
 
 def _parse_word_field(value, partition: FactorPartition, path: str) -> Word:

@@ -746,7 +746,7 @@ PINNED = (
     ("sep", ("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), 0,
      "180e42f4d4319e4bbec7c34276ba4d6e80a4be97945d2bba08a2eb1ecaea8240", None),
     ("sep_id", ("separate", "--word", "a b a^-1 b^-1"), 0,
-     "b9b63927c0817e6187fe5a19f6a5b722bf60985151317d4569874ac54981a50a", None),
+     "848451ced8ae4471aaf04352ad8f4dd3fa14aa90762f75115a69a25d4c9c553a", None),
     (None, ("ex1-elem", "5"), 0,
      "5c2f853beb8bccb625360d200db7c7cfcc76b709652f0de4f6bffba1eb8cfc9a", None),
     (None, ("ex1-elem", "4", "--kind", "a"), 0,

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from proficert import example1
-from proficert.cli import emit_certificate, main
+from proficert.cli import canonical_json, emit_certificate, main
 from proficert.errors import CapExceededError, SchemaError
 from proficert.example1 import (
     DEFAULT_HEAD_CAP,
@@ -500,19 +500,19 @@ def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
         "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80")
 
 
-def test_commutator_heads_keep_permutation_quotients():
-    # the head for s_1 = a is b a b^-1 a^-1, in the commutator subgroup: its
-    # folded path is completed to permutations, which enter the composite's
-    # direct product; the text was recorded before Hall certificates became
-    # partial actions
+def test_commutator_heads_are_partial_and_the_composite_keeps_its_bytes():
+    # the head for s_1 = a is b a b^-1 a^-1, in the commutator subgroup: it
+    # is a partial action, completed to permutations only where it enters
+    # the composite's direct product, whose text was recorded when heads
+    # like it were written completed
     cert = separate_from_S(word("b a b^-1"))
     head = cert.head_certificates[0]
     assert head.excluded == word("b a b^-1 a^-1")
-    assert (head.quotient.kind, head.witness_kind) == ("perm", "basepoint-moved")
+    assert (head.quotient.kind, head.witness_kind) == ("partial", "basepoint-moved")
     assert verify_ex1(cert).ok
-    text = emit_certificate(cert)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c40c713d026279dcc67baa2a87abfc2b43db54e5e14dcc656312a8d0581b07b3")
+    composite = canonical_json(ex1_tail_to_obj(cert)["composite_quotient"])
+    assert hashlib.sha256(composite.encode()).hexdigest() == (
+        "c4a87162889828cad985d20e24f7aaf388b11ca04059136f43653742f6fc00ab")
 
 
 def test_composite_takes_each_distinct_factor_once():

@@ -44,7 +44,7 @@ def test_benchmark_binds_to_the_package():
 # and new values in CHANGES.md.
 ROUND_DIGESTS = {
     "chain": "2051db25df6f3c65e1f46df44feb988531990b8337e9130bf37016ed804875a2",
-    "factorial": "195441d40b84397248f6bbbfb8834953e20baeeb5953a3d79a678cdc2a857bc3",
+    "factorial": "7bdd57c75fcc5400c0afc8c449eaf907966a9f65213f0cc57b7eceacfe921031",
     "hall": "a20145e948e8b4723b53ebe9bc76a7779e585297e102a61138ee22a4ddf2db24",
 }
 

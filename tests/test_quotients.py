@@ -29,6 +29,7 @@ from proficert.quotients import (
 )
 from proficert.separation import (
     WITNESS_BASEPOINT,
+    PartialAction,
     SeparationCertificate,
     separate_from_identity,
     verify_separation,
@@ -766,11 +767,12 @@ def cycle_length(mapping, x):
 
 
 @pytest.mark.parametrize("degree", [1, 6, 256, 257, 400, "abelian"])
-def test_point_image_matches_the_image(degree):
-    # the Hall verifier walks one point along the images and their inverses
-    # without composing; image composes the whole permutation, so the two
-    # must agree at every point, and the verifier's basepoint clause with
-    # the image of point 0
+def test_basepoint_walk_matches_the_image(degree):
+    # the Hall verifier walks one point along a partial action's pairs
+    # without composing; image composes the whole permutation.  Written as
+    # the partial action of all its pairs, a quotient's walk must end where
+    # its image sends every point, and the verifier's basepoint clause must
+    # read the image of point 0
     rng = random.Random(f"point-image-{degree}")
     if degree == "abelian":
         q = make_abelian_quotient(P22, 7)
@@ -790,13 +792,15 @@ def test_point_image_matches_the_image(degree):
             g = rng.choice(P22.generators())
             runs.append((g, rng.choice((1, -1)) * rng.choice(exponents[g])))
         words.append(reduce(runs))
-    maps = [q.images[g].mapping for g in P22.generators()]
-    maps += [quotients._inverse(m) for m in maps]
+    gens = P22.generators()
+    action = PartialAction(P22, q.degree, {g: tuple(range(q.degree)) for g in gens},
+                           {g: tuple(q.images[g].mapping) for g in gens})
+    maps = separation._label_maps([(action.sources[g], action.targets[g]) for g in gens])
     for w in words:
         image = q.image(w).mapping
         runs = separation._letter_runs(P22, w)
         assert [separation._trace(maps, runs, x) for x in range(q.degree)] == list(image), w
-        cert = SeparationCertificate(P22, q, (), w, WITNESS_BASEPOINT)
+        cert = SeparationCertificate(P22, action, (), w, WITNESS_BASEPOINT)
         assert verify_separation(cert).ok == (image[0] != 0), w
 
 

@@ -1,6 +1,7 @@
 """Stallings graphs, folding, membership, and Hall separation certificates."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -11,12 +12,14 @@ import pytest
 from proficert import quotients, separation
 from proficert.cli import canonical_json, emit_certificate
 from proficert.errors import CapExceededError, SchemaError
-from proficert.quotients import Permutation, make_permutation_quotient
+from proficert.example1 import ex1_tail_to_obj, separate_from_S
+from proficert.quotients import make_permutation_quotient
 from proficert.separation import (
     SeparationCertificate,
     StallingsGraph,
     WITNESS_BASEPOINT,
     WITNESS_IMAGE,
+    WITNESS_OF,
     build_stallings,
     fold,
     graph_to_dot,
@@ -384,7 +387,7 @@ def test_separate_from_subgroup_examples():
 
     gens = [parse_word("a^2", P11), parse_word("b", P11)]
     cert2 = separate_from_subgroup(P11, gens, parse_word("a", P11))
-    completed = completed_certificate(cert2).quotient
+    completed = separation._completed(cert2.quotient)
     assert completed.image(parse_word("a", P11))(0) != 0
     for g in gens:
         assert completed.image(g)(0) == 0
@@ -397,20 +400,6 @@ def action_graph(action):
     edges = frozenset((s, i, t) for i, g in enumerate(gens)
                       for s, t in zip(action.sources[g], action.targets[g]))
     return StallingsGraph(action.partition, action.degree, edges, True)
-
-
-def completed_certificate(cert):
-    """A partial-action certificate with each generator's pairs completed to
-    a permutation as Hall certificates were before they were partial: the
-    points without an image go, ascending, to the points that are no image."""
-    action = cert.quotient
-    images = {}
-    for g in action.partition.generators():
-        row = [None] * action.degree
-        for s, t in zip(action.sources[g], action.targets[g]):
-            row[s] = t
-        images[g] = complete_to_permutation(row)
-    return cert._replace(quotient=make_permutation_quotient(cert.partition, images))
 
 
 def test_separate_from_subgroup_random_round_trip():
@@ -511,37 +500,27 @@ def dict_rows(maps, number, rank):
     return [list(map(number.get, map(mp.get, order))) for mp in maps[:rank]]
 
 
-def complete_to_permutation(row):
-    """Pair the unmatched sources with the unmatched targets of a partial
-    injection in ascending vertex order."""
-    free = iter(sorted(set(range(len(row))).difference(row)))
-    return [x if x is not None else next(free) for x in row]
-
-
 def dict_pipeline(folding):
-    """The folded graph and completed images of a folding engine, read off
-    dict copies of its label lists by the dict-based clean-up."""
+    """The folded graph of a folding engine, read off dict copies of its
+    label lists by the dict-based clean-up."""
     partition = folding.partition
     maps = [{v: x for v, x in enumerate(mp) if x is not None} for mp in folding.maps]
     rows = dict_rows(maps, dict_numbering(maps, folding.find(0)), partition.rank)
     edges = frozenset((s, i, t) for i, row in enumerate(rows)
                       for s, t in enumerate(row) if t is not None)
-    images = {g: Permutation(complete_to_permutation(row))
-              for g, row in zip(partition.generators(), rows)}
-    return StallingsGraph(partition, len(rows[0]), edges, True), images
+    return StallingsGraph(partition, len(rows[0]), edges, True)
 
 
 def assert_canonical_pass_matches_dicts(partition, gens, w):
-    """The engine's graphs and a certificate's pairs (or, separated from
-    the identity, completed images) equal the dict-based clean-up's, before
-    and after the path of ``w`` is added; returns whether the path ended on
-    a fresh vertex, or None for a member."""
+    """The engine's graphs and a certificate's pairs equal the dict-based
+    clean-up's, before and after the path of ``w`` is added; returns whether
+    the path ended on a fresh vertex, or None for a member."""
     folding = separation._fold_loops(partition, gens)
-    graph, _ = dict_pipeline(folding)
+    graph = dict_pipeline(folding)
     assert build_stallings(partition, gens) == folding.graph() == graph
     laid = folding.num_vertices
     end = folding.add_word(separation._letter_runs(partition, w), closed=False)
-    graph, images = dict_pipeline(folding)
+    graph = dict_pipeline(folding)
     assert folding.graph() == graph
     separate = separate_from_identity if not gens else separate_from_subgroup
     args = (partition, w) if not gens else (partition, gens, w)
@@ -551,10 +530,7 @@ def assert_canonical_pass_matches_dicts(partition, gens, w):
         return None
     cert = separate(*args)
     assert cert.witness_kind == WITNESS_BASEPOINT
-    if gens:
-        assert action_graph(cert.quotient) == graph
-    else:
-        assert cert.quotient.images == images
+    assert action_graph(cert.quotient) == graph
     return end >= laid
 
 
@@ -630,8 +606,9 @@ def test_separation_folds_once(monkeypatch):
 
 def test_each_image_is_checked_once_where_it_enters(monkeypatch):
     # built maps are injective by construction and go unchecked; a file's
-    # pairs or images are checked once on load, a caller's images once in
-    # make_permutation_quotient, and the verifier runs its own check
+    # pairs are checked once on load and again by the verifier, a caller's
+    # images once in make_permutation_quotient; an abelian witness has no
+    # image to check
     checked = []
     check, check_partial = quotients._check_permutation, separation._check_partial
 
@@ -644,7 +621,6 @@ def test_each_image_is_checked_once_where_it_enters(monkeypatch):
         return check_partial(triples, degree, prefix)
 
     monkeypatch.setattr(quotients, "_check_permutation", counting_check)
-    monkeypatch.setattr(separation, "_check_permutation", counting_check)
     monkeypatch.setattr(separation, "_check_partial", counting_partial)
     letters = [P22.letter(g) for g in P22.generators()]
     gens = [parse_word("a^2 c", P22), parse_word("b d^-1 b", P22)]
@@ -656,15 +632,14 @@ def test_each_image_is_checked_once_where_it_enters(monkeypatch):
     assert verify_separation(loaded)
     assert checked == [("", letters)]
     checked.clear()
+    cert = separate_from_identity(P22, parse_word("a b c^2", P22))
+    assert cert.quotient.kind == "abelian"
+    assert verify_separation(separation_from_obj(separation_to_obj(cert)))
+    assert checked == []
     cert = separate_from_identity(P22, parse_word("a b a^-1 b^-1 c d c^-1 d^-1", P22))
-    assert cert.quotient.kind == "perm" and checked == []
-    loaded = separation_from_obj(separation_to_obj(cert))
-    assert checked == [f"certificate.quotient.images.{x}" for x in letters]
-    checked.clear()
-    assert verify_separation(loaded)
-    assert checked == [f"images[{x}]" for x in letters]
-    checked.clear()
-    make_permutation_quotient(P22, {g: list(p.mapping) for g, p in cert.quotient.images.items()})
+    completed = separation._completed(cert.quotient)
+    assert cert.quotient.kind == "partial" and checked == []
+    make_permutation_quotient(P22, {g: list(p.mapping) for g, p in completed.images.items()})
     assert checked == [f"images[{x}]" for x in letters]
 
 
@@ -685,7 +660,8 @@ def test_separate_from_identity_abelian_case():
 def test_separate_from_identity_commutator_case():
     w = parse_word("a b a^-1 b^-1", P11)
     cert = separate_from_identity(P11, w)
-    assert not cert.quotient.in_kernel(w)
+    assert (cert.quotient.kind, cert.witness_kind) == ("partial", WITNESS_BASEPOINT)
+    assert separation._completed(cert.quotient).image(w)(0) != 0
     assert verify_separation(cert)
 
 
@@ -708,7 +684,8 @@ def test_separation_random_words_round_trip():
         w = random_word(rng, partition)
         cert = separate_from_identity(partition, w)
         assert verify_separation(cert).ok
-        assert not cert.quotient.in_kernel(w)
+        q = cert.quotient
+        assert not (separation._completed(q) if q.kind == "partial" else q).in_kernel(w)
 
 
 # --- corruption and verification ----------------------------------------------------
@@ -755,6 +732,59 @@ def test_verify_separation_traces_the_basepoint_without_images(monkeypatch):
     assert verify_separation(fixed).reasons == ("excluded word fixes the basepoint",)
 
 
+def test_rounds_verify_without_reading_a_permutation_image(monkeypatch):
+    # every separation certificate of a `hall` round and every head of a
+    # `factorial` round, as loaded, verifies with no image composed and no
+    # permutation checked, and each is refused once its excluded word is
+    # the identity or joins the subgroup generators
+    cases, tracing = load("cases"), load("tracing")
+    certs = []
+    for workload in ("hall", "factorial"):
+        for op in cases.make_cases(workload, 1):
+            if isinstance(op, cases.RoundTrip) and op.verify[1] != "verify_ex1_witness":
+                cert = op.build(tracing.NullTracer())
+                for c in getattr(cert, "head_certificates", (cert,)):
+                    certs.append(separation_from_obj(json.loads(emit_certificate(c))))
+    kinds = {c.quotient.kind for c in certs}
+    assert len(certs) > 1000 and kinds == {"partial", "abelian"}
+
+    def refuse(*args):
+        raise AssertionError("verify_separation read a permutation image")
+
+    monkeypatch.setattr(quotients.FiniteQuotient, "image", refuse)
+    monkeypatch.setattr(quotients, "_check_permutation", refuse)
+    for c in certs:
+        result = verify_separation(c)
+        assert result.ok, result.reasons
+        assert not verify_separation(c._replace(excluded=identity())).ok
+        assert not verify_separation(c._replace(subgroup_gens=(*c.subgroup_gens, c.excluded))).ok
+
+
+def test_the_writer_emits_only_what_the_loader_accepts():
+    # every reduced word of length <= 4 over 1+1, and a product of two
+    # commutators over 2+2: each separation from the identity, and each head
+    # of a separation from S, carries its quotient kind's one witness,
+    # loads, verifies and emits the same bytes again
+    letters = [parse_word(x, P11) for x in ("a", "a^-1", "b", "b^-1")]
+    words = {reduce(run for x in spelled for run in x.runs)
+             for n in range(1, 5) for spelled in itertools.product(letters, repeat=n)}
+    words.discard(identity())
+    assert len(words) == 160
+    certs = [separate_from_identity(P11, w) for w in words]
+    certs.append(separate_from_identity(
+        P22, parse_word("a b a^-1 b^-1 c d c^-1 d^-1", P22)))
+    for w in words:
+        if w not in (parse_word("a", P11), parse_word("a^2", P11)):  # s_1 and s_2
+            certs += separate_from_S(w).head_certificates
+    assert {c.quotient.kind for c in certs} == {"partial", "abelian"}
+    for cert in certs:
+        assert WITNESS_OF[cert.quotient.kind] == cert.witness_kind
+        text = emit_certificate(cert)
+        loaded = separation_from_obj(json.loads(text))
+        assert verify_separation(loaded).ok
+        assert emit_certificate(loaded) == text
+
+
 # --- partial actions -----------------------------------------------------------------
 
 # SHA-256 of the joined texts of Hall certificates as written before they
@@ -782,17 +812,19 @@ def differential_inputs(count=100):
 
 
 def assert_completion_is_the_old_certificate(certs, digest):
-    """Each partial certificate verifies, and so does its completion as a
-    permutation certificate, whose texts hash to ``digest``: the partial
-    witness is the defined part of the completed one."""
+    """Each partial certificate verifies, and its completion is a quotient
+    in which each subgroup generator fixes point 0 while the excluded word
+    moves it; written as permutation certificates, the completions hash to
+    ``digest``: the partial witness is the defined part of the completed
+    one."""
     texts = []
     for cert in certs:
         assert cert.quotient.kind == "partial"
         assert verify_separation(cert).ok
-        completed = completed_certificate(cert)
-        result = verify_separation(completed)
-        assert result.ok, result.reasons
-        texts.append(emit_certificate(completed))
+        completed = separation._completed(cert.quotient)
+        assert [completed.image(g)(0) for g in cert.subgroup_gens] == [0] * len(cert.subgroup_gens)
+        assert completed.image(cert.excluded)(0) != 0
+        texts.append(emit_certificate(cert._replace(quotient=completed)))
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
 
 
@@ -882,6 +914,16 @@ def test_verify_rejects_partial_actions_without_an_edge_on_a_walk():
     ({"sources": {"a": [0, 1]}}, "quotient.sources.b: missing field"),
     ({"targets": {"a": [1, 0], "b": [0], "z": []}}, "quotient.targets.z: unknown field"),
     ({"witness_kind": "image-differs"}, "witness_kind: a partial action witnesses only"),
+    # other quotient kinds are refused by their kind field before they are read
+    ({"quotient": {"kind": "perm", "degree": 10 ** 12, "images": {"a": [], "b": []}}},
+     "quotient.kind: expected 'partial' or 'abelian', got 'perm'"),
+    ({"quotient": {"kind": "perm", "degree": 2, "images": {"a": [1, 0], "b": [0, 1]}}},
+     "quotient.kind: expected 'partial' or 'abelian', got 'perm'"),
+    ({"quotient": {"kind": "abelian", "modulus": 2}},
+     "witness_kind: an abelian quotient witnesses only 'image-differs', "
+     "got 'basepoint-moved'"),
+    ({"tail_head": "b a b^-1"},
+     "head_certificates[0].quotient.kind: expected 'partial' or 'abelian', got 'perm'"),
 ])
 def test_hostile_partial_files_are_refused_within_bounds(tmp_path, edit, message):
     # each file loads in a 512 MB address space and is refused as a schema
@@ -889,9 +931,20 @@ def test_hostile_partial_files_are_refused_within_bounds(tmp_path, edit, message
     text = emit_certificate(separate_from_subgroup(
         P11, [parse_word("a^2", P11), parse_word("b", P11)], parse_word("a", P11)))
     kind = edit.pop("witness_kind", None)
+    quotient = edit.pop("quotient", None)
+    target = edit.pop("tail_head", None)
     obj = edited_separation(text, **edit)
     if kind is not None:
         obj["witness_kind"] = kind
+    if quotient is not None:
+        obj["quotient"] = quotient
+    if target is not None:
+        # a tail whose commutator head is written as its completed
+        # permutations, as tails were before such heads were partial
+        tail = separate_from_S(parse_word(target, P11))
+        obj = ex1_tail_to_obj(tail)
+        obj["head_certificates"][0]["quotient"] = quotients.quotient_to_obj(
+            separation._completed(tail.head_certificates[0].quotient))
     path = tmp_path / "partial.json"
     path.write_text(canonical_json(obj))
     result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
@@ -900,24 +953,28 @@ def test_hostile_partial_files_are_refused_within_bounds(tmp_path, edit, message
     assert message in result.stderr and "Traceback" not in result.stderr
 
 
-def test_verify_rejects_non_bijective_table():
-    # _wrap skips validation, so the broken table keeps the bytes storage
-    # of any degree-2 permutation
-    broken = quotients._wrap(bytes((0, 0)))
-    bad_q = make_permutation_quotient(
-        P11, {A: Permutation((0, 1)), B11: Permutation((1, 0))})
-    object.__setattr__(bad_q, "images", {A: broken, B11: Permutation((1, 0))})
-    cert = SeparationCertificate(P11, bad_q, (parse_word("a", P11),),
-                                 parse_word("b", P11), WITNESS_BASEPOINT)
-    result = verify_separation(cert)
-    assert not result.ok
-    assert any("images[a]" in r for r in result.reasons)
+def test_verify_rejects_abelian_moduli_below_two():
+    # an image witness is read off the modulus alone, which must be an
+    # integer >= 2: anything else is a reason, not a crash
+    cert = separate_from_identity(P11, parse_word("a", P11))
+    images = cert.quotient.images
+    for modulus in (0, 1, True):
+        bad = cert._replace(quotient=quotients.FiniteQuotient(P11, images, modulus=modulus))
+        assert verify_separation(bad).reasons == (
+            f"modulus: expected an integer >= 2, got {modulus!r}",)
 
 
 def test_verify_rejects_unknown_witness_kind():
     cert = separate_from_identity(P11, parse_word("a", P11))
-    bad = SeparationCertificate(P11, cert.quotient, (), cert.excluded, "telepathy")
-    assert not verify_separation(bad).ok
+    wrong = ("an abelian quotient witnesses only 'image-differs'",)
+    for kind in ("telepathy", WITNESS_BASEPOINT):
+        assert verify_separation(cert._replace(witness_kind=kind)).reasons == wrong
+    # a permutation quotient witnesses nothing: its images are never read
+    swap = make_permutation_quotient(P11, {A: (1, 0), B11: (0, 1)})
+    for kind in (WITNESS_BASEPOINT, WITNESS_IMAGE):
+        bad = SeparationCertificate(P11, swap, (), cert.excluded, kind)
+        assert verify_separation(bad).reasons == (
+            "quotient kind 'perm': expected 'partial' or 'abelian'",)
 
 
 # --- serialization and DOT -----------------------------------------------------------
