@@ -17,7 +17,7 @@ fields; ``*_to_obj`` turns them into plain dicts and lists for JSON.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from functools import lru_cache
 from itertools import chain, count, repeat
 from typing import NamedTuple
 
@@ -373,23 +373,33 @@ def build_stallings(partition: FactorPartition, gens) -> StallingsGraph:
     return _fold_loops(partition, gens).graph()
 
 
+class _Edges(dict):
+    def __missing__(self, v):
+        return None  # a point off the pairs has no edge; the miss is not stored
+
+
 def _label_maps(pairs: list) -> list:
-    """Label maps sized by ``(sources, targets)`` per generator: map ``i``
-    reads generator ``i`` forward, ``rank + i`` backward, None off the pairs."""
-    return ([defaultdict(type(None), zip(s, t)) for s, t in pairs]
-            + [defaultdict(type(None), zip(t, s)) for s, t in pairs])
+    """Label maps of ``(sources, targets)`` per generator: map ``i`` reads
+    generator ``i`` forward, ``rank + i`` backward.  A generator's two maps
+    hold as many entries as its lists just when its pairs are an injection."""
+    return [_Edges(zip(s, t)) for s, t in pairs] + [_Edges(zip(t, s)) for s, t in pairs]
 
 
-def trace_word(graph: StallingsGraph, w: Word, start=0):
-    """Endpoint of reading ``w`` from ``start``, or None if it leaves the
-    graph.  The label maps are dicts, so a graph may name any vertices."""
-    if not graph.folded:
-        raise ValueError("tracing requires a folded graph")
+@lru_cache(maxsize=8)
+def _graph_maps(graph: StallingsGraph) -> list:
     pairs = [([], []) for _ in range(graph.partition.rank)]
     for s, i, t in graph.edges:
         pairs[i][0].append(s)
         pairs[i][1].append(t)
-    return _trace(_label_maps(pairs), _letter_runs(graph.partition, w), start)
+    return _label_maps(pairs)
+
+
+def trace_word(graph: StallingsGraph, w: Word, start=0):
+    """Endpoint of reading ``w`` from ``start``, or None if it leaves the
+    graph.  Its label maps, dicts built once per graph, let it name any vertices."""
+    if not graph.folded:
+        raise ValueError("tracing requires a folded graph")
+    return _trace(_graph_maps(graph), _letter_runs(graph.partition, w), start)
 
 
 def membership(graph: StallingsGraph, w: Word) -> bool:
@@ -448,10 +458,10 @@ def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCer
     return separate_from_subgroup(partition, [], w)
 
 
-def _check_partial(triples, degree: int, prefix: str = "") -> None:
-    """Refuse ``(letter, sources, targets)`` triples unless each is a partial
-    injection (two lists of one length, of ints >= 0, sources strictly
-    ascending, targets distinct) and ``degree`` is one past the largest point."""
+def _check_partial(triples, degree: int, prefix: str) -> None:
+    """Refuse a file's ``(letter, sources, targets)`` triples as it loads unless
+    each is a partial injection (two lists of one length, of ints >= 0, sources
+    strictly ascending, targets distinct) and ``degree`` is one past the largest point."""
     top = 0
     for x, sources, targets in triples:
         for name, points in (("sources", sources), ("targets", targets)):
@@ -479,7 +489,9 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
 
     No permutation image is read.  A basepoint witness walks each word from
     point 0 run by run along the partial action's pairs; a walk that leaves
-    them shows nothing.  An image witness reads exponent sums mod n.
+    them shows nothing.  The walks need each generator's pairs only to be a
+    partial injection, read off the label maps before any walk; the rest of a
+    file's schema is checked as it loads.  An image witness reads sums mod n.
     """
     reasons = []
     q = cert.quotient
@@ -492,12 +504,16 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
     elif cert.witness_kind != WITNESS_OF[q.kind]:
         reasons.append(_wrong_witness(q.kind))
     elif q.kind == PARTIAL:
-        letter_of = _generator_table(p.k_size, p.l_size).letter_of
-        try:  # past 26 generators, a generator is named by its repr
-            _check_partial([(letter_of.get(g, g), q.sources.get(g), q.targets.get(g))
-                            for g in gens], q.degree)
-        except SchemaError as exc:
-            reasons.append(str(exc))
+        letter_of, rank = _generator_table(p.k_size, p.l_size).letter_of, p.rank
+        maps = [None] * (2 * rank)
+        for i, g in enumerate(gens):
+            s, t, x = q.sources.get(g), q.targets.get(g), letter_of.get(g, g)  # repr past 26
+            try:
+                maps[i], maps[rank + i] = _label_maps([(s, t)])
+                if not len(maps[i]) == len(maps[rank + i]) == len(s) == len(t):
+                    reasons.append(f"sources.{x}, targets.{x}: not a partial injection")
+            except TypeError:
+                reasons.append(f"sources.{x}, targets.{x}: expected lists of hashable points")
     elif not isinstance(q.modulus, int) or q.modulus < 2:
         reasons.append(f"modulus: expected an integer >= 2, got {q.modulus!r}")
     if reasons:
@@ -506,7 +522,6 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
     if q.kind == PARTIAL:
         # sound because the pairs extend to a permutation action, whose
         # stabilizer of point 0 contains the subgroup but not the excluded word
-        maps = _label_maps([(q.sources[g], q.targets[g]) for g in gens])
         for i, gw in enumerate(cert.subgroup_gens):
             end = _trace(maps, _letter_runs(p, gw), 0)
             if end != 0:

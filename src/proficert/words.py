@@ -99,12 +99,12 @@ class _GeneratorTable(NamedTuple):
     position: dict         # generator -> its index in generators
     letter_of: dict        # generator -> its letter; empty past 26 generators
     word: re.Pattern       # a whole text of these letters, with exponents
-    tokens: dict           # 'a' -> (a, 1), 'a^-1' -> (a, -1); reads 'a^N' unstored
+    tokens: dict           # 'a' -> (a, 1), 'a^e' -> (a, e) for |e| <= 8; reads 'a^N' unstored
 
 
 class _Tokens(dict):
     def __missing__(self, token):
-        # one letter with an exponent other than -1; anything else is a KeyError
+        # one letter with an exponent the table does not store, else a KeyError
         m = _LETTER.fullmatch(token)
         if m is None or m[2] is None:
             raise KeyError(token)
@@ -121,8 +121,8 @@ def _generator_table(k_size: int, l_size: int) -> _GeneratorTable:
     last = _LOWERCASE[min(len(gens), 26) - 1]
     word = re.compile(rf"(?:\s*[a-{last}](?:\^-?[0-9]+)?)*\s*")
     by_letter = dict(zip(_LOWERCASE, gens))
-    tokens = _Tokens({ch: (g, 1) for ch, g in by_letter.items()})
-    tokens.update({ch + "^-1": (g, -1) for ch, g in by_letter.items()})
+    tokens = _Tokens({f"{ch}^{e}": (g, e) for ch, g in by_letter.items() for e in range(-8, 9)})
+    tokens.update({ch: (g, 1) for ch, g in by_letter.items()})
     return _GeneratorTable(gens, by_letter, {g: i for i, g in enumerate(gens)},
                            letter_of, word, tokens)
 

@@ -606,31 +606,47 @@ def test_separation_folds_once(monkeypatch):
 
 def test_each_image_is_checked_once_where_it_enters(monkeypatch):
     # built maps are injective by construction and go unchecked; a file's
-    # pairs are checked once on load and again by the verifier, a caller's
-    # images once in make_permutation_quotient; an abelian witness has no
-    # image to check
+    # pairs are checked once, on load, and the verifier reads injectivity
+    # off the label maps it walks without calling _check_partial; a caller's
+    # images are checked once in make_permutation_quotient; an abelian
+    # witness has no image to check
     checked = []
     check, check_partial = quotients._check_permutation, separation._check_partial
+    verify = separation.verify_separation
 
     def counting_check(values, degree, where):
         checked.append(where)
         return check(values, degree, where)
 
-    def counting_partial(triples, degree, prefix=""):
+    def counting_partial(triples, degree, prefix):
         checked.append((prefix, [x for x, _, _ in triples]))
         return check_partial(triples, degree, prefix)
 
+    def counting_verify(cert):
+        checked.append("verify")
+        return verify(cert)
+
     monkeypatch.setattr(quotients, "_check_permutation", counting_check)
     monkeypatch.setattr(separation, "_check_partial", counting_partial)
+    monkeypatch.setattr(separation, "verify_separation", counting_verify)
     letters = [P22.letter(g) for g in P22.generators()]
+    on_load = ("certificate.quotient.", letters)
     gens = [parse_word("a^2 c", P22), parse_word("b d^-1 b", P22)]
     cert = separate_from_subgroup(P22, gens, parse_word("a b c d", P22))
     assert checked == []
     loaded = separation_from_obj(separation_to_obj(cert))
-    assert checked == [("certificate.quotient.", letters)]
+    assert checked == [on_load]
     checked.clear()
     assert verify_separation(loaded)
-    assert checked == [("", letters)]
+    assert checked == []
+    # every separation of a seed-1 `hall` round: one check as it loads,
+    # none while it verifies
+    cases, tracing = load("cases"), load("tracing")
+    ops = cases.make_cases("hall", 1)
+    for op in ops:
+        assert op.run({}, tracing.NullTracer(), lambda: 0.0).verdict_ok, op.label
+    round_trips = sum(isinstance(op, cases.RoundTrip) for op in ops)
+    assert round_trips == 28 and checked == [on_load, "verify"] * round_trips
     checked.clear()
     cert = separate_from_identity(P22, parse_word("a b c^2", P22))
     assert cert.quotient.kind == "abelian"
@@ -898,6 +914,59 @@ def test_verify_rejects_partial_actions_without_an_edge_on_a_walk():
         assert f"{which} leaves the partial action" in reasons, reasons
         dropped += 1
     assert dropped > 30
+
+
+def test_verify_refuses_in_process_actions_that_are_not_partial_injections():
+    # the verifier checks no schema, only what its walks need: each
+    # generator's pairs a partial injection of hashable points; anything
+    # else is a reason, never an exception
+    cert = separate_from_subgroup(P11, [parse_word("a^2", P11), parse_word("b", P11)],
+                                  parse_word("a", P11))
+    action = cert.quotient  # a swaps 0 and 1, b fixes 0
+    not_injective = ("sources.a, targets.a: not a partial injection",)
+    not_points = ("sources.a, targets.a: expected lists of hashable points",)
+    edits = [
+        ((0, 0, 1), (1, 1, 0), not_injective),  # a repeated source, same target
+        ((0, 0, 1), (1, 2, 0), not_injective),  # a repeated source, another target
+        ((0, 1), (1, 1), not_injective),  # a repeated target
+        ((0, 1), (1,), not_injective),  # unequal lengths
+        ((0,), (1, 0), not_injective),
+        (None, (1, 0), not_points),  # a missing generator
+        ((0, 1), None, not_points),
+        ((0, [1]), (1, 0), not_points),  # an unhashable point
+        ((0, 1), ({1}, 0), not_points),
+    ]
+    for sources, targets, reasons in edits:
+        edited = action._replace(
+            sources={g: p for g, p in {**action.sources, A: sources}.items() if p is not None},
+            targets={g: p for g, p in {**action.targets, A: targets}.items() if p is not None})
+        assert verify_separation(cert._replace(quotient=edited)).reasons == reasons, edited
+    # the degree is checked where a file loads; the walks do not read it
+    assert verify_separation(cert._replace(quotient=action._replace(degree=10 ** 12)))
+
+
+def test_verify_refuses_actions_with_an_edge_redirected():
+    # one edge of random certificates redirected onto another target of the
+    # same generator: the generator's pairs are no longer a partial
+    # injection, and that is the one reason given
+    rng = random.Random(44)
+    redirected = 0
+    for partition, gens, w in differential_inputs(40):
+        cert = separate_from_subgroup(partition, gens, w)
+        action = cert.quotient
+        movable = [g for g in partition.generators() if len(action.targets[g]) > 1]
+        if not movable:
+            continue
+        g = rng.choice(movable)
+        i, j = rng.sample(range(len(action.targets[g])), 2)
+        targets = list(action.targets[g])
+        targets[i] = targets[j]
+        edited = action._replace(targets={**action.targets, g: tuple(targets)})
+        x = partition.letter(g)
+        assert verify_separation(cert._replace(quotient=edited)).reasons == (
+            f"sources.{x}, targets.{x}: not a partial injection",)
+        redirected += 1
+    assert redirected > 30
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -279,6 +279,27 @@ def test_parse_matches_the_token_loop():
     assert min(outcomes.values()) > 400, outcomes
 
 
+def test_token_table_matches_the_whole_text_path():
+    # every letter and exponent in -70..70 alone: the token path (stored
+    # tokens for |e| <= 8, the regex for the others) agrees with the
+    # whole-text path, which a juxtaposed "^0" run forces, and with the
+    # token loop; format_word writes the word back
+    for partition in (P11, P22, FactorPartition(13, 13)):
+        for x in "abcdefghijklmnopqrstuvwxyz"[:partition.rank]:
+            tokens = [f"{x}^{e}" for e in range(-70, 71)] + [x, f"{x}^-0", f"{x}^02", f"{x}^-08"]
+            for token in tokens:
+                w = parse_word(token, partition)
+                assert w == parse_word(f"{token}{x}^0", partition), token
+                assert w == token_loop_parse(token, partition), token
+                assert parse_word(format_word(w, partition), partition) == w, token
+            assert parse_word(f"{x}^0", partition) == identity()
+            assert parse_word(f"{x}^-08", partition) == parse_word(f"{x}^-8", partition)
+            # a sign other than "-" is refused, as by the token loop
+            got = parse_outcome(parse_word, f"{x}^+2", partition)
+            assert got == (WordSyntaxError, "cannot parse word at position 1: '^+2'")
+            assert got == parse_outcome(token_loop_parse, f"{x}^+2", partition)
+
+
 def letter_oracle_format(w, partition):
     """format_word as one ``partition.letter`` call per run."""
     parts = []
