@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Every engine in the library is reachable from here; outputs are canonical
-JSON (sorted keys, two-space indent, trailing newline), DOT graphs, or —
-for the word-level helpers — the word string itself.  Exit codes: 0 for
+JSON (sorted keys, no whitespace, trailing newline), DOT graphs, or — for
+the word-level helpers — the word string itself.  ``python -m json.tool
+--sort-keys --indent 2 FILE`` prints a JSON output for reading (the layout
+earlier versions wrote); files in that layout still load, since a loader
+takes any whitespace, and are written back compact.  Exit codes: 0 for
 success, 1 when a verification fails, 2 for usage or schema errors, 3 when
 a cap is exceeded.
 """
@@ -17,65 +20,11 @@ from . import example1, example2, quotients, separation, words
 from .errors import CapExceededError, SchemaError
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-# type -> its JSON text, for values written without recursion
-_LEAVES = {str: _encode_str, int: int.__repr__, type(None): lambda _: "null",
-           bool: lambda b: "true" if b else "false"}
-# the text of every int a point list holds at the degrees certificates reach
-_INT_TEXT = {i: str(i) for i in range(4096)}
-
-
 def canonical_json(obj) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``,
-    written in one recursive pass (with ``indent`` set, ``json.dumps``
-    runs its pure-Python encoder)."""
-    parts = []
-    _write_json(obj, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _write_json(x, newline, out):
-    """Append the JSON of ``x`` to ``out``; ``newline`` is a line break
-    plus the indent of the line ``x`` starts on.  A dict writes its leaf
-    values in its own loop and a list of ints in one join (from a text
-    table); floats, non-string keys and other types go to ``json.dumps``."""
-    t = type(x)
-    inner = newline + "  "
-    if t in _LEAVES:
-        out(_LEAVES[t](x))
-    elif (t is list or t is tuple) and not x:
-        out("[]")
-    elif t is list or t is tuple:
-        if set(map(type, x)) == {int}:
-            try:
-                body = ("," + inner).join(map(_INT_TEXT.__getitem__, x))
-            except KeyError:  # negative, or past the table
-                body = ("," + inner).join(map(int.__repr__, x))
-            out("[" + inner + body + newline + "]")
-            return
-        sep = "[" + inner
-        for v in x:
-            out(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out(newline + "]")
-    elif t is dict and not x:
-        out("{}")
-    elif t is dict and set(map(type, x)) == {str}:
-        sep = "{" + inner
-        for k in sorted(x):
-            v = x[k]
-            leaf = _LEAVES.get(type(v))
-            if leaf is None:
-                out(sep + _encode_str(k) + ": ")
-                _write_json(v, inner, out)
-            else:
-                out(sep + _encode_str(k) + ": " + leaf(v))
-            sep = "," + inner
-        out(newline + "}")
-    else:
-        out(json.dumps(x, sort_keys=True, indent=2).replace("\n", newline))
+    """Sorted keys, no whitespace, a trailing newline: the layout of RFC 8785
+    (JSON Canonicalization Scheme) with ``json``'s ASCII escapes and number
+    text, written by one call of the C encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def check_to_obj(result) -> dict:

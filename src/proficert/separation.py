@@ -490,8 +490,9 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
     No permutation image is read.  A basepoint witness walks each word from
     point 0 run by run along the partial action's pairs; a walk that leaves
     them shows nothing.  The walks need each generator's pairs only to be a
-    partial injection, read off the label maps before any walk; the rest of a
-    file's schema is checked as it loads.  An image witness reads sums mod n.
+    partial injection of ints (not bools), read off the label maps before
+    any walk; the rest of a file's schema is checked as it loads.  An image
+    witness reads sums mod n.
     """
     reasons = []
     q = cert.quotient
@@ -512,6 +513,8 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
                 maps[i], maps[rank + i] = _label_maps([(s, t)])
                 if not len(maps[i]) == len(maps[rank + i]) == len(s) == len(t):
                     reasons.append(f"sources.{x}, targets.{x}: not a partial injection")
+                elif not {*map(type, s), *map(type, t)} <= {int}:  # the walks compare with ==
+                    reasons.append(f"sources.{x}, targets.{x}: expected lists of int points")
             except TypeError:
                 reasons.append(f"sources.{x}, targets.{x}: expected lists of hashable points")
     elif not isinstance(q.modulus, int) or q.modulus < 2:

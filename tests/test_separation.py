@@ -1,11 +1,11 @@
 """Stallings graphs, folding, membership, and Hall separation certificates."""
 
-import hashlib
 import itertools
 import json
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -47,7 +47,7 @@ from proficert.words import (
 )
 
 from closure_oracle import letter_runs, letters_of, product_closure, runs_word
-from fixtures import adjoin_word_path
+from fixtures import adjoin_word_path, indented_digest
 from test_cli import run_process
 from test_perfbench import load
 
@@ -805,8 +805,8 @@ def test_the_writer_emits_only_what_the_loader_accepts():
 
 # SHA-256 of the joined texts of Hall certificates as written before they
 # were partial actions, when every generator's pairs were completed to a
-# permutation: each RoundTrip of a seed's `hall` benchmark round, and the
-# separations of differential_inputs().
+# permutation, and in the indented layout: each RoundTrip of a seed's
+# `hall` benchmark round, and the separations of differential_inputs().
 COMPLETED_HALL_DIGESTS = {
     1: "ab8f0150b8cfbc8c919bcfdba79e32c3b5320dc024f294c665a4fff23b8995c8",
     2: "e384b811873fc4b285995b485b3fda4347e1c9aac74955135bf07d7a284f4054",
@@ -841,7 +841,7 @@ def assert_completion_is_the_old_certificate(certs, digest):
         assert [completed.image(g)(0) for g in cert.subgroup_gens] == [0] * len(cert.subgroup_gens)
         assert completed.image(cert.excluded)(0) != 0
         texts.append(emit_certificate(cert._replace(quotient=completed)))
-    assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+    assert indented_digest(*texts) == digest
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -943,6 +943,44 @@ def test_verify_refuses_in_process_actions_that_are_not_partial_injections():
         assert verify_separation(cert._replace(quotient=edited)).reasons == reasons, edited
     # the degree is checked where a file loads; the walks do not read it
     assert verify_separation(cert._replace(quotient=action._replace(degree=10 ** 12)))
+
+
+class _EqualsAll:
+    """A hashable point that compares equal to anything."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = object.__hash__
+
+
+def partial_certificate(sources, targets, gens, excluded):
+    """An in-process Hall certificate on ``P11`` with the given pairs."""
+    action = separation.PartialAction(P11, 2, {A: sources[0], B11: sources[1]},
+                                      {A: targets[0], B11: targets[1]})
+    return SeparationCertificate(P11, action, tuple(parse_word(g, P11) for g in gens),
+                                 parse_word(excluded, P11), WITNESS_BASEPOINT)
+
+
+@pytest.mark.parametrize("point", [_EqualsAll(), True, 1.0, float("nan")])
+def test_verify_refuses_points_that_are_not_ints(point):
+    # a: 0 -> point, b: 0 -> 1 as a witness that b avoids <a>: a point that
+    # equals 0 would close a's walk, so any point not an int is a reason
+    cert = partial_certificate(((0,), (0,)), ((point,), (1,)), ["a"], "b")
+    assert verify_separation(cert).reasons == (
+        "sources.a, targets.a: expected lists of int points",)
+
+
+def test_verify_refuses_a_nan_cycle_at_once():
+    # a: 1 -> nan -> 1 and b: 0 -> nan; nan equals nothing, itself included,
+    # so a walk of a^(10^18) from nan would never see its cycle close
+    nan = float("nan")
+    cert = partial_certificate(((1, nan), (0,)), ((nan, 1), (nan,)), [], f"b a^{10 ** 18}")
+    started = time.perf_counter()
+    reasons = verify_separation(cert).reasons
+    assert time.perf_counter() - started < 0.1
+    assert reasons == ("sources.a, targets.a: expected lists of int points",
+                       "sources.b, targets.b: expected lists of int points")
 
 
 def test_verify_refuses_actions_with_an_edge_redirected():
