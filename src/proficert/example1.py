@@ -100,21 +100,34 @@ def s_element(j: int) -> Word:
     return reduce(((GEN_A, math.factorial(j)), (GEN_B, m_sequence(j))))
 
 
+# j -> (j!, m_j, lcm(1..j), s_j); the limit is read once, so a cap raised later keeps no more
+_TERMS, _TERMS_KEPT = {}, DEFAULT_HEAD_CAP
+
+
 def s_family(h: int):
     """Yield (j, s_j) for j = 1 .. h-1 in order, in one pass.
 
-    j! is a running product.  m_j moves only when j = p^e is a prime power,
-    where lcm(1..j) gains one factor p; m is then read afresh by the
-    odd-part rule of :func:`m0_residue`, as :func:`m_sequence` reads it.
+    The first :data:`DEFAULT_HEAD_CAP` terms (about 1 MB) are kept process-wide
+    as they are first read.  j! is a running product.  m_j moves only when
+    j = p^e is a prime power, where lcm(1..j) gains one factor p; m is then
+    read afresh by the odd-part rule of :func:`m0_residue`, as
+    :func:`m_sequence` reads it.
     """
-    fact, m, lcm = 1, 0, 1
+    terms, term = _TERMS, (1, 0, 1, None)
     for j in range(1, h):
-        fact *= j
-        p = j // math.gcd(j, lcm)  # p when j = p^e, else 1
-        if p > 1:
-            lcm *= p
-            m = m0_residue(lcm)
-        yield j, reduce(((GEN_A, fact), (GEN_B, m)))
+        if j in terms:
+            term = terms[j]
+        else:
+            fact, m, lcm, _ = term
+            fact *= j
+            p = j // math.gcd(j, lcm)  # p when j = p^e, else 1
+            if p > 1:
+                lcm *= p
+                m = m0_residue(lcm)
+            term = (fact, m, lcm, reduce(((GEN_A, fact), (GEN_B, m))))
+            if j <= _TERMS_KEPT:
+                terms[j] = term  # a term is a function of j: racing writes agree
+        yield j, term[3]
 
 
 def convergence_witness(q: FiniteQuotient) -> int:
@@ -170,12 +183,9 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
     abelian image misses the tail value; everything below the head bound
     J = max(modulus, head_margin) is separated word-by-word.
     """
-    length = word_length(w)
-    for j, s_j in s_family(length + 2):  # j! passes length by j = length + 1
-        if exponent_sum(s_j, GEN_A) > length:
-            break
-        if w == s_j:
-            raise ValueError(f"the target word equals s_{j} and lies in the family")
+    j = _family_index(w, word_length(w) + 2)  # j! passes the length by then
+    if j is not None:
+        raise ValueError(f"the target word equals s_{j} and lies in the family")
     ta = exponent_sum(w, GEN_A)
     tb = exponent_sum(w, GEN_B)
     if ta != 0:
@@ -196,6 +206,18 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
     return Ex1TailCertificate(w, n, head_bound, tuple(heads), composite)
 
 
+def _family_index(w: Word, h: int):
+    """The j < h with s_j = w, else None; as s_j has length at least j!,
+    the walk stops once j! passes the length of ``w``."""
+    length = word_length(w)
+    for j, s_j in s_family(h):
+        if s_j == w:
+            return j
+        if s_j.runs[0][1] > length:  # j!, the a-run's exponent
+            return None
+    return None
+
+
 def _check_head_cap(head_bound: int):
     if head_bound > DEFAULT_HEAD_CAP:
         # the refusal stays one short line however long the bound is
@@ -213,7 +235,8 @@ def _digit_count(n: int) -> int:
 
 
 def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
-    """Recheck a tail certificate from scratch using quotient primitives."""
+    """Recheck a tail certificate from scratch in one walk of :func:`s_family`:
+    head reasons come first, then the composite's, then the tail value's."""
     reasons = []
     w = cert.target_word
     n = cert.modulus
@@ -226,41 +249,41 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
         return CheckResult(False, tuple(reasons))
     if n > head_bound:
         reasons.append(f"modulus {n} exceeds head bound {head_bound}")
-    if len(cert.head_certificates) < head_bound - 2:
+    found = len(cert.head_certificates)
+    if found < head_bound - 2:
         # every s_j below the head bound but the target itself needs a head;
         # stopping here keeps the work below within the file's own size
-        reasons.append(f"expected at least {head_bound - 2} head certificates, "
-                       f"found {len(cert.head_certificates)}")
+        reasons.append(f"expected at least {head_bound - 2} head certificates, found {found}")
         return CheckResult(False, tuple(reasons))
     _check_head_cap(head_bound)  # as separate_from_S does, before any factorial
 
-    family = list(s_family(head_bound))
-    expected = [(j, s) for j, s in family if s != w]
-    if len(cert.head_certificates) != len(expected):
-        reasons.append(
-            f"expected {len(expected)} head certificates, found {len(cert.head_certificates)}")
-    else:
-        for (j, s), head in zip(expected, cert.head_certificates):
-            want = multiply(w, invert(s))
-            if head.excluded != want:
-                reasons.append(f"head {j}: excluded word is not target*s_{j}^-1")
-            sub = verify_separation(head)
-            if not sub:
-                reasons.extend(f"head {j}: {r}" for r in sub.reasons)
-
+    skip = _family_index(w, head_bound)  # the target's own index needs no head
+    expected = head_bound - 1 - (skip is not None)
+    if found != expected:
+        reasons.append(f"expected {expected} head certificates, found {found}")
+    heads = iter(cert.head_certificates) if found == expected else None
     # words whose runs agree modulo the orders of the composite's generator
     # images have one image (image() reduces each run so), so each such key
     # is imaged once: j! and m_j take few residue pairs below the head bound
     composite = cert.composite_quotient
     target = composite.image(w).mapping
-    orders = {g: composite.generator_image(g).order() for g in (GEN_A, GEN_B)}
+    orders = [composite._generator_steps(g)[0] for g in (GEN_A, GEN_B)]
     same = {}
-    for j, s in family:
-        key = tuple((g, e % orders[g]) for g, e in s.runs)
+    blind = []
+    for j, s in s_family(head_bound):
+        if heads is not None and j != skip:
+            head = next(heads)
+            if multiply(head.excluded, s) != w:  # excluded = w s_j^-1, with no inverse built
+                reasons.append(f"head {j}: excluded word is not target*s_{j}^-1")
+            sub = verify_separation(head)
+            if not sub:
+                reasons.extend(f"head {j}: {r}" for r in sub.reasons)
+        key = tuple([e % o for (_, e), o in zip(s.runs, orders)])  # a-run, then any b-run
         if key not in same:
             same[key] = composite.image(s).mapping == target
         if same[key]:
-            reasons.append(f"composite quotient cannot tell the target from s_{j}")
+            blind.append(f"composite quotient cannot tell the target from s_{j}")
+    reasons += blind
 
     # every s_j with j >= head_bound has this image once n <= head_bound
     # (checked above): n then divides lcm(1..head_bound), hence j!, and

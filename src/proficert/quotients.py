@@ -57,6 +57,41 @@ def _inverse(m):
     return tuple(sorted(range(n), key=m.__getitem__))
 
 
+def _wide_steps(m):
+    """:meth:`FiniteQuotient._generator_steps` of a raw mapping above the
+    split.  Its cycles are kept as ``(where, blocks)``: a block ``(length,
+    count, points)`` lays out the ``count`` cycles of one length position by
+    position, twice over, and ``where[x]`` is the index of x in the blocks'
+    first copies, one after another."""
+    seen = [False] * len(m)
+    lays, cycles = {1: []}, {}
+    for start, x in enumerate(m):
+        if x == start:
+            lays[1].append(x)
+        elif not seen[start]:
+            cycle = [start]
+            while x != start:
+                seen[x] = True
+                cycle.append(x)
+                x = m[x]
+            cycles.setdefault(len(cycle), []).append(cycle)
+    lays.update((n, [x for column in zip(*c) for x in column]) for n, c in cycles.items())
+    blocks = tuple((n, len(lay) // n, tuple(lay + lay)) for n, lay in lays.items())
+    cycles = (_inverse(sum(lays.values(), [])), blocks)
+    return math.lcm(*lays), m, _cycle_power(cycles, -1), cycles
+
+
+def _cycle_power(cycles, e: int):
+    """Raw m^e for any int e: a step along a block's cycles moves ``count``
+    places, so its images are one slice, gathered back into point order."""
+    where, blocks = cycles
+    images = []
+    for length, count, points in blocks:
+        shift = e % length * count
+        images += points[shift:shift + length * count]
+    return _compose_wide(where, images)
+
+
 def _times_power(acc, step, e: int, compose):
     """Raw ``acc * m^e`` for e >= 0, with m given lifted as ``step``."""
     while e:
@@ -201,7 +236,7 @@ class FiniteQuotient:
                                 else enumeration_cap)
         self._identity = Permutation.identity(degree).mapping
         self._compose = _composer(degree)
-        self._steps = {}  # generator -> (image order, lifted image, lifted inverse)
+        self._steps = {}  # generator -> (order, lifted image, lifted inverse, cycles or None)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteQuotient):
@@ -224,22 +259,26 @@ class FiniteQuotient:
         entry = self._steps.get(gen)
         if entry is None:
             p = self.images[gen]
-            entry = self._steps[gen] = (p.order(), _lift(p.mapping),
-                                        _lift(p.inverse().mapping))
+            entry = self._steps[gen] = (_wide_steps(p.mapping) if p.degree > 256 else (
+                p.order(), _lift(p.mapping), _lift(p.inverse().mapping), None))
         return entry
 
     # --- homomorphism -------------------------------------------------------
 
     def image(self, w: Word) -> Permutation:
-        """Image of a word.  Each run's exponent is reduced into
-        (-order/2, order/2] for the order of the generator's image, and a
-        negative run is raised from the image's inverse."""
+        """Image of a word.  Each run's exponent is reduced modulo the order
+        of the generator's image; above the split any power but the image and
+        its inverse is read off the cycles, else it is raised by squaring (from
+        the inverse when e > order/2)."""
         compose = self._compose
         acc = self._identity
         for g, e in w.runs:
-            order, step, inverse = self._generator_steps(g)
+            order, step, inverse, cycles = self._generator_steps(g)
             e %= order
-            if 2 * e > order:
+            if cycles is not None and 1 < e < order - 1:
+                power = _cycle_power(cycles, e)
+                acc = power if acc is self._identity else compose(acc, power)
+            elif 2 * e > order:
                 acc = _times_power(acc, inverse, order - e, compose)
             else:
                 acc = _times_power(acc, step, e, compose)
@@ -299,8 +338,8 @@ class FiniteQuotient:
         cut short once the raw mapping ``stop_at`` is reached."""
         gens = self.partition.generators()
         entries = [self._generator_steps(g) for g in gens]
-        moves = [(Word(((g, 1),)), step) for g, (_, step, _) in zip(gens, entries)]
-        moves += [(Word(((g, -1),)), inverse) for g, (_, _, inverse) in zip(gens, entries)]
+        moves = [(Word(((g, 1),)), step) for g, (_, step, _, _) in zip(gens, entries)]
+        moves += [(Word(((g, -1),)), inverse) for g, (_, _, inverse, _) in zip(gens, entries)]
         stop = None if stop_at is None else (lambda table, y: y == stop_at)
         table = self._search(moves, "image group enumeration", max_radius, stop)
         return {x: d for x, (d, _, _) in table.items()}

@@ -437,7 +437,11 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> Separat
 
 def abelian_image(partition: FactorPartition, w: Word, n: int) -> tuple:
     """``w``'s image in the abelianization mod ``n``: its exponent sums mod ``n``."""
-    return tuple(exponent_sum(w, g) % n for g in partition.generators())
+    sums = dict.fromkeys(_generator_table(partition.k_size, partition.l_size).generators, 0)
+    for g, e in w.runs:
+        if g in sums:
+            sums[g] += e
+    return tuple([t % n for t in sums.values()])
 
 
 def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCertificate:

@@ -104,11 +104,12 @@ class _GeneratorTable(NamedTuple):
 
 class _Tokens(dict):
     def __missing__(self, token):
-        # one letter with an exponent the table does not store, else a KeyError
-        m = _LETTER.fullmatch(token)
-        if m is None or m[2] is None:
+        # a letter with an exponent (ASCII digits, maybe a "-") not stored, else a KeyError
+        letter, caret, exp = token.partition("^")
+        digits = exp[1:] if exp[:1] == "-" else exp
+        if not (caret and digits.isascii() and digits.isdigit()):
             raise KeyError(token)
-        return self[m[1]][0], int(m[2])
+        return self[letter][0], int(exp)
 
 
 @lru_cache(maxsize=64)

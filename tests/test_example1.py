@@ -3,6 +3,8 @@
 import copy
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -187,6 +189,81 @@ def test_s_family_matches_s_element():
     assert list(s_family(1)) == []
 
 
+def family_term(j):
+    """The shared family's stored term for j, from the definitions."""
+    return math.factorial(j), m_sequence(j), math.lcm(*range(1, j + 1)), s_element(j)
+
+
+@pytest.mark.parametrize("order", ["long first", "short first", "interleaved", "abandoned"])
+def test_shared_family_reads_the_same_terms_in_any_order(monkeypatch, order):
+    monkeypatch.setattr(example1, "_TERMS", {})
+    oracle = [(j, s_element(j)) for j in range(1, 300)]
+    if order == "long first":
+        assert list(s_family(300)) == oracle
+        assert list(s_family(40)) == oracle[:39]
+    elif order == "short first":
+        assert list(s_family(40)) == oracle[:39]
+        assert list(s_family(300)) == oracle
+    elif order == "interleaved":
+        # one walk stores the terms the other then reads, and one that
+        # starts while the store ends at 50 extends it itself
+        ahead, behind = s_family(300), s_family(300)
+        got_ahead = [next(ahead) for _ in range(50)]
+        late = s_family(300)
+        got_late = [next(late) for _ in range(60)]
+        got_behind = []
+        for term in ahead:
+            got_ahead.append(term)
+            got_behind.append(next(behind))
+        assert (got_ahead, got_behind + list(behind), got_late + list(late)) == (oracle,) * 3
+    else:
+        walk = s_family(300)
+        assert [next(walk) for _ in range(77)] == oracle[:77]
+        del walk
+        assert len(example1._TERMS) == 77
+        assert list(s_family(300)) == oracle
+    assert example1._TERMS == {j: family_term(j) for j in range(1, 300)}
+
+
+def test_shared_family_under_threads(monkeypatch):
+    # walks in several threads, switching every microsecond, fill one store;
+    # each must read the definitions, and so must the store
+    monkeypatch.setattr(example1, "_TERMS", {})
+    oracle = [(j, s_element(j)) for j in range(1, 300)]
+    got = [None] * 6
+
+    def walk(i):
+        got[i] = list(s_family(300 - 40 * (i % 3)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [oracle[:299 - 40 * (i % 3)] for i in range(6)]
+    assert example1._TERMS == {j: family_term(j) for j in range(1, 300)}
+
+
+def test_shared_family_stores_at_most_the_head_cap(monkeypatch):
+    # the member check walks until j! passes the target's length, here
+    # past j = 1,400, and a head cap raised later stores no more either
+    monkeypatch.setattr(example1, "_TERMS", {})
+    with pytest.raises(CapExceededError, match="head family"):
+        separate_from_S(Word(((GEN_A, 10 ** 4000 - 1),)))
+    assert len(example1._TERMS) == DEFAULT_HEAD_CAP
+    monkeypatch.setattr(example1, "DEFAULT_HEAD_CAP", 4096)
+    *_, last = s_family(1300)
+    assert last == (1299, s_element(1299))
+    assert len(example1._TERMS) == DEFAULT_HEAD_CAP
+    assert example1._TERMS[DEFAULT_HEAD_CAP] == family_term(DEFAULT_HEAD_CAP)
+
+
 def test_tail_collapse_in_abelian_quotients():
     # past j = n both exponents of s_j stabilize mod n
     for n in range(2, 21):
@@ -359,6 +436,60 @@ def test_verify_ex1_detects_useless_composite():
     result = verify_ex1(bad)
     assert not result
     assert any("composite" in r for r in result.reasons)
+
+
+def _tampered_tail(tamper):
+    """The tail of a^3 b^-2 at head bound 8 (heads mod 3, then six mod 2)
+    with one named edit."""
+    cert = separate_from_S(word("a^3 b^-2"), head_margin=8)
+    heads = cert.head_certificates
+    blind = perm((1, 2, 0), (0, 1, 2))
+    edited = heads[4]._replace(excluded=word("a^3 b^-2 a^-1"))
+    edits = {
+        "dropped head": lambda: cert._replace(head_certificates=heads[:3] + heads[4:]),
+        "swapped heads": lambda: cert._replace(
+            head_certificates=heads[:2] + (heads[3], heads[2]) + heads[4:]),
+        "edited excluded": lambda: cert._replace(
+            head_certificates=heads[:4] + (edited,) + heads[5:]),
+        "head mod 4": lambda: cert._replace(head_certificates=(
+            heads[0], heads[1]._replace(quotient=abelian(4))) + heads[2:]),
+        "head mod 2": lambda: cert._replace(head_certificates=(
+            heads[0]._replace(quotient=abelian(2)),) + heads[1:]),
+        "blind composite": lambda: cert._replace(composite_quotient=blind),
+        "modulus above head bound": lambda: cert._replace(modulus=9),
+        "target s_3": lambda: cert._replace(target_word=s_element(3)),
+        "all at once": lambda: cert._replace(
+            head_certificates=heads[:4] + (edited,) + heads[5:],
+            composite_quotient=blind, modulus=9),
+    }
+    return edits[tamper]()
+
+
+def _blind(*js):
+    return tuple(f"composite quotient cannot tell the target from s_{j}" for j in js)
+
+
+# recorded before verify_ex1 checked its clauses in one walk of the family
+TAMPERED_TAIL_REASONS = {
+    "dropped head": ("expected 7 head certificates, found 6",),
+    "swapped heads": ("head 3: excluded word is not target*s_3^-1",
+                      "head 4: excluded word is not target*s_4^-1"),
+    "edited excluded": ("head 5: excluded word is not target*s_5^-1",
+                        "head 5: excluded word lies in the kernel"),
+    "head mod 4": (),  # mod 4 still separates that head
+    "head mod 2": ("head 1: excluded word lies in the kernel",),
+    "blind composite": _blind(3, 4, 5, 6, 7),
+    "modulus above head bound": ("modulus 9 exceeds head bound 8",),
+    "target s_3": ("expected 6 head certificates, found 7",) + _blind(3),
+    "all at once": ("modulus 9 exceeds head bound 8",
+                    "head 5: excluded word is not target*s_5^-1",
+                    "head 5: excluded word lies in the kernel") + _blind(3, 4, 5, 6, 7),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED_TAIL_REASONS)
+def test_verify_ex1_reasons_pinned_on_tampered_tails(tamper):
+    assert verify_ex1(_tampered_tail(tamper)).reasons == TAMPERED_TAIL_REASONS[tamper]
 
 
 def per_index_composite_reasons(cert):

@@ -759,6 +759,78 @@ def test_raw_image_matches_letter_application(degree):
                 assert q.in_kernel(w) == (x == Permutation.identity(q.degree))
 
 
+def clustered_cycles_perm(rng, degree):
+    """Random permutation with a third to a half of its points fixed and the
+    others in cycles of three lengths (the last cycle may be shorter)."""
+    lengths = rng.sample((2, 3, 4, 5, 6, 8, 12), 3)
+    points = rng.sample(range(degree), degree)
+    mapping = list(range(degree))
+    start = rng.randrange(degree // 3, degree // 2)
+    while start < degree:
+        cycle = points[start:start + rng.choice(lengths)]
+        for i, x in enumerate(cycle):
+            mapping[x] = cycle[(i + 1) % len(cycle)]
+        start += len(cycle)
+    return tuple(mapping)
+
+
+@pytest.mark.parametrize("degree", [257, 258, 300, 516, 1028, 1100])
+def test_wide_powers_from_cycles_match_repeated_composition(degree):
+    # above the split image() reads a power off the generator's cycles in
+    # one gather; every power of a period, made by composing one more copy
+    # at a time, is the oracle
+    rng = random.Random(f"wide-{degree}")
+    images = {g: clustered_cycles_perm(rng, degree) for g in P11.generators()}
+    q = make_permutation_quotient(P11, images)
+    big = (math.factorial(20), math.factorial(511))
+    powers, orders = {}, {}
+    for g, p in images.items():
+        period = [tuple(range(degree))]
+        while (x := compose_ref(period[-1], p)) != period[0]:
+            period.append(x)
+        powers[g], orders[g] = period, len(period)
+        order, step, inverse, _ = q._generator_steps(g)
+        assert (order, step, inverse) == (len(period), p, quotients._inverse(p))
+        for e in (0, 1, order, order - 1, order + 1) + big:
+            for signed in (e, -e):
+                assert q.image(Word(((g, signed),))).mapping == period[signed % order]
+    exponents = [1, 2, 3, 7, 23, 10 ** 30, *big]
+    for _ in range(40):
+        w = reduce([(rng.choice((A, B11)), rng.choice((1, -1)) * rng.choice(exponents))
+                    for _ in range(rng.randrange(2, 7))])
+        expected = tuple(range(degree))
+        for g, e in w.runs:
+            expected = compose_ref(expected, powers[g][e % orders[g]])
+        assert q.image(w).mapping == expected
+
+
+def test_wide_image_gathers_once_per_run(monkeypatch):
+    # squaring takes about 2 log2(order) tuple compositions a run; read off
+    # the cycles a power is one gather, and each run after the first adds a
+    # gather and one composition onto the runs before it
+    calls = []
+    original = quotients._compose_wide
+    monkeypatch.setattr(quotients, "_compose_wide",
+                        lambda x, m: calls.append(1) or original(x, m))
+    rng = random.Random("1028")
+    q = direct_product(make_abelian_quotient(P11, 257), make_abelian_quotient(P11, 2),
+                       make_permutation_quotient(P11, {g: clustered_cycles_perm(rng, 510)
+                                                       for g in P11.generators()}))
+    assert q.degree == 1028
+    f19, f20 = math.factorial(19), math.factorial(20)
+    for g, e in ((A, f20), (B11, -f19)):
+        order = q._generator_steps(g)[0]
+        assert 1 < e % order < order - 1
+    one, two = Word(((A, f20),)), Word(((A, f20), (B11, -f19)))
+    got = {}
+    for w in (one, two):
+        calls.clear()
+        got[w] = q.image(w)
+        assert len(calls) == 2 * len(w.runs) - 1  # a gather per run, a composition per join
+    a, b = q.images[A], q.images[B11]
+    assert got[one] == a ** f20 and got[two] == a ** f20 * b ** -f19
+
+
 def cycle_length(mapping, x):
     n, y = 1, mapping[x]
     while y != x:

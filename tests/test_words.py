@@ -22,6 +22,7 @@ from proficert.words import (
     reduce,
     syllables,
     word_length,
+    _generator_table,
 )
 
 P11 = FactorPartition(1, 1)
@@ -298,6 +299,20 @@ def test_token_table_matches_the_whole_text_path():
             got = parse_outcome(parse_word, f"{x}^+2", partition)
             assert got == (WordSyntaxError, "cannot parse word at position 1: '^+2'")
             assert got == parse_outcome(token_loop_parse, f"{x}^+2", partition)
+            # the token map refuses every token but a letter with an ASCII
+            # exponent, leaving the text to the whole-text path; a juxtaposed
+            # pair of letters is a word there, the others are refused
+            tokens = _generator_table(partition.k_size, partition.l_size).tokens
+            for token in (f"{x}^+2", f"{x}^\u0663", f"{x}^1_0", f"{x}^", f"{x}^-",
+                          f"{x}^2^3", f"^{x}", f"{x}^ 2", f"{x}{x}^2"):
+                with pytest.raises(KeyError):
+                    tokens[token]
+                got = parse_outcome(parse_word, token, partition)
+                assert got == parse_outcome(token_loop_parse, token, partition), token
+                assert isinstance(got, Word) == (token == f"{x}{x}^2"), token
+        with pytest.raises(KeyError):
+            _generator_table(1, 1).tokens["xy^2"]  # no such letter
+        assert parse_word("ab^2", P11) == parse_word("a b^2", P11)
 
 
 def letter_oracle_format(w, partition):
