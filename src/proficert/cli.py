@@ -266,9 +266,7 @@ def _cmd_separate(args) -> int:
 def _cmd_ex1_elem(args) -> int:
     # the head cap keeps j! and lcm(1..j) inside the digits CPython converts
     # to a string
-    if args.index > example1.DEFAULT_HEAD_CAP:
-        raise CapExceededError(example1.DEFAULT_HEAD_CAP, f"ex1-elem index {args.index}",
-                               "head cap")
+    example1.check_head_cap(args.index, "ex1-elem index")
     if args.kind == "m":
         sys.stdout.write(str(example1.m_sequence(args.index)) + "\n")
         return 0

@@ -173,11 +173,12 @@ class Ex2Params(NamedTuple):
 
 
 class Ex2Step(NamedTuple):
+    """Step n of a chain; its distance requirement is ``params.f_values[n - 1]``."""
+
     quotient: FiniteQuotient
     r: Word
     s: Word
     e: int
-    f_value: int
     k_index: int
 
 
@@ -268,7 +269,7 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
         s_n, e_n = make_s(r_n, quotient)
         recip += Fraction(1, index)
         assert recip < Fraction(1, 2)
-        built.append(Ex2Step(quotient, r_n, s_n, e_n, f_n, index))
+        built.append(Ex2Step(quotient, r_n, s_n, e_n, index))
         forbidden.append((quotient, r_n))
     # the cap of the source's factors, under which every K-index was computed
     params = Ex2Params(partition, steps, f_values, source.describe(),
@@ -328,6 +329,7 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     if len(cert.steps) != n_steps:
         clauses.append(Ex2Clause("params-structure", None, None, False,
                                  f"expected {n_steps} steps, found {len(cert.steps)}"))
+    if len(cert.steps) != n_steps or len(f_values) != n_steps:  # step m reads f_values[m - 1]
         return Ex2Report(tuple(clauses))
 
     foreign = [m for m, st in enumerate(cert.steps, 1) if st.quotient.partition != p]
@@ -352,8 +354,6 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
         indices.append(index)
         if st.k_index != index:
             problems.append(f"recorded K-index {st.k_index}, recomputed {index}")
-        if st.f_value != f_values[m - 1]:
-            problems.append(f"step f value {st.f_value} differs from params")
         clauses.append(Ex2Clause("step-structure", m, None, not problems,
                                  "; ".join(problems) or
                                  f"e = {st.e}, [K-image] = {index}"))
@@ -431,7 +431,10 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
 # --- witnesses ----------------------------------------------------------------
 
 def _step(cert: Ex2Certificate, n: int) -> Ex2Step:
-    """Step ``n`` (1-based) of the chain; ValueError for an index outside it."""
+    """Step ``n`` (1-based) of the chain; ValueError for an index outside it,
+    or when the chain's steps or f values do not number ``params.steps``."""
+    if not len(cert.steps) == len(cert.params.f_values) == cert.params.steps:
+        raise ValueError(f"the chain does not have {cert.params.steps} steps and f values")
     if not 1 <= n <= cert.params.steps:
         raise ValueError(f"step index must be in 1..{cert.params.steps}, got {n}")
     return cert.steps[n - 1]
@@ -466,10 +469,9 @@ def finite_intersection_witness(cert: Ex2Certificate, x: Word, n: int) -> Finite
                         if q.coset_equal(cert.steps[m - 1].s, x))
     length = word_length(x)
     distance = q.cayley_distance(x, max_radius=length)
-    records = tuple(
-        {"m": m, "f_value": cert.steps[m - 1].f_value,
-         "f_below_length": cert.steps[m - 1].f_value < length}
-        for m in sorted(members))
+    f = cert.params.f_values
+    records = tuple({"m": m, "f_value": f[m - 1], "f_below_length": f[m - 1] < length}
+                    for m in sorted(members))
     return FiniteIntersectionWitness(x, n, members, distance, length, records)
 
 
@@ -508,7 +510,6 @@ def ex2_to_obj(cert: Ex2Certificate) -> dict:
                 "r": format_word(st.r, p),
                 "s": format_word(st.s, p),
                 "e": st.e,
-                "f_value": st.f_value,
                 "k_index": st.k_index,
             }
             for st in cert.steps
@@ -553,7 +554,7 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
     check_point_budget(((raw.get("quotient"), partition.rank)
                         for raw in raw_steps if isinstance(raw, dict)), enumeration_cap)
     steps = []
-    step_keys = {"quotient", "r", "s", "e", "f_value", "k_index"}
+    step_keys = {"quotient", "r", "s", "e", "k_index"}
     for i, raw in enumerate(raw_steps):
         where = f"{path}.steps[{i}]"
         _check_keys(raw, step_keys, where)
@@ -562,9 +563,8 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
         r = _parse_word_field(raw["r"], partition, f"{where}.r")
         s = _parse_word_field(raw["s"], partition, f"{where}.s")
         e = _int_field(raw["e"], f"{where}.e", minimum=1)
-        f_value = _int_field(raw["f_value"], f"{where}.f_value", minimum=1)
         k_index = _int_field(raw["k_index"], f"{where}.k_index", minimum=1)
-        steps.append(Ex2Step(quotient, r, s, e, f_value, k_index))
+        steps.append(Ex2Step(quotient, r, s, e, k_index))
 
     raw_sum = obj["reciprocal_sum"]
     if not isinstance(raw_sum, str):
@@ -586,7 +586,7 @@ def ex2_ball_dot(cert: Ex2Certificate, n: int) -> str:
     step = _step(cert, n)
     q = step.quotient
     p = cert.params.partition
-    ball = q.ball(step.f_value + 1)
+    ball = q.ball(cert.params.f_values[n - 1] + 1)
     ids = {element: i for i, element in enumerate(ball)}
     target = q.image(step.r).mapping
     lines = ["digraph cayley_ball {", "  rankdir=LR;"]

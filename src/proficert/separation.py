@@ -44,10 +44,7 @@ from .words import (
 
 MAX_PATH_LETTERS = 10 ** 5
 
-WITNESS_BASEPOINT = "basepoint-moved"
-WITNESS_IMAGE = "image-differs"
 PARTIAL = "partial"
-WITNESS_OF = {PARTIAL: WITNESS_BASEPOINT, ABELIAN: WITNESS_IMAGE}  # quotient kind -> witness
 
 _MEMBER_MESSAGE = "the excluded word lies in the subgroup; nothing separates it"
 
@@ -102,17 +99,16 @@ def _completed(action: PartialAction) -> FiniteQuotient:
 class SeparationCertificate(NamedTuple):
     """A finite action witnessing that ``excluded`` avoids the subgroup.
 
-    A :class:`PartialAction` witnesses "basepoint-moved": walked from point
-    0, each subgroup generator returns there and the excluded word does not.
-    An abelian quotient mod n witnesses "image-differs": of these words only
-    the excluded one has an exponent sum nonzero mod n (:data:`WITNESS_OF`).
+    The quotient's kind names the witness.  A :class:`PartialAction` moves
+    the basepoint: walked from point 0, each subgroup generator returns
+    there and the excluded word does not.  An abelian quotient mod n tells
+    images apart: of these words only the excluded one has an exponent sum
+    nonzero mod n.  The words are read in the quotient's partition.
     """
 
-    partition: FactorPartition
     quotient: FiniteQuotient
     subgroup_gens: tuple
     excluded: Word
-    witness_kind: str
 
 
 def _check_letters(length: int) -> None:
@@ -432,7 +428,7 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> Separat
     targets = {g: tuple([x for x in row if x is not None])
                for g, row in zip(partition.generators(), rows)}
     action = PartialAction(partition, len(rows[0]), sources, targets)
-    return SeparationCertificate(partition, action, tuple(gens), w, WITNESS_BASEPOINT)
+    return SeparationCertificate(action, tuple(gens), w)
 
 
 def abelian_image(partition: FactorPartition, w: Word, n: int) -> tuple:
@@ -457,8 +453,7 @@ def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCer
     if any(sums):
         # a nonzero sum t is seen mod |t| + 1 at the latest
         n = next(n for n in count(2) if any(t % n for t in sums))
-        return SeparationCertificate(partition, make_abelian_quotient(partition, n), (), w,
-                                     WITNESS_IMAGE)
+        return SeparationCertificate(make_abelian_quotient(partition, n), (), w)
     return separate_from_subgroup(partition, [], w)
 
 
@@ -483,35 +478,24 @@ def _check_partial(triples, degree: int, prefix: str) -> None:
         raise SchemaError(f"{prefix}degree: expected {top + 1}, one past the largest point")
 
 
-def _wrong_witness(kind: str) -> str:
-    owner = "a partial action" if kind == PARTIAL else "an abelian quotient"
-    return f"{owner} witnesses only {WITNESS_OF[kind]!r}"
-
-
 def verify_separation(cert: SeparationCertificate) -> CheckResult:
-    """Recompute the witness from scratch; False carries the reasons.
+    """Recompute the witness the quotient's kind names; False carries the reasons.
 
-    No permutation image is read.  A basepoint witness walks each word from
-    point 0 run by run along the partial action's pairs; a walk that leaves
+    No permutation image is read.  A partial action is checked by walking
+    each word from point 0 run by run along its pairs; a walk that leaves
     them shows nothing.  The walks need each generator's pairs only to be a
     partial injection of ints (not bools), read off the label maps before
-    any walk; the rest of a file's schema is checked as it loads.  An image
-    witness reads sums mod n.
+    any walk; the rest of a file's schema is checked as it loads.  An
+    abelian quotient is checked on exponent sums mod n.  Any other kind
+    witnesses nothing.
     """
     reasons = []
     q = cert.quotient
-    p = cert.partition
-    if q.partition != p:
-        reasons.append("quotient partition differs from certificate partition")
-    gens = p.generators()
-    if q.kind not in WITNESS_OF:
-        reasons.append(f"quotient kind {q.kind!r}: expected 'partial' or 'abelian'")
-    elif cert.witness_kind != WITNESS_OF[q.kind]:
-        reasons.append(_wrong_witness(q.kind))
-    elif q.kind == PARTIAL:
+    p = q.partition
+    if q.kind == PARTIAL:
         letter_of, rank = _generator_table(p.k_size, p.l_size).letter_of, p.rank
         maps = [None] * (2 * rank)
-        for i, g in enumerate(gens):
+        for i, g in enumerate(p.generators()):
             s, t, x = q.sources.get(g), q.targets.get(g), letter_of.get(g, g)  # repr past 26
             try:
                 maps[i], maps[rank + i] = _label_maps([(s, t)])
@@ -521,6 +505,8 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
                     reasons.append(f"sources.{x}, targets.{x}: expected lists of int points")
             except TypeError:
                 reasons.append(f"sources.{x}, targets.{x}: expected lists of hashable points")
+    elif q.kind != ABELIAN:
+        reasons.append(f"quotient kind {q.kind!r}: expected 'partial' or 'abelian'")
     elif not isinstance(q.modulus, int) or q.modulus < 2:
         reasons.append(f"modulus: expected an integer >= 2, got {q.modulus!r}")
     if reasons:
@@ -587,15 +573,14 @@ def _partial_from_obj(obj, partition: FactorPartition, path: str) -> PartialActi
 
 
 def separation_to_obj(cert: SeparationCertificate) -> dict:
-    p = cert.partition
     q = cert.quotient
+    p = q.partition
     return {
         "type": "separation",
         "partition": partition_to_obj(p),
         "quotient": _partial_to_obj(q) if q.kind == PARTIAL else quotient_to_obj(q),
         "subgroup_gens": [format_word(w, p) for w in cert.subgroup_gens],
         "excluded": format_word(cert.excluded, p),
-        "witness_kind": cert.witness_kind,
     }
 
 
@@ -603,13 +588,13 @@ def separation_from_obj(obj, path="certificate", enumeration_cap=None,
                         partition=None) -> SeparationCertificate:
     """Parse a separation certificate.  A caller that has parsed the
     partition field already passes it as ``partition``."""
-    allowed = {"type", "partition", "quotient", "subgroup_gens", "excluded", "witness_kind"}
+    allowed = {"type", "partition", "quotient", "subgroup_gens", "excluded"}
     _check_keys(obj, allowed, path)
     if obj["type"] != "separation":
         raise SchemaError(f"{path}.type: expected 'separation', got {obj['type']!r}")
     raw, where = obj["quotient"], f"{path}.quotient"
     kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind not in tuple(WITNESS_OF):  # a tuple: the field may be unhashable
+    if kind not in (PARTIAL, ABELIAN):
         raise SchemaError(f"{where}.kind: expected 'partial' or 'abelian', got {kind!r}")
     if partition is None:
         partition = partition_from_obj(obj["partition"], f"{path}.partition")
@@ -621,10 +606,7 @@ def separation_from_obj(obj, path="certificate", enumeration_cap=None,
     gens = tuple(_parse_word_field(s, partition, f"{path}.subgroup_gens[{i}]")
                  for i, s in enumerate(raw_gens))
     excluded = _parse_word_field(obj["excluded"], partition, f"{path}.excluded")
-    witness = obj["witness_kind"]
-    if witness != WITNESS_OF[kind]:
-        raise SchemaError(f"{path}.witness_kind: {_wrong_witness(kind)}, got {witness!r}")
-    return SeparationCertificate(partition, quotient, gens, excluded, witness)
+    return SeparationCertificate(quotient, gens, excluded)
 
 
 def _parse_word_field(value, partition: FactorPartition, path: str) -> Word:

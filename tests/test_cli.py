@@ -250,8 +250,7 @@ def test_ex1_witness_and_verify(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["type"] == "ex1_not_closed"
     assert obj["k"] == 4
-    assert obj["s_element"] == "a^24 b^4"
-    assert obj["cofactor"] == "b^-4"
+    assert set(obj) == {"type", "partition", "quotient", "k"}
     path = tmp_path / "witness.json"
     path.write_text(out)
     code, out, _ = run(capsys, "ex1-verify", str(path))
@@ -369,6 +368,25 @@ def test_ex2_witness_errors(capsys, chain):
                        "--kind", "intersection")
     assert code == 2
     assert "--word" in err
+
+
+@pytest.mark.parametrize("params", [{"steps": 3}, {"f_values": [2]}])
+def test_chain_with_fewer_steps_or_f_values_than_params_steps(capsys, chain, params):
+    # a step reads its bound from params.f_values: with one f value for two
+    # steps ex2-verify indexed past the list, and with params.steps 3
+    # ex2-witness --step 3 indexed past the steps, each an IndexError
+    path, text = chain
+    obj = json.loads(text)
+    obj["params"].update(params)
+    path.write_text(canonical_json(obj))
+    code, out, _ = run(capsys, "ex2-verify", str(path))
+    assert code == 1
+    assert {c["clause"] for c in json.loads(out) if not c["pass"]} == {"params-structure"}
+    steps = obj["params"]["steps"]
+    for argv in (("--step", str(steps)), ("--step", "1", "--dot")):
+        code, out, err = run(capsys, "ex2-witness", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: the chain does not have {steps} steps and f values\n"
 
 
 # --- error handling ---------------------------------------------------------------
@@ -532,7 +550,7 @@ def test_ex1_verify_builds_each_large_head_quotient_within_bounds(capsys, tmp_pa
 def wide_separation_file(tmp_path, k_size, modulus):
     obj = {"type": "separation", "partition": {"k_size": k_size, "l_size": 1},
            "quotient": {"kind": "abelian", "modulus": modulus},
-           "subgroup_gens": [], "excluded": "a", "witness_kind": "image-differs"}
+           "subgroup_gens": [], "excluded": "a"}
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(obj))
     return path
@@ -569,7 +587,7 @@ def test_ex2_verify_refuses_a_symmetric_k_image(tmp_path):
     step = {"quotient": {"kind": "perm", "degree": 200, "images": {
                 "a": points[1:] + points[:1], "b": [1, 0] + points[2:],
                 "c": points, "d": points}},
-            "r": "a^3", "s": "a^3 c", "e": 1, "f_value": 2, "k_index": 1}
+            "r": "a^3", "s": "a^3 c", "e": 1, "k_index": 1}
     obj = {"type": "ex2", "params": {
                "partition": {"k_size": 2, "l_size": 2}, "steps": 1, "f_values": [2],
                "source": {"kind": "hand", "seed": 0}, "enumeration_cap": 10 ** 6,
@@ -726,7 +744,11 @@ def test_installed_console_script():
 # the K-index ratio instead of a witness word; each time only that clause's
 # details changed.  The two ``ex1-separate`` rows were recorded again when
 # the composite quotient came to take each distinct factor once; only its
-# ``composite_quotient`` field changed.  JSON outputs are compact now, and
+# ``composite_quotient`` field changed.  The ``separate``, ``ex1-separate``,
+# ``ex1-witness`` and ``ex2-construct`` rows were recorded again when
+# certificates stopped restating what their verifier derives: each equals
+# the earlier output with ``witness_kind``, ``s_element``, ``cofactor`` and
+# each step's ``f_value`` deleted.  JSON outputs are compact now, and
 # their digests are of the indented layout they were recorded in
 # (``indented_digest``); any other output is hashed as printed.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
@@ -764,9 +786,9 @@ PINNED = (
     (None, ("stallings", "--gen", "a^2", "--gen", "b a b^-1", "--dot"), 0,
      "37f8d1849154801adce21109480dc49abf9a9d8b285c2d2557828e2ce047c8c4", None),
     ("sep", ("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), 0,
-     "180e42f4d4319e4bbec7c34276ba4d6e80a4be97945d2bba08a2eb1ecaea8240", None),
+     "b496f685c4c34d0aa62c3a7099eee399d54d73db8a895368daf0275dd2895765", None),
     ("sep_id", ("separate", "--word", "a b a^-1 b^-1"), 0,
-     "848451ced8ae4471aaf04352ad8f4dd3fa14aa90762f75115a69a25d4c9c553a", None),
+     "3a9ad57661ff13941d4bb6e0485ea76725951fe18e3b7754b104bb037b117ca9", None),
     (None, ("ex1-elem", "5"), 0,
      "5c2f853beb8bccb625360d200db7c7cfcc76b709652f0de4f6bffba1eb8cfc9a", None),
     (None, ("ex1-elem", "4", "--kind", "a"), 0,
@@ -774,13 +796,13 @@ PINNED = (
     (None, ("ex1-elem", "5", "--kind", "m"), 0,
      "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", None),
     ("tail", ("ex1-separate", "--word", "b"), 0,
-     "f26406126dbd2d4eb59b854f9500bbafd65dfda0db55b9696e66f45c1d1e95d0", None),
+     "b00c7d760c2c9443bcf9a5a4fed153d7a0f7da884787319e7e899585c47c68da", None),
     (None, ("ex1-separate", "--word", "b a^-1", "--head-margin", "3"), 0,
-     "0a74ec720d78403c3f29ba7867fb91f46c9b5a5b03f6b1a5e83beb0f12e21916", None),
+     "693b37fc60ae1fd1ce9975af1170160c153c5221a4e19159fc6daed50ff41623", None),
     ("witness", ("ex1-witness", "--abelian", "4"), 0,
-     "9e51394876b37cb4d03e291c2b49f34c669c5bd20af6b888297972318d8076ae", None),
+     "96263c2c01bca907405e7439908633755ad7cd5da2976d9098fdd4856b95fe80", None),
     (None, ("ex1-witness", "--quotient", "{quotient}"), 0,
-     "07b8689b6930ec076bcd25747b3ef36cb945d5be930f57a275ddec427c6fb9a8", None),
+     "6c6ee2d8078d4756165ebef47b147a7136d13f902aeaaabfbad84902363ca364", None),
     (None, ("ex1-verify", "{sep}"), 0,
      "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80", None),
     (None, ("ex1-verify", "{sep_id}"), 0,
@@ -792,9 +814,9 @@ PINNED = (
     (None, ("ex1-verify", "{witness}"), 0,
      "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80", None),
     ("chain", ("ex2-construct",), 0,
-     "2eae17985ffbd3d1a987316875f1117775bb110ec33605a22680c928c4e7bc1f", None),
+     "bc7577ac5f92f3e32b3ad79349bd61fe7954fab5f35f53372dd4e46c5920d482", None),
     (None, ("ex2-construct", "--steps", "2", "--seed", "3", "--f", "2,4"), 0,
-     "004cbf9f81ef6eccff0f4989b189e3f3fe255699fa166bc1f450c27cb069e502", None),
+     "6ff16b7a086d2cf87d31d92b8c8e05a4393165cf722e6a3e2728bdeb27883ef5", None),
     (None, ("ex2-construct", "--steps", "2", "--cap", "50"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     (None, ("ex2-verify", "{chain}"), 0,
@@ -858,7 +880,7 @@ def test_output_bytes_pinned(capsys, tmp_path):
 
 
 def _tamper_witness(obj):
-    obj["cofactor"] = "b"
+    obj["k"] -= 1  # the order of image(a) no longer divides k!
 
 
 def _tamper_separation(obj):
@@ -891,3 +913,76 @@ def test_indented_files_still_load_and_verify(capsys, tmp_path, kind):
     tamper(obj)
     old.write_text(indented(canonical_json(obj)))
     assert run(capsys, verify, str(old))[0] == 1
+
+
+# --- files that still carry a field this version no longer writes --------------------
+
+# As earlier versions wrote them: a separation named its witness kind (which
+# its quotient's kind names), a not-closed witness echoed s_k and b^(-m_k)
+# (which k names), and each chain step echoed its f value (which
+# params.f_values holds).
+OLD_SEPARATION = (
+    '{"excluded":"a","partition":{"k_size":1,"l_size":1},"quotient":{"degree":2,'
+    '"kind":"partial","sources":{"a":[0,1],"b":[0]},"targets":{"a":[1,0],"b":[0]}},'
+    '"subgroup_gens":["a^2","b"],"type":"separation","witness_kind":"basepoint-moved"}\n')
+OLD_ABELIAN_SEPARATION = (
+    '{"excluded":"a","partition":{"k_size":1,"l_size":1},'
+    '"quotient":{"kind":"abelian","modulus":2},"subgroup_gens":[],"type":"separation",'
+    '"witness_kind":"image-differs"}\n')
+OLD_TAIL = (
+    '{"composite_quotient":{"degree":4,"images":{"a":[1,0,2,3],"b":[0,1,3,2]},"kind":"perm"},'
+    '"head_bound":"2","head_certificates":[{"excluded":"b a^-1","partition":{"k_size":1,'
+    '"l_size":1},"quotient":{"kind":"abelian","modulus":2},"subgroup_gens":[],'
+    '"type":"separation","witness_kind":"image-differs"}],"modulus":"2",'
+    '"partition":{"k_size":1,"l_size":1},"target_word":"b","type":"ex1_tail"}\n')
+OLD_WITNESS = (
+    '{"cofactor":"b^-4","k":4,"partition":{"k_size":1,"l_size":1},'
+    '"quotient":{"kind":"abelian","modulus":4},"s_element":"a^24 b^4","type":"ex1_not_closed"}\n')
+OLD_CHAIN = (
+    '{"params":{"enumeration_cap":1000000,"f_values":[2],"max_source_draws":96,'
+    '"partition":{"k_size":2,"l_size":2},"source":{"kind":"mixed","seed":0},"steps":1},'
+    '"reciprocal_sum":"1/16","steps":[{"e":6,"f_value":2,"k_index":16,"quotient":'
+    '{"degree":16,"images":{"a":[7,0,1,2,3,4,5,6,9,8,10,11,12,13,14,15],'
+    '"b":[4,5,6,7,0,1,2,3,8,9,11,10,12,13,14,15],'
+    '"c":[7,6,1,5,3,4,2,0,8,9,10,11,13,12,14,15],'
+    '"d":[2,0,3,7,6,1,4,5,8,9,10,11,12,13,15,14]},"kind":"perm"},'
+    '"r":"a^3","s":"a^3 c^6"}],"type":"ex2"}\n')
+
+
+# name: (command that writes it now, its verify command, the file as written
+# before, and the path of each restated field in the order the loader meets them)
+RESTATED = {
+    "separation": (("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), "ex1-verify",
+                   OLD_SEPARATION, [("certificate", "witness_kind")]),
+    "abelian separation": (("separate", "--word", "a"), "ex1-verify", OLD_ABELIAN_SEPARATION,
+                           [("certificate", "witness_kind")]),
+    "tail head": (("ex1-separate", "--word", "b"), "ex1-verify", OLD_TAIL,
+                  [("certificate", "head_certificates", 0, "witness_kind")]),
+    "witness": (("ex1-witness", "--abelian", "4"), "ex1-verify", OLD_WITNESS,
+                [("witness", "cofactor"), ("witness", "s_element")]),
+    "chain step": (("ex2-construct", "--steps", "1"), "ex2-verify", OLD_CHAIN,
+                   [("certificate", "steps", 0, "f_value")]),
+}
+
+
+@pytest.mark.parametrize("name", list(RESTATED))
+def test_files_with_a_restated_field_are_refused(capsys, tmp_path, name):
+    # each restated field is refused by its path; with every one deleted the
+    # old file is what this version writes, byte for byte, and it verifies
+    build, verify, text, fields = RESTATED[name]
+    path = tmp_path / "old.json"
+    obj = json.loads(text)
+    for root, *keys in fields:
+        path.write_text(canonical_json(obj))
+        result = run_process(sys.executable, "-m", "proficert", verify, str(path), timeout=5)
+        where = root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {where}: unknown field\n"
+        parent = obj
+        for k in keys[:-1]:
+            parent = parent[k]
+        del parent[keys[-1]]
+    code, now, _ = run(capsys, *build)
+    assert (code, canonical_json(obj)) == (0, now)
+    path.write_text(now)
+    assert run(capsys, verify, str(path))[0] == 0

@@ -44,6 +44,7 @@ from proficert.quotients import (
 from proficert.words import Word, identity, multiply, parse_word
 
 from fixtures import indented_digest, trivial_quotient
+from test_acceptance import quotient_family
 
 
 def abelian(n):
@@ -532,20 +533,26 @@ def test_grouped_composite_clause_matches_per_index_loop(target, head_bound):
 # --- not-closed witnesses -------------------------------------------------------------
 
 
-def test_not_closed_witness_examples():
-    w = not_closed_witness(trivial_quotient(EX1_PARTITION))
-    assert (w.k, w.s_word, w.cofactor) == (1, WORD_A, identity())
+def kernel_element(k):
+    """s_k b^(-m_k), the element a not-closed witness at k names."""
+    m_k = m_sequence(k)
+    return multiply(s_element(k), Word(((GEN_B, -m_k),)) if m_k else identity())
 
-    w = not_closed_witness(perm((1, 2, 0), (0, 1, 2)))
-    assert w.k == 3
-    assert w.s_word == word("a^6 b^4")
-    assert w.cofactor == word("b^-4")
+
+def test_not_closed_witness_examples():
+    assert not_closed_witness(trivial_quotient(EX1_PARTITION)) == (
+        trivial_quotient(EX1_PARTITION), 1)
+    assert kernel_element(1) == WORD_A
+    assert not_closed_witness(perm((1, 2, 0), (0, 1, 2))).k == 3
+    assert s_element(3) == word("a^6 b^4") and kernel_element(3) == word("a^6")
 
     w = not_closed_witness(abelian(4))
     assert w.k == 4
-    assert w.s_word == word("a^24 b^4")
-    assert w.cofactor == word("b^-4")
+    assert s_element(4) == word("a^24 b^4") and kernel_element(4) == word("a^24")
     assert verify_ex1_witness(w)
+    assert ex1_witness_to_obj(w) == {
+        "type": "ex1_not_closed", "partition": {"k_size": 1, "l_size": 1},
+        "quotient": {"kind": "abelian", "modulus": 4}, "k": 4}
 
 
 def test_not_closed_witness_product_in_kernel():
@@ -553,26 +560,46 @@ def test_not_closed_witness_product_in_kernel():
     for _ in range(15):
         q = abelian(rng.randrange(2, 25))
         w = not_closed_witness(q)
-        assert q.in_kernel(multiply(w.s_word, w.cofactor))
+        assert q.in_kernel(kernel_element(w.k))
         result = verify_ex1_witness(w)
         assert result, result.reasons
 
 
 def test_verify_ex1_witness_detects_corruption():
     w = not_closed_witness(abelian(4))
-
-    bad = w._replace(k=5)
-    assert not verify_ex1_witness(bad)
-
-    bad = w._replace(cofactor=identity())
-    result = verify_ex1_witness(bad)
-    assert not result
-    assert any("cofactor" in r for r in result.reasons)
+    reason = ("k! is not divisible by the order 4 of image(a)",)
+    assert verify_ex1_witness(w._replace(k=3)).reasons == reason
+    # any k past the order names a kernel element too
+    assert verify_ex1_witness(w._replace(k=5))
 
     bad = w._replace(quotient=abelian(5))
-    result = verify_ex1_witness(bad)
-    assert not result
-    assert any("not divisible" in r or "kernel" in r for r in result.reasons)
+    assert verify_ex1_witness(bad).reasons == (
+        "k! is not divisible by the order 5 of image(a)",)
+
+
+def test_verify_ex1_witness_refuses_a_huge_k_by_its_digit_count():
+    # the refusal formatted k with str(), which raises ValueError past
+    # 4,300 digits instead of the head cap's refusal
+    w = not_closed_witness(abelian(4))
+    with pytest.raises(CapExceededError) as refused:
+        verify_ex1_witness(w._replace(k=10 ** 5000))
+    assert str(refused.value) == (
+        "head cap 1024 exceeded (s_k and m_k for k = with 5,001 digits)")
+    with pytest.raises(CapExceededError, match=r"\(s_k and m_k for k = 1025\)$"):
+        verify_ex1_witness(w._replace(k=DEFAULT_HEAD_CAP + 1))
+
+
+def test_witness_clause_is_the_kernel_clause():
+    # the one clause, that the order of image(a) divides k!, against the
+    # kernel clause it replaced: s_k b^(-m_k) lies in the kernel
+    family = [abelian(n) for n in range(2, 13)] + quotient_family(50, seed=2024)
+    checked = 0
+    for q in family:
+        for k in range(1, q.element_order(WORD_A) + 1):
+            assert verify_ex1_witness(Ex1NotClosedWitness(q, k)).ok == (
+                q.in_kernel(kernel_element(k))), (q, k)
+            checked += 1
+    assert checked > 1000
 
 
 def test_witness_divisibility_clause_matches_factorial():
@@ -581,9 +608,7 @@ def test_witness_divisibility_clause_matches_factorial():
     for n in range(1, 61):
         q = perm(tuple(range(1, n)) + (0,), tuple(range(n)))
         for k in range(1, 13):
-            m_k = m_sequence(k)
-            cofactor = Word(((GEN_B, -m_k),)) if m_k else identity()
-            result = verify_ex1_witness(Ex1NotClosedWitness(q, k, s_element(k), cofactor))
+            result = verify_ex1_witness(Ex1NotClosedWitness(q, k))
             named = any(r.startswith("k! is not divisible") for r in result.reasons)
             assert named == (math.factorial(k) % n != 0), (n, k)
 
@@ -606,11 +631,12 @@ def test_tail_certificate_round_trip():
 def test_tail_certificate_bytes_pinned():
     # the composite is mod 64 times the heads' one quotient mod 2, 132
     # points stored as bytes; the test below covers storage past 256 points.
-    # Digests here were recorded in the indented layout (indented_digest)
+    # Digests here were recorded in the indented layout (indented_digest),
+    # and again when heads stopped naming their witness kind
     cert = separate_from_S(word("b^33"))
     assert cert.composite_quotient.degree == 132
     assert indented_digest(emit_certificate(cert)) == (
-        "36e73beccf229ed9a5531568c7e187f77484f7db23f63d5b8a88a1dfb783c96c")
+        "c9e8a4793e0e1fe4f521e5bbe9408b9160d967cc01ef0fe9f49b49d0c43ef0a9")
 
 
 def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
@@ -622,7 +648,7 @@ def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
     assert (cert.head_bound, cert.composite_quotient.degree) == (512, 1028)
     text = emit_certificate(cert)
     assert indented_digest(text) == (
-        "02d767b9810176b145eeba1523bcf61adecf4c08ffdfe73f505123c731e01079")
+        "3fb527616243e47bcdd73bd5b9a1fb1842776777e012d996f1bc6263dde73253")
     path = tmp_path / "tail.json"
     path.write_text(text)
     assert main(["ex1-verify", str(path)]) == 0
@@ -638,7 +664,7 @@ def test_commutator_heads_are_partial_and_the_composite_keeps_its_bytes():
     cert = separate_from_S(word("b a b^-1"))
     head = cert.head_certificates[0]
     assert head.excluded == word("b a b^-1 a^-1")
-    assert (head.quotient.kind, head.witness_kind) == ("partial", "basepoint-moved")
+    assert head.quotient.kind == "partial"
     assert verify_ex1(cert).ok
     composite = canonical_json(ex1_tail_to_obj(cert)["composite_quotient"])
     assert indented_digest(composite) == (
@@ -744,6 +770,6 @@ def test_witness_schema_rejections():
         ex1_witness_from_obj(dict(obj, k=0))
 
     missing = dict(obj)
-    del missing["cofactor"]
-    with pytest.raises(SchemaError, match="cofactor"):
+    del missing["k"]
+    with pytest.raises(SchemaError, match=r"^witness\.k: missing field$"):
         ex1_witness_from_obj(missing)

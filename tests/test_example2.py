@@ -216,9 +216,9 @@ def test_construct_default_run(default_cert):
     assert indices == sorted(indices) and len(set(indices)) == 4
     assert indices[0] > 2 * 2 * (2 * 2 - 1) ** (2 - 1)   # step-1 bound at f(1)=2
     assert cert.reciprocal_sum < Fraction(1, 2)
-    for st in cert.steps:
+    for st, f in zip(cert.steps, cert.params.f_values):
         assert all(g.factor == K for g, _ in st.r.runs)
-        assert st.quotient.cayley_distance(st.r, max_radius=st.f_value) is None
+        assert st.quotient.cayley_distance(st.r, max_radius=f) is None
         assert st.quotient.coset_equal(st.s, st.r)
 
 
@@ -262,10 +262,10 @@ def test_counting_soundness_invariant(default_cert):
     # the K-image never meets the f-ball in more points than the free-group
     # sphere count allows, so "outside the ball" can never be vacuous
     kk = default_cert.params.partition.k_size
-    for st in default_cert.steps:
+    for st, f in zip(default_cert.steps, default_cert.params.f_values):
         image = set(generated_image_table(st.quotient, k_words(P22)))
-        ball = set(st.quotient.ball(st.f_value))
-        bound = 2 * kk * (2 * kk - 1) ** (st.f_value - 1) + 1
+        ball = set(st.quotient.ball(f))
+        bound = 2 * kk * (2 * kk - 1) ** (f - 1) + 1
         assert len(image & ball) <= bound
 
 
@@ -435,9 +435,9 @@ def flat_k_chain():
     r1 = choose_r(q1, k_words(P22), [], 1)
     r2 = choose_r(q2, k_words(P22), [(q1, r1)], 2)
     steps = []
-    for q, r, f in ((q1, r1, 1), (q2, r2, 2)):
+    for q, r in ((q1, r1), (q2, r2)):
         s, e = make_s(r, q)
-        steps.append(Ex2Step(q, r, s, e, f, 24))
+        steps.append(Ex2Step(q, r, s, e, 24))
     params = Ex2Params(P22, 2, (1, 2), {"kind": "hand", "seed": 0}, 10 ** 6, 1)
     return Ex2Certificate(params, tuple(steps), Fraction(1, 12))
 
@@ -480,7 +480,6 @@ def test_hostile_chain_fails_without_a_kernel_scan():
     step7 = json.loads(json.dumps(obj["steps"][5]))
     images = step7["quotient"]["images"]
     images["c"], images["d"] = images["d"], images["c"]
-    step7["f_value"] = 8
     obj["steps"].append(step7)
     obj["params"]["steps"] = 7
     obj["params"]["f_values"].append(8)
@@ -500,11 +499,12 @@ def test_chain_past_f6_constructs_and_verifies():
     cert = construct_ex2(steps=4, f=(2, 4, 7, 9))
     report = verify_ex2(cert)
     assert report.ok, report.failures()
-    assert [st.f_value for st in cert.steps] == [2, 4, 7, 9]
+    assert cert.params.f_values == (2, 4, 7, 9)
 
 
 def certificate_digest(cert):
-    # recorded in the indented layout certificates were written in then
+    # recorded in the indented layout certificates were written in then, and
+    # again when steps stopped echoing their f value
     return indented_digest(emit_certificate(cert))
 
 
@@ -517,7 +517,7 @@ def test_seven_step_default_chain_pinned():
     assert time.perf_counter() - started < 1
     assert [st.k_index for st in cert.steps][-2:] == [176_400, 529_200]
     assert certificate_digest(cert) == (
-        "206b04a06c9612380f21e7a554e6b19dafd2d933b48599738a4613ac28031687")
+        "c46c8d6dcdcccd4c8fe2ec0f5c4a66a705e299faa94c00d9436b38fd2976a968")
 
 
 def test_ten_step_default_chain_constructs_and_verifies():
@@ -530,7 +530,7 @@ def test_ten_step_default_chain_constructs_and_verifies():
     assert report.ok, report.failures()
     assert [st.k_index for st in cert.steps][7:] == [64_033_200, 192_099_600, 32_464_832_400]
     assert certificate_digest(cert) == (
-        "cdd87640cc0ae041d6286fa555f9e302b943958fd6720a05e6611c9a01bad63e")
+        "6200ae469305294d265531d33545d2ee09fe800eacd75f69ba7e8d617f2024e2")
 
 
 def symmetric_k_factor(degree):
@@ -607,8 +607,6 @@ def test_huge_f_is_rejected_quickly(default_cert):
     obj = ex2_to_obj(default_cert)
     f_values = [10 ** 8 + i for i in range(4)]
     obj["params"]["f_values"] = f_values
-    for st, f in zip(obj["steps"], f_values):
-        st["f_value"] = f
     started = time.perf_counter()
     report = verify_ex2(ex2_from_obj(obj))
     assert time.perf_counter() - started < 2
@@ -669,7 +667,7 @@ def test_round_trip(default_cert):
 def test_default_certificate_bytes_pinned(default_cert):
     # any change to the permutation kernel must leave certificate bytes alone
     assert certificate_digest(default_cert) == (
-        "2eae17985ffbd3d1a987316875f1117775bb110ec33605a22680c928c4e7bc1f")
+        "bc7577ac5f92f3e32b3ad79349bd61fe7954fab5f35f53372dd4e46c5920d482")
 
 
 def test_loading_is_not_verification(default_cert):

@@ -43,9 +43,9 @@ def test_benchmark_binds_to_the_package():
 # that alters certificate bytes on purpose re-pins these and names the old
 # and new values in CHANGES.md.
 ROUND_DIGESTS = {
-    "chain": "6d70130dad3f91dfa0c1921abe5984d90708a42134663503c721fed45f685bea",
-    "factorial": "607e2e4d8a36dfe23a792b2bd4dfa985b26b80fa757470526319a4770cfdcf43",
-    "hall": "33ef7c33fc7288d62645a73b1eca154eb914e26d0656db8700f180fad046f003",
+    "chain": "0b9e9b4e4518849f78ea43273e3090ecc9a07847a3c7f74bbba5ac50fcf90967",
+    "factorial": "0ac33cbfb9d8bea454399cd239fc1c3aec3ef48d1d26d83a0972d920d0b108ca",
+    "hall": "35aa1f0fa90e601853aa51dbec0e72825a32e8b5e28b617885dad1c9c6afa12d",
 }
 
 

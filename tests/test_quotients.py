@@ -28,7 +28,6 @@ from proficert.quotients import (
     table_word,
 )
 from proficert.separation import (
-    WITNESS_BASEPOINT,
     PartialAction,
     SeparationCertificate,
     separate_from_identity,
@@ -872,7 +871,7 @@ def test_basepoint_walk_matches_the_image(degree):
         image = q.image(w).mapping
         runs = separation._letter_runs(P22, w)
         assert [separation._trace(maps, runs, x) for x in range(q.degree)] == list(image), w
-        cert = SeparationCertificate(P22, action, (), w, WITNESS_BASEPOINT)
+        cert = SeparationCertificate(action, (), w)
         assert verify_separation(cert).ok == (image[0] != 0), w
 
 

@@ -17,9 +17,6 @@ from proficert.quotients import make_permutation_quotient
 from proficert.separation import (
     SeparationCertificate,
     StallingsGraph,
-    WITNESS_BASEPOINT,
-    WITNESS_IMAGE,
-    WITNESS_OF,
     build_stallings,
     fold,
     graph_to_dot,
@@ -421,7 +418,7 @@ def test_separate_from_subgroup_random_round_trip():
         if membership(graph, w):
             continue
         cert = separate_from_subgroup(partition, gens, w)
-        assert cert.witness_kind == WITNESS_BASEPOINT
+        assert cert.quotient.kind == "partial"
         result = verify_separation(cert)
         assert result.ok, result.reasons
         assert action_graph(cert.quotient) == fold(adjoin_word_path(graph, w))
@@ -529,7 +526,7 @@ def assert_canonical_pass_matches_dicts(partition, gens, w):
             separate(*args)
         return None
     cert = separate(*args)
-    assert cert.witness_kind == WITNESS_BASEPOINT
+    assert cert.quotient.kind == "partial"
     assert action_graph(cert.quotient) == graph
     return end >= laid
 
@@ -667,7 +664,6 @@ def test_separate_member_raises():
 
 def test_separate_from_identity_abelian_case():
     cert = separate_from_identity(P11, parse_word("a", P11))
-    assert cert.witness_kind == WITNESS_IMAGE
     assert cert.quotient.kind == "abelian"
     assert cert.quotient.modulus == 2
     assert verify_separation(cert)
@@ -676,7 +672,7 @@ def test_separate_from_identity_abelian_case():
 def test_separate_from_identity_commutator_case():
     w = parse_word("a b a^-1 b^-1", P11)
     cert = separate_from_identity(P11, w)
-    assert (cert.quotient.kind, cert.witness_kind) == ("partial", WITNESS_BASEPOINT)
+    assert cert.quotient.kind == "partial"
     assert separation._completed(cert.quotient).image(w)(0) != 0
     assert verify_separation(cert)
 
@@ -709,8 +705,7 @@ def test_separation_random_words_round_trip():
 def test_verify_rejects_excluded_in_subgroup():
     gens = [parse_word("a", P11)]
     cert = separate_from_subgroup(P11, gens, parse_word("b", P11))
-    bad = SeparationCertificate(P11, cert.quotient, cert.subgroup_gens,
-                                parse_word("a", P11), cert.witness_kind)
+    bad = SeparationCertificate(cert.quotient, cert.subgroup_gens, parse_word("a", P11))
     result = verify_separation(bad)
     assert not result.ok
     assert any("basepoint" in r for r in result.reasons)
@@ -739,12 +734,11 @@ def test_verify_separation_traces_the_basepoint_without_images(monkeypatch):
     for c in certs:
         result = verify_separation(c)
         assert result.ok, result.reasons
-    moved = SeparationCertificate(P11, cert.quotient,
+    moved = SeparationCertificate(cert.quotient,
                                   cert.subgroup_gens + (multiply(big, cert.excluded),),
-                                  cert.excluded, WITNESS_BASEPOINT)
+                                  cert.excluded)
     assert verify_separation(moved).reasons == ("subgroup generator 2 moves the basepoint",)
-    fixed = SeparationCertificate(P11, cert.quotient, cert.subgroup_gens,
-                                  multiply(big, gens[1]), WITNESS_BASEPOINT)
+    fixed = SeparationCertificate(cert.quotient, cert.subgroup_gens, multiply(big, gens[1]))
     assert verify_separation(fixed).reasons == ("excluded word fixes the basepoint",)
 
 
@@ -779,8 +773,7 @@ def test_rounds_verify_without_reading_a_permutation_image(monkeypatch):
 def test_the_writer_emits_only_what_the_loader_accepts():
     # every reduced word of length <= 4 over 1+1, and a product of two
     # commutators over 2+2: each separation from the identity, and each head
-    # of a separation from S, carries its quotient kind's one witness,
-    # loads, verifies and emits the same bytes again
+    # of a separation from S, loads, verifies and emits the same bytes again
     letters = [parse_word(x, P11) for x in ("a", "a^-1", "b", "b^-1")]
     words = {reduce(run for x in spelled for run in x.runs)
              for n in range(1, 5) for spelled in itertools.product(letters, repeat=n)}
@@ -794,7 +787,6 @@ def test_the_writer_emits_only_what_the_loader_accepts():
             certs += separate_from_S(w).head_certificates
     assert {c.quotient.kind for c in certs} == {"partial", "abelian"}
     for cert in certs:
-        assert WITNESS_OF[cert.quotient.kind] == cert.witness_kind
         text = emit_certificate(cert)
         loaded = separation_from_obj(json.loads(text))
         assert verify_separation(loaded).ok
@@ -805,8 +797,9 @@ def test_the_writer_emits_only_what_the_loader_accepts():
 
 # SHA-256 of the joined texts of Hall certificates as written before they
 # were partial actions, when every generator's pairs were completed to a
-# permutation, and in the indented layout: each RoundTrip of a seed's
-# `hall` benchmark round, and the separations of differential_inputs().
+# permutation and a certificate also named its witness kind, and in the
+# indented layout: each RoundTrip of a seed's `hall` benchmark round, and
+# the separations of differential_inputs().
 COMPLETED_HALL_DIGESTS = {
     1: "ab8f0150b8cfbc8c919bcfdba79e32c3b5320dc024f294c665a4fff23b8995c8",
     2: "e384b811873fc4b285995b485b3fda4347e1c9aac74955135bf07d7a284f4054",
@@ -830,9 +823,9 @@ def differential_inputs(count=100):
 def assert_completion_is_the_old_certificate(certs, digest):
     """Each partial certificate verifies, and its completion is a quotient
     in which each subgroup generator fixes point 0 while the excluded word
-    moves it; written as permutation certificates, the completions hash to
-    ``digest``: the partial witness is the defined part of the completed
-    one."""
+    moves it; written as permutation certificates with the witness kind
+    they named then, the completions hash to ``digest``: the partial
+    witness is the defined part of the completed one."""
     texts = []
     for cert in certs:
         assert cert.quotient.kind == "partial"
@@ -840,7 +833,8 @@ def assert_completion_is_the_old_certificate(certs, digest):
         completed = separation._completed(cert.quotient)
         assert [completed.image(g)(0) for g in cert.subgroup_gens] == [0] * len(cert.subgroup_gens)
         assert completed.image(cert.excluded)(0) != 0
-        texts.append(emit_certificate(cert._replace(quotient=completed)))
+        obj = separation_to_obj(cert._replace(quotient=completed))
+        texts.append(canonical_json({**obj, "witness_kind": "basepoint-moved"}))
     assert indented_digest(*texts) == digest
 
 
@@ -886,10 +880,6 @@ def test_verify_rejects_tampered_partial_actions():
     for edit, reasons in edits:
         cert = separation_from_obj(edited_separation(text, **edit))
         assert verify_separation(cert).reasons == tuple(reasons)
-    # a partial action is no quotient whose kernel an image witness reads
-    cert = separation_from_obj(json.loads(text))._replace(witness_kind=WITNESS_IMAGE)
-    assert verify_separation(cert).reasons == (
-        "a partial action witnesses only 'basepoint-moved'",)
 
 
 def test_verify_rejects_partial_actions_without_an_edge_on_a_walk():
@@ -958,8 +948,8 @@ def partial_certificate(sources, targets, gens, excluded):
     """An in-process Hall certificate on ``P11`` with the given pairs."""
     action = separation.PartialAction(P11, 2, {A: sources[0], B11: sources[1]},
                                       {A: targets[0], B11: targets[1]})
-    return SeparationCertificate(P11, action, tuple(parse_word(g, P11) for g in gens),
-                                 parse_word(excluded, P11), WITNESS_BASEPOINT)
+    return SeparationCertificate(action, tuple(parse_word(g, P11) for g in gens),
+                                 parse_word(excluded, P11))
 
 
 @pytest.mark.parametrize("point", [_EqualsAll(), True, 1.0, float("nan")])
@@ -1020,15 +1010,14 @@ def test_verify_refuses_actions_with_an_edge_redirected():
     ({"targets": {"a": [1], "b": [0]}}, "quotient.targets.a: expected 2 points"),
     ({"sources": {"a": [0, 1]}}, "quotient.sources.b: missing field"),
     ({"targets": {"a": [1, 0], "b": [0], "z": []}}, "quotient.targets.z: unknown field"),
-    ({"witness_kind": "image-differs"}, "witness_kind: a partial action witnesses only"),
+    ({"witness_kind": "basepoint-moved"}, "certificate.witness_kind: unknown field"),
     # other quotient kinds are refused by their kind field before they are read
     ({"quotient": {"kind": "perm", "degree": 10 ** 12, "images": {"a": [], "b": []}}},
      "quotient.kind: expected 'partial' or 'abelian', got 'perm'"),
     ({"quotient": {"kind": "perm", "degree": 2, "images": {"a": [1, 0], "b": [0, 1]}}},
      "quotient.kind: expected 'partial' or 'abelian', got 'perm'"),
-    ({"quotient": {"kind": "abelian", "modulus": 2}},
-     "witness_kind: an abelian quotient witnesses only 'image-differs', "
-     "got 'basepoint-moved'"),
+    ({"quotient": {"kind": "abelian", "modulus": 2}, "witness_kind": "image-differs"},
+     "certificate.witness_kind: unknown field"),
     ({"tail_head": "b a b^-1"},
      "head_certificates[0].quotient.kind: expected 'partial' or 'abelian', got 'perm'"),
 ])
@@ -1072,16 +1061,12 @@ def test_verify_rejects_abelian_moduli_below_two():
 
 
 def test_verify_rejects_unknown_witness_kind():
+    # the quotient's kind names the witness: a permutation quotient names
+    # none, and its images are never read
     cert = separate_from_identity(P11, parse_word("a", P11))
-    wrong = ("an abelian quotient witnesses only 'image-differs'",)
-    for kind in ("telepathy", WITNESS_BASEPOINT):
-        assert verify_separation(cert._replace(witness_kind=kind)).reasons == wrong
-    # a permutation quotient witnesses nothing: its images are never read
     swap = make_permutation_quotient(P11, {A: (1, 0), B11: (0, 1)})
-    for kind in (WITNESS_BASEPOINT, WITNESS_IMAGE):
-        bad = SeparationCertificate(P11, swap, (), cert.excluded, kind)
-        assert verify_separation(bad).reasons == (
-            "quotient kind 'perm': expected 'partial' or 'abelian'",)
+    assert verify_separation(cert._replace(quotient=swap)).reasons == (
+        "quotient kind 'perm': expected 'partial' or 'abelian'",)
 
 
 # --- serialization and DOT -----------------------------------------------------------
