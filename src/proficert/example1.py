@@ -33,14 +33,15 @@ from .quotients import (
 from .separation import (
     PARTIAL,
     CheckResult,
+    SeparationCertificate,
     _completed,
     abelian_image,
     partition_from_obj,
     partition_to_obj,
     separate_from_identity,
-    separation_from_obj,
-    separation_to_obj,
     verify_separation,
+    witness_quotient_from_obj,
+    witness_quotient_to_obj,
     _parse_word_field,
 )
 from .words import (
@@ -150,10 +151,10 @@ class Ex1TailCertificate(NamedTuple):
     """Separates a target word from the whole family S at once.
 
     The abelian quotient mod ``modulus`` tells the target apart from every
-    s_j with j >= head_bound (the tail, where j! and m_j have collapsed mod
-    n); the head certificates handle the finitely many earlier s_j, and
-    ``composite_quotient`` is the direct product of the distinct quotients
-    among all of the above.
+    s_j with j >= head_bound (the tail, where j! and m_j have collapsed mod n).
+    Each head separates w s_j^-1 from the identity for one earlier s_j, in the
+    tail's partition and with no subgroup generators.  ``composite_quotient``
+    is the direct product of the distinct quotients among all of the above.
     """
 
     target_word: Word
@@ -320,18 +321,24 @@ def verify_ex1_witness(witness: Ex1NotClosedWitness) -> CheckResult:
 
 def ex1_tail_to_obj(cert: Ex1TailCertificate) -> dict:
     p = EX1_PARTITION
+    if any(h.subgroup_gens for h in cert.head_certificates):
+        raise ValueError("a head separates from the identity: it has no subgroup generators")
     return {
         "type": "ex1_tail",
         "partition": partition_to_obj(p),
         "target_word": format_word(cert.target_word, p),
         "modulus": str(cert.modulus),
         "head_bound": str(cert.head_bound),
-        "head_certificates": [separation_to_obj(h) for h in cert.head_certificates],
+        "head_certificates": [{"quotient": witness_quotient_to_obj(h.quotient),
+                               "excluded": format_word(h.excluded, p)}
+                              for h in cert.head_certificates],
         "composite_quotient": quotient_to_obj(cert.composite_quotient),
     }
 
 
 def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailCertificate:
+    """Parse a tail certificate.  Each head is ``quotient`` and ``excluded``,
+    read in the tail's partition, and loads as a separation from the identity."""
     allowed = {"type", "partition", "target_word", "modulus", "head_bound",
                "head_certificates", "composite_quotient"}
     _check_keys(obj, allowed, path)
@@ -346,27 +353,19 @@ def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailC
     raw_heads = obj["head_certificates"]
     if not isinstance(raw_heads, list):
         raise SchemaError(f"{path}.head_certificates: expected a list")
-    partitions = [_declared_partition(h) for h in raw_heads]
     check_point_budget([(obj["composite_quotient"], partition.rank)]
-                       + [(h.get("quotient"), p.rank)
-                          for h, p in zip(raw_heads, partitions) if p], enumeration_cap)
-    heads = tuple(
-        separation_from_obj(h, f"{path}.head_certificates[{i}]", enumeration_cap, p)
-        for i, (h, p) in enumerate(zip(raw_heads, partitions)))
+                       + [(h.get("quotient"), partition.rank)
+                          for h in raw_heads if isinstance(h, dict)], enumeration_cap)
+    heads = []
+    for i, h in enumerate(raw_heads):
+        at = f"{path}.head_certificates[{i}]"
+        _check_keys(h, {"quotient", "excluded"}, at)
+        heads.append(SeparationCertificate(
+            witness_quotient_from_obj(h["quotient"], partition, f"{at}.quotient", enumeration_cap),
+            (), _parse_word_field(h["excluded"], partition, f"{at}.excluded")))
     composite = quotient_from_obj(obj["composite_quotient"], partition,
                                   f"{path}.composite_quotient", enumeration_cap=enumeration_cap)
-    return Ex1TailCertificate(target, modulus, head_bound, heads, composite)
-
-
-def _declared_partition(head):
-    """A head's parsed partition field; None when it has none that parses,
-    which parsing the head then rejects."""
-    if isinstance(head, dict):
-        try:
-            return partition_from_obj(head.get("partition"))
-        except SchemaError:
-            pass
-    return None
+    return Ex1TailCertificate(target, modulus, head_bound, tuple(heads), composite)
 
 
 def ex1_witness_to_obj(witness: Ex1NotClosedWitness) -> dict:

@@ -551,16 +551,24 @@ def partition_from_obj(obj, path="partition") -> FactorPartition:
     return FactorPartition(obj["k_size"], obj["l_size"])
 
 
-def _partial_to_obj(action: PartialAction) -> dict:
-    letters = {g: action.partition.letter(g) for g in action.partition.generators()}
-    return {"kind": PARTIAL, "degree": action.degree,
-            "sources": {x: list(action.sources[g]) for g, x in letters.items()},
-            "targets": {x: list(action.targets[g]) for g, x in letters.items()}}
+def witness_quotient_to_obj(q) -> dict:
+    """A separating quotient as written: abelian as ``quotient_to_obj`` writes it, or partial."""
+    if q.kind != PARTIAL:
+        return quotient_to_obj(q)
+    letters = {g: q.partition.letter(g) for g in q.partition.generators()}
+    return {"kind": PARTIAL, "degree": q.degree,
+            "sources": {x: list(q.sources[g]) for g, x in letters.items()},
+            "targets": {x: list(q.targets[g]) for g, x in letters.items()}}
 
 
-def _partial_from_obj(obj, partition: FactorPartition, path: str) -> PartialAction:
-    """Parse a partial action, checking its pairs once, here; nothing is
-    sized by the declared degree before the pairs bear it out."""
+def witness_quotient_from_obj(obj, partition: FactorPartition, path: str, enumeration_cap=None):
+    """Parse a separating quotient in ``partition``; other kinds are refused unread.  A partial
+    action's pairs are checked once, here: nothing is sized by a degree they do not bear out."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == ABELIAN:
+        return quotient_from_obj(obj, partition, path, enumeration_cap=enumeration_cap)
+    if kind != PARTIAL:
+        raise SchemaError(f"{path}.kind: expected 'partial' or 'abelian', got {kind!r}")
     _check_keys(obj, {"kind", "degree", "sources", "targets"}, path)
     degree = _int_field(obj["degree"], f"{path}.degree", minimum=1)
     letters = {partition.letter(g): g for g in partition.generators()}
@@ -573,33 +581,25 @@ def _partial_from_obj(obj, partition: FactorPartition, path: str) -> PartialActi
 
 
 def separation_to_obj(cert: SeparationCertificate) -> dict:
-    q = cert.quotient
-    p = q.partition
+    p = cert.quotient.partition
     return {
         "type": "separation",
         "partition": partition_to_obj(p),
-        "quotient": _partial_to_obj(q) if q.kind == PARTIAL else quotient_to_obj(q),
+        "quotient": witness_quotient_to_obj(cert.quotient),
         "subgroup_gens": [format_word(w, p) for w in cert.subgroup_gens],
         "excluded": format_word(cert.excluded, p),
     }
 
 
-def separation_from_obj(obj, path="certificate", enumeration_cap=None,
-                        partition=None) -> SeparationCertificate:
-    """Parse a separation certificate.  A caller that has parsed the
-    partition field already passes it as ``partition``."""
+def separation_from_obj(obj, path="certificate", enumeration_cap=None) -> SeparationCertificate:
+    """Parse a separation certificate; its quotient and words are read in its ``partition``."""
     allowed = {"type", "partition", "quotient", "subgroup_gens", "excluded"}
     _check_keys(obj, allowed, path)
     if obj["type"] != "separation":
         raise SchemaError(f"{path}.type: expected 'separation', got {obj['type']!r}")
-    raw, where = obj["quotient"], f"{path}.quotient"
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind not in (PARTIAL, ABELIAN):
-        raise SchemaError(f"{where}.kind: expected 'partial' or 'abelian', got {kind!r}")
-    if partition is None:
-        partition = partition_from_obj(obj["partition"], f"{path}.partition")
-    quotient = (_partial_from_obj(raw, partition, where) if kind == PARTIAL
-                else quotient_from_obj(raw, partition, where, enumeration_cap=enumeration_cap))
+    partition = partition_from_obj(obj["partition"], f"{path}.partition")
+    quotient = witness_quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
+                                         enumeration_cap)
     raw_gens = obj["subgroup_gens"]
     if not isinstance(raw_gens, list):
         raise SchemaError(f"{path}.subgroup_gens: expected a list of word strings")

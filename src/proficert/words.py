@@ -98,7 +98,6 @@ class _GeneratorTable(NamedTuple):
     by_letter: dict        # 'a', 'b', ... -> the first 26 generators
     position: dict         # generator -> its index in generators
     letter_of: dict        # generator -> its letter; empty past 26 generators
-    word: re.Pattern       # a whole text of these letters, with exponents
     tokens: dict           # 'a' -> (a, 1), 'a^e' -> (a, e) for |e| <= 8; reads 'a^N' unstored
 
 
@@ -119,13 +118,11 @@ def _generator_table(k_size: int, l_size: int) -> _GeneratorTable:
     gens = tuple([Generator(K, i) for i in range(k_size)]
                  + [Generator(L, i) for i in range(l_size)])
     letter_of = dict(zip(gens, _LOWERCASE)) if len(gens) <= 26 else {}
-    last = _LOWERCASE[min(len(gens), 26) - 1]
-    word = re.compile(rf"(?:\s*[a-{last}](?:\^-?[0-9]+)?)*\s*")
     by_letter = dict(zip(_LOWERCASE, gens))
     tokens = _Tokens({f"{ch}^{e}": (g, e) for ch, g in by_letter.items() for e in range(-8, 9)})
     tokens.update({ch: (g, 1) for ch, g in by_letter.items()})
     return _GeneratorTable(gens, by_letter, {g: i for i, g in enumerate(gens)},
-                           letter_of, word, tokens)
+                           letter_of, tokens)
 
 
 class Word(NamedTuple):
@@ -250,8 +247,7 @@ def syllables(w: Word, partition: FactorPartition | None = None) -> list:
 # A letter with an optional exponent; a token is that or any other character
 # that is not whitespace, and the scan skips whitespace between matches.
 # Exponents are ASCII digits only: \d would read "a^\u0663" as a^3.
-_LETTER = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
-_TOKEN = re.compile(_LETTER.pattern + r"|(\S)")
+_TOKEN = re.compile(r"([a-z])(?:\^(-?[0-9]+))?|(\S)")
 
 
 def parse_word(text: str, partition: FactorPartition) -> Word:
@@ -262,8 +258,8 @@ def parse_word(text: str, partition: FactorPartition) -> Word:
     identity.  The result is reduced.  Whitespace-separated tokens are read
     from the generator table's token map; a text with any other token
     (juxtaposed letters, a letter outside the partition, a stray character)
-    is matched whole by the partition's pattern and read with one
-    ``findall``, or else scanned token by token to name its first bad token.
+    is scanned token by token, which names its first bad token.  Exponents
+    are converted only once the scan has found none.
     """
     s = text.strip()
     if s in ("", "1"):
@@ -273,19 +269,16 @@ def parse_word(text: str, partition: FactorPartition) -> Word:
         return Word(tuple(_cancel(map(table.tokens.__getitem__, s.split()))))
     except (KeyError, ValueError):
         # a token outside the map, or an exponent past int()'s digit limit,
-        # which the whole-text path reports unless it finds a bad token first
+        # which the scan reports unless it finds a bad token first
         pass
-    if table.word.fullmatch(s):
-        runs = _cancel([(ch, int(exp) if exp else 1) for ch, exp in _LETTER.findall(s)])
-        letters = table.by_letter
-        return Word(tuple([(letters[ch], e) for ch, e in runs]))
+    runs = []
     for m in _TOKEN.finditer(s):
-        ch, _, other = m.groups()
+        ch, exp, other = m.groups()
         if other is not None:
             pos = m.start()
             raise WordSyntaxError(f"cannot parse word at position {pos}: {s[pos:pos + 12]!r}")
-        partition.generator_for_letter(ch)  # raises: no such letter here
-    raise AssertionError("a text the pattern does not match has a bad token")
+        runs.append((partition.generator_for_letter(ch), exp))
+    return reduce([(g, int(exp) if exp else 1) for g, exp in runs])
 
 
 def format_word(w: Word, partition: FactorPartition) -> str:

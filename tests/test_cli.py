@@ -748,8 +748,11 @@ def test_installed_console_script():
 # ``ex1-witness`` and ``ex2-construct`` rows were recorded again when
 # certificates stopped restating what their verifier derives: each equals
 # the earlier output with ``witness_kind``, ``s_element``, ``cofactor`` and
-# each step's ``f_value`` deleted.  JSON outputs are compact now, and
-# their digests are of the indented layout they were recorded in
+# each step's ``f_value`` deleted.  The two ``ex1-separate`` rows were
+# recorded again when a tail head came to be its quotient and excluded word
+# alone: each equals the earlier output with every head's ``type``,
+# ``partition`` and ``subgroup_gens`` deleted.  JSON outputs are compact
+# now, and their digests are of the indented layout they were recorded in
 # (``indented_digest``); any other output is hashed as printed.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
 
@@ -796,9 +799,9 @@ PINNED = (
     (None, ("ex1-elem", "5", "--kind", "m"), 0,
      "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", None),
     ("tail", ("ex1-separate", "--word", "b"), 0,
-     "b00c7d760c2c9443bcf9a5a4fed153d7a0f7da884787319e7e899585c47c68da", None),
+     "720f3fade56dd715f0a4bd51cdc65b9889501c918dd4a4dccc5e708712e70d15", None),
     (None, ("ex1-separate", "--word", "b a^-1", "--head-margin", "3"), 0,
-     "693b37fc60ae1fd1ce9975af1170160c153c5221a4e19159fc6daed50ff41623", None),
+     "05f829b019700d648a705244fa4cf7d7dc199bb010458cbfa0257880889310e1", None),
     ("witness", ("ex1-witness", "--abelian", "4"), 0,
      "96263c2c01bca907405e7439908633755ad7cd5da2976d9098fdd4856b95fe80", None),
     (None, ("ex1-witness", "--quotient", "{quotient}"), 0,
@@ -918,9 +921,10 @@ def test_indented_files_still_load_and_verify(capsys, tmp_path, kind):
 # --- files that still carry a field this version no longer writes --------------------
 
 # As earlier versions wrote them: a separation named its witness kind (which
-# its quotient's kind names), a not-closed witness echoed s_k and b^(-m_k)
-# (which k names), and each chain step echoed its f value (which
-# params.f_values holds).
+# its quotient's kind names), a tail head restated the separation's type,
+# partition and empty subgroup generators (which the tail fixes), a
+# not-closed witness echoed s_k and b^(-m_k) (which k names), and each chain
+# step echoed its f value (which params.f_values holds).
 OLD_SEPARATION = (
     '{"excluded":"a","partition":{"k_size":1,"l_size":1},"quotient":{"degree":2,'
     '"kind":"partial","sources":{"a":[0,1],"b":[0]},"targets":{"a":[1,0],"b":[0]}},'
@@ -957,7 +961,8 @@ RESTATED = {
     "abelian separation": (("separate", "--word", "a"), "ex1-verify", OLD_ABELIAN_SEPARATION,
                            [("certificate", "witness_kind")]),
     "tail head": (("ex1-separate", "--word", "b"), "ex1-verify", OLD_TAIL,
-                  [("certificate", "head_certificates", 0, "witness_kind")]),
+                  [("certificate", "head_certificates", 0, key)
+                   for key in ("partition", "subgroup_gens", "type", "witness_kind")]),
     "witness": (("ex1-witness", "--abelian", "4"), "ex1-verify", OLD_WITNESS,
                 [("witness", "cofactor"), ("witness", "s_element")]),
     "chain step": (("ex2-construct", "--steps", "1"), "ex2-verify", OLD_CHAIN,
@@ -986,3 +991,30 @@ def test_files_with_a_restated_field_are_refused(capsys, tmp_path, name):
     assert (code, canonical_json(obj)) == (0, now)
     path.write_text(now)
     assert run(capsys, verify, str(path))[0] == 0
+
+
+# `ex1-separate --word "a^3"` as earlier versions wrote it, with head 0
+# declaring the partition 2+2: each head was then read in its own partition,
+# so this head's quotient and excluded word were read in F(a, b, c, d) and
+# the file verified.
+FOREIGN_HEAD_TAIL = (
+    '{"composite_quotient":{"degree":18,"images":{"a":[1,2,3,0,4,5,6,7,9,10,8,11,12,13,15,14,'
+    '16,17],"b":[0,1,2,3,5,6,7,4,8,9,10,12,13,11,14,15,17,16]},"kind":"perm"},'
+    '"head_bound":"4","head_certificates":[{"excluded":"a^2","partition":{"k_size":2,'
+    '"l_size":2},"quotient":{"kind":"abelian","modulus":3},"subgroup_gens":[],'
+    '"type":"separation"},{"excluded":"a","partition":{"k_size":1,"l_size":1},'
+    '"quotient":{"kind":"abelian","modulus":2},"subgroup_gens":[],"type":"separation"},'
+    '{"excluded":"a^3 b^-4 a^-6","partition":{"k_size":1,"l_size":1},'
+    '"quotient":{"kind":"abelian","modulus":2},"subgroup_gens":[],"type":"separation"}],'
+    '"modulus":"4","partition":{"k_size":1,"l_size":1},"target_word":"a^3",'
+    '"type":"ex1_tail"}\n')
+
+
+def test_a_tail_head_cannot_declare_its_own_partition(tmp_path):
+    # a head is read in the tail's partition, so a head partition field is
+    # refused by its path before anything is read in it
+    path = tmp_path / "foreign.json"
+    path.write_text(FOREIGN_HEAD_TAIL)
+    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path), timeout=5)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: certificate.head_certificates[0].partition: unknown field\n"

@@ -628,27 +628,38 @@ def test_tail_certificate_round_trip():
     assert verify_ex1(loaded)
 
 
+def test_tail_writer_refuses_a_head_with_subgroup_generators():
+    # a head separates w s_j^-1 from the identity and is written as its
+    # quotient and excluded word alone, which would drop any generators
+    cert = separate_from_S(word("b^3"))
+    head = cert.head_certificates[0]._replace(subgroup_gens=(word("a^2"),))
+    with pytest.raises(ValueError, match="no subgroup generators"):
+        ex1_tail_to_obj(cert._replace(head_certificates=(head, *cert.head_certificates[1:])))
+
+
 def test_tail_certificate_bytes_pinned():
     # the composite is mod 64 times the heads' one quotient mod 2, 132
     # points stored as bytes; the test below covers storage past 256 points.
     # Digests here were recorded in the indented layout (indented_digest),
-    # and again when heads stopped naming their witness kind
+    # again when heads stopped naming their witness kind, and again when a
+    # head came to be its quotient and excluded word alone
     cert = separate_from_S(word("b^33"))
     assert cert.composite_quotient.degree == 132
     assert indented_digest(emit_certificate(cert)) == (
-        "c9e8a4793e0e1fe4f521e5bbe9408b9160d967cc01ef0fe9f49b49d0c43ef0a9")
+        "3265eda9079b1faa097884f299cfc2ae6f8e17caa286217321b0ee411b988759")
 
 
 def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
     # 511 heads and a composite of 1,028 points (mod 512 times mod 2), past
     # the 256 at which permutations stop being stored as bytes; the verdict
     # digest was recorded before the family was walked in one pass and the
-    # composite clause grouped by residue pair
+    # composite clause grouped by residue pair; the certificate digest was
+    # recorded again when a head came to be its quotient and excluded word
     cert = separate_from_S(word("b^267"))
     assert (cert.head_bound, cert.composite_quotient.degree) == (512, 1028)
     text = emit_certificate(cert)
     assert indented_digest(text) == (
-        "3fb527616243e47bcdd73bd5b9a1fb1842776777e012d996f1bc6263dde73253")
+        "765a7d57856a5fa80ec7589e9ff513b3a61603d4086a8aa88f55bfd10f1968e0")
     path = tmp_path / "tail.json"
     path.write_text(text)
     assert main(["ex1-verify", str(path)]) == 0

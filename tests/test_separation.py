@@ -12,7 +12,7 @@ import pytest
 from proficert import quotients, separation
 from proficert.cli import canonical_json, emit_certificate
 from proficert.errors import CapExceededError, SchemaError
-from proficert.example1 import ex1_tail_to_obj, separate_from_S
+from proficert.example1 import ex1_tail_from_obj, ex1_tail_to_obj, separate_from_S, verify_ex1
 from proficert.quotients import make_permutation_quotient
 from proficert.separation import (
     SeparationCertificate,
@@ -791,6 +791,25 @@ def test_the_writer_emits_only_what_the_loader_accepts():
         loaded = separation_from_obj(json.loads(text))
         assert verify_separation(loaded).ok
         assert emit_certificate(loaded) == text
+
+
+def test_tail_heads_hold_only_their_quotient_and_excluded_word():
+    # a head is read in its tail's partition with no subgroup generators, so
+    # the writer emits only its quotient and excluded word; each tail loads,
+    # verifies and emits the same bytes again.  The head of s_1 = a in
+    # b a b^-1 is a partial action, the other heads here are abelian
+    kinds = set()
+    for target in ("b^33", "a b a^-1 b^-1", "b a b^-1"):
+        tail = separate_from_S(parse_word(target, P11))
+        text = emit_certificate(tail)
+        obj = json.loads(text)
+        assert [set(h) for h in obj["head_certificates"]] == (
+            [{"excluded", "quotient"}] * len(tail.head_certificates))
+        loaded = ex1_tail_from_obj(obj)
+        assert loaded == tail and verify_ex1(loaded).ok
+        assert emit_certificate(loaded) == text
+        kinds |= {h.quotient.kind for h in loaded.head_certificates}
+    assert kinds == {"partial", "abelian"}
 
 
 # --- partial actions -----------------------------------------------------------------

@@ -283,8 +283,8 @@ def test_parse_matches_the_token_loop():
 def test_token_table_matches_the_whole_text_path():
     # every letter and exponent in -70..70 alone: the token path (stored
     # tokens for |e| <= 8, the regex for the others) agrees with the
-    # whole-text path, which a juxtaposed "^0" run forces, and with the
-    # token loop; format_word writes the word back
+    # token scan, which a juxtaposed "^0" run forces, and with the token
+    # loop; format_word writes the word back
     for partition in (P11, P22, FactorPartition(13, 13)):
         for x in "abcdefghijklmnopqrstuvwxyz"[:partition.rank]:
             tokens = [f"{x}^{e}" for e in range(-70, 71)] + [x, f"{x}^-0", f"{x}^02", f"{x}^-08"]
@@ -300,7 +300,7 @@ def test_token_table_matches_the_whole_text_path():
             assert got == (WordSyntaxError, "cannot parse word at position 1: '^+2'")
             assert got == parse_outcome(token_loop_parse, f"{x}^+2", partition)
             # the token map refuses every token but a letter with an ASCII
-            # exponent, leaving the text to the whole-text path; a juxtaposed
+            # exponent, leaving the text to the token scan; a juxtaposed
             # pair of letters is a word there, the others are refused
             tokens = _generator_table(partition.k_size, partition.l_size).tokens
             for token in (f"{x}^+2", f"{x}^\u0663", f"{x}^1_0", f"{x}^", f"{x}^-",
