@@ -152,9 +152,10 @@ class Ex1TailCertificate(NamedTuple):
 
     The abelian quotient mod ``modulus`` tells the target apart from every
     s_j with j >= head_bound (the tail, where j! and m_j have collapsed mod n).
-    Each head separates w s_j^-1 from the identity for one earlier s_j, in the
-    tail's partition and with no subgroup generators.  ``composite_quotient``
-    is the direct product of the distinct quotients among all of the above.
+    Each head is the quotient that separates w s_j^-1 from the identity for
+    one earlier s_j, in j order with the target's own index skipped; the
+    verifier derives w s_j^-1.  ``composite_quotient`` is the direct product
+    of the distinct quotients among all of the above.
     """
 
     target_word: Word
@@ -193,12 +194,12 @@ def separate_from_S(w: Word, head_margin: int = 0) -> Ex1TailCertificate:
         n = separate_integer_from_m0(tb)
     head_bound = max(n, head_margin)
     check_head_cap(head_bound, "head family of size")
-    heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i)))
+    heads = [separate_from_identity(EX1_PARTITION, multiply(w, invert(s_i))).quotient
              for _, s_i in s_family(head_bound)]
     # a repeated factor leaves the kernel as it is, so each distinct one
     # (by generator images) enters once, in first-seen order, completed
     factors = {}
-    for q in [make_abelian_quotient(EX1_PARTITION, n)] + [head.quotient for head in heads]:
+    for q in [make_abelian_quotient(EX1_PARTITION, n)] + heads:
         q = _completed(q) if q.kind == PARTIAL else q
         factors.setdefault((q.images[GEN_A], q.images[GEN_B]), q)
     composite = direct_product(*factors.values())
@@ -240,9 +241,9 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
     w = cert.target_word
     n = cert.modulus
     head_bound = cert.head_bound
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:  # exact ints: a bool would read as 0 or 1
         reasons.append(f"modulus: expected an integer >= 2, got {n!r}")
-    if not isinstance(head_bound, int) or head_bound < 1:
+    if type(head_bound) is not int or head_bound < 1:
         reasons.append(f"head_bound: expected an integer >= 1, got {head_bound!r}")
     if reasons:
         return CheckResult(False, tuple(reasons))
@@ -271,10 +272,7 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
     blind = []
     for j, s in s_family(head_bound):
         if heads is not None and j != skip:
-            head = next(heads)
-            if multiply(head.excluded, s) != w:  # excluded = w s_j^-1, with no inverse built
-                reasons.append(f"head {j}: excluded word is not target*s_{j}^-1")
-            sub = verify_separation(head)
+            sub = verify_separation(SeparationCertificate(next(heads), (), multiply(w, invert(s))))
             if not sub:
                 reasons.extend(f"head {j}: {r}" for r in sub.reasons)
         key = tuple([e % o for (_, e), o in zip(s.runs, orders)])  # a-run, then any b-run
@@ -310,6 +308,8 @@ def verify_ex1_witness(witness: Ex1NotClosedWitness) -> CheckResult:
     """Recheck a not-closed witness: s_k b^(-m_k) = a^(k!) lies in the
     kernel exactly when the order of image(a) divides k!."""
     k = witness.k
+    if type(k) is not int or k < 1:
+        return CheckResult(False, (f"k: expected an integer >= 1, got {k!r}",))
     check_head_cap(k, "s_k and m_k for k =")
     order_a = witness.quotient.element_order(WORD_A)
     if math.factorial(k) % order_a:
@@ -321,24 +321,20 @@ def verify_ex1_witness(witness: Ex1NotClosedWitness) -> CheckResult:
 
 def ex1_tail_to_obj(cert: Ex1TailCertificate) -> dict:
     p = EX1_PARTITION
-    if any(h.subgroup_gens for h in cert.head_certificates):
-        raise ValueError("a head separates from the identity: it has no subgroup generators")
     return {
         "type": "ex1_tail",
         "partition": partition_to_obj(p),
         "target_word": format_word(cert.target_word, p),
         "modulus": str(cert.modulus),
         "head_bound": str(cert.head_bound),
-        "head_certificates": [{"quotient": witness_quotient_to_obj(h.quotient),
-                               "excluded": format_word(h.excluded, p)}
-                              for h in cert.head_certificates],
+        "head_certificates": [witness_quotient_to_obj(q) for q in cert.head_certificates],
         "composite_quotient": quotient_to_obj(cert.composite_quotient),
     }
 
 
 def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailCertificate:
-    """Parse a tail certificate.  Each head is ``quotient`` and ``excluded``,
-    read in the tail's partition, and loads as a separation from the identity."""
+    """Parse a tail certificate.  Each head is a separating quotient, read in
+    the tail's partition."""
     allowed = {"type", "partition", "target_word", "modulus", "head_bound",
                "head_certificates", "composite_quotient"}
     _check_keys(obj, allowed, path)
@@ -353,19 +349,14 @@ def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailC
     raw_heads = obj["head_certificates"]
     if not isinstance(raw_heads, list):
         raise SchemaError(f"{path}.head_certificates: expected a list")
-    check_point_budget([(obj["composite_quotient"], partition.rank)]
-                       + [(h.get("quotient"), partition.rank)
-                          for h in raw_heads if isinstance(h, dict)], enumeration_cap)
-    heads = []
-    for i, h in enumerate(raw_heads):
-        at = f"{path}.head_certificates[{i}]"
-        _check_keys(h, {"quotient", "excluded"}, at)
-        heads.append(SeparationCertificate(
-            witness_quotient_from_obj(h["quotient"], partition, f"{at}.quotient", enumeration_cap),
-            (), _parse_word_field(h["excluded"], partition, f"{at}.excluded")))
+    check_point_budget([(q, partition.rank) for q in [obj["composite_quotient"], *raw_heads]],
+                       enumeration_cap)
+    heads = tuple(witness_quotient_from_obj(h, partition, f"{path}.head_certificates[{i}]",
+                                            enumeration_cap)
+                  for i, h in enumerate(raw_heads))
     composite = quotient_from_obj(obj["composite_quotient"], partition,
                                   f"{path}.composite_quotient", enumeration_cap=enumeration_cap)
-    return Ex1TailCertificate(target, modulus, head_bound, tuple(heads), composite)
+    return Ex1TailCertificate(target, modulus, head_bound, heads, composite)
 
 
 def ex1_witness_to_obj(witness: Ex1NotClosedWitness) -> dict:

@@ -5,14 +5,24 @@ import hashlib
 import json
 
 from proficert.cli import canonical_json
+from proficert.example1 import s_family
 from proficert.quotients import FiniteQuotient, Permutation
-from proficert.separation import StallingsGraph
+from proficert.separation import SeparationCertificate, StallingsGraph
+from proficert.words import invert, multiply
 
 
 def trivial_quotient(partition):
     """Degree-1 permutation quotient (everything in the kernel)."""
     return FiniteQuotient(partition, {g: Permutation.identity(1)
                                       for g in partition.generators()})
+
+
+def tail_heads(cert):
+    """The separations from the identity that a tail's heads certify: head
+    j's quotient with w s_j^-1, in j order, the target's own index skipped."""
+    w = cert.target_word
+    words = [multiply(w, invert(s)) for _, s in s_family(cert.head_bound) if s != w]
+    return [SeparationCertificate(q, (), x) for q, x in zip(cert.head_certificates, words)]
 
 
 def adjoin_word_path(graph, w):

@@ -519,9 +519,7 @@ def test_ex1_verify_budgets_the_points_of_all_heads(capsys, tmp_path):
     # points were summed up front
     _, out, _ = run(capsys, "ex1-separate", "--word", "b")
     obj = json.loads(out)
-    head = obj["head_certificates"][0]
-    head["quotient"] = {"kind": "abelian", "modulus": 250_000}
-    obj["head_certificates"] = [head] * 3
+    obj["head_certificates"] = [{"kind": "abelian", "modulus": 250_000}] * 3
     path = tmp_path / "tail.json"
     path.write_text(canonical_json(obj))
     result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
@@ -537,8 +535,7 @@ def test_ex1_verify_builds_each_large_head_quotient_within_bounds(capsys, tmp_pa
     _, out, _ = run(capsys, "ex1-separate", "--word", "b^255")
     obj = json.loads(out)
     assert len(obj["head_certificates"]) == 255
-    for head in obj["head_certificates"]:
-        head["quotient"] = {"kind": "abelian", "modulus": 400}
+    obj["head_certificates"] = [{"kind": "abelian", "modulus": 400}] * 255
     path = tmp_path / "tail.json"
     path.write_text(canonical_json(obj))
     result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
@@ -758,7 +755,9 @@ PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kin
 
 
 def _tamper_tail(obj):
-    obj["target_word"] = "b^3"
+    # b^2 is 0 mod n = 2, the tail value (b^3 is not, and the file proves
+    # b^3 outside S as well as b)
+    obj["target_word"] = "b^2"
 
 
 def _tamper_chain(obj):
@@ -799,9 +798,9 @@ PINNED = (
     (None, ("ex1-elem", "5", "--kind", "m"), 0,
      "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", None),
     ("tail", ("ex1-separate", "--word", "b"), 0,
-     "720f3fade56dd715f0a4bd51cdc65b9889501c918dd4a4dccc5e708712e70d15", None),
+     "07d93a5ff5065b18ec0e7da5d86615401cf4c083f2efc5a4d23d26682cef26f8", None),
     (None, ("ex1-separate", "--word", "b a^-1", "--head-margin", "3"), 0,
-     "05f829b019700d648a705244fa4cf7d7dc199bb010458cbfa0257880889310e1", None),
+     "9eb0505ffe73349f95138bc50f6bbba938860b9e0f67b803ee427223c95f31c0", None),
     ("witness", ("ex1-witness", "--abelian", "4"), 0,
      "96263c2c01bca907405e7439908633755ad7cd5da2976d9098fdd4856b95fe80", None),
     (None, ("ex1-witness", "--quotient", "{quotient}"), 0,
@@ -813,7 +812,7 @@ PINNED = (
     (None, ("ex1-verify", "{tail}"), 0,
      "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80", None),
     (None, ("ex1-verify", "{bad_tail}"), 1,
-     "e6e42d3c2ec12e7403b9738b8bdeb4867abb715282d025aea154e80287c2381a", None),
+     "ac16f73e3368157b5964771e36a04d7c80bf72a6d0be87e6db78d1c6119b4b55", None),
     (None, ("ex1-verify", "{witness}"), 0,
      "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80", None),
     ("chain", ("ex2-construct",), 0,
@@ -921,8 +920,8 @@ def test_indented_files_still_load_and_verify(capsys, tmp_path, kind):
 # --- files that still carry a field this version no longer writes --------------------
 
 # As earlier versions wrote them: a separation named its witness kind (which
-# its quotient's kind names), a tail head restated the separation's type,
-# partition and empty subgroup generators (which the tail fixes), a
+# its quotient's kind names), a tail head was a whole separation and then its
+# quotient and excluded word (w s_j^-1, which the verifier derives), a
 # not-closed witness echoed s_k and b^(-m_k) (which k names), and each chain
 # step echoed its f value (which params.f_values holds).
 OLD_SEPARATION = (
@@ -939,6 +938,11 @@ OLD_TAIL = (
     '"l_size":1},"quotient":{"kind":"abelian","modulus":2},"subgroup_gens":[],'
     '"type":"separation","witness_kind":"image-differs"}],"modulus":"2",'
     '"partition":{"k_size":1,"l_size":1},"target_word":"b","type":"ex1_tail"}\n')
+EXCLUDED_TAIL = (
+    '{"composite_quotient":{"degree":4,"images":{"a":[1,0,2,3],"b":[0,1,3,2]},"kind":"perm"},'
+    '"head_bound":"2","head_certificates":[{"excluded":"b a^-1","quotient":{"kind":"abelian",'
+    '"modulus":2}}],"modulus":"2","partition":{"k_size":1,"l_size":1},"target_word":"b",'
+    '"type":"ex1_tail"}\n')
 OLD_WITNESS = (
     '{"cofactor":"b^-4","k":4,"partition":{"k_size":1,"l_size":1},'
     '"quotient":{"kind":"abelian","modulus":4},"s_element":"a^24 b^4","type":"ex1_not_closed"}\n')
@@ -953,40 +957,55 @@ OLD_CHAIN = (
     '"r":"a^3","s":"a^3 c^6"}],"type":"ex2"}\n')
 
 
+def deleted(root, *keys):
+    """A deleted field, refused by its path: (the error, the edit that deletes it)."""
+    def edit(obj):
+        for k in keys[:-1]:
+            obj = obj[k]
+        del obj[keys[-1]]
+    where = root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    return f"{where}: unknown field", edit
+
+
+def _heads_as_quotients(obj):
+    obj["head_certificates"] = [h["quotient"] for h in obj["head_certificates"]]
+
+
+# a head is read as a bare quotient, so one written as more is refused by its kind
+HEADS_AS_QUOTIENTS = ("certificate.head_certificates[0].kind: expected 'partial' or "
+                      "'abelian', got None", _heads_as_quotients)
+
 # name: (command that writes it now, its verify command, the file as written
-# before, and the path of each restated field in the order the loader meets them)
+# before, and the error and edit of each restated field in the order the
+# loader meets them)
 RESTATED = {
     "separation": (("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), "ex1-verify",
-                   OLD_SEPARATION, [("certificate", "witness_kind")]),
+                   OLD_SEPARATION, [deleted("certificate", "witness_kind")]),
     "abelian separation": (("separate", "--word", "a"), "ex1-verify", OLD_ABELIAN_SEPARATION,
-                           [("certificate", "witness_kind")]),
-    "tail head": (("ex1-separate", "--word", "b"), "ex1-verify", OLD_TAIL,
-                  [("certificate", "head_certificates", 0, key)
-                   for key in ("partition", "subgroup_gens", "type", "witness_kind")]),
+                           [deleted("certificate", "witness_kind")]),
+    "tail head": (("ex1-separate", "--word", "b"), "ex1-verify", OLD_TAIL, [HEADS_AS_QUOTIENTS]),
+    "tail head with its excluded word": (("ex1-separate", "--word", "b"), "ex1-verify",
+                                         EXCLUDED_TAIL, [HEADS_AS_QUOTIENTS]),
     "witness": (("ex1-witness", "--abelian", "4"), "ex1-verify", OLD_WITNESS,
-                [("witness", "cofactor"), ("witness", "s_element")]),
+                [deleted("witness", "cofactor"), deleted("witness", "s_element")]),
     "chain step": (("ex2-construct", "--steps", "1"), "ex2-verify", OLD_CHAIN,
-                   [("certificate", "steps", 0, "f_value")]),
+                   [deleted("certificate", "steps", 0, "f_value")]),
 }
 
 
 @pytest.mark.parametrize("name", list(RESTATED))
 def test_files_with_a_restated_field_are_refused(capsys, tmp_path, name):
-    # each restated field is refused by its path; with every one deleted the
-    # old file is what this version writes, byte for byte, and it verifies
-    build, verify, text, fields = RESTATED[name]
+    # each restated field is refused by its path; with every one edited away
+    # the old file is what this version writes, byte for byte, and it verifies
+    build, verify, text, steps = RESTATED[name]
     path = tmp_path / "old.json"
     obj = json.loads(text)
-    for root, *keys in fields:
+    for error, edit in steps:
         path.write_text(canonical_json(obj))
         result = run_process(sys.executable, "-m", "proficert", verify, str(path), timeout=5)
-        where = root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
         assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == f"error: {where}: unknown field\n"
-        parent = obj
-        for k in keys[:-1]:
-            parent = parent[k]
-        del parent[keys[-1]]
+        assert result.stderr == f"error: {error}\n"
+        edit(obj)
     code, now, _ = run(capsys, *build)
     assert (code, canonical_json(obj)) == (0, now)
     path.write_text(now)
@@ -996,7 +1015,8 @@ def test_files_with_a_restated_field_are_refused(capsys, tmp_path, name):
 # `ex1-separate --word "a^3"` as earlier versions wrote it, with head 0
 # declaring the partition 2+2: each head was then read in its own partition,
 # so this head's quotient and excluded word were read in F(a, b, c, d) and
-# the file verified.
+# the file verified.  Heads are now bare quotients read in the tail's
+# partition, so the head is refused before anything is read in it.
 FOREIGN_HEAD_TAIL = (
     '{"composite_quotient":{"degree":18,"images":{"a":[1,2,3,0,4,5,6,7,9,10,8,11,12,13,15,14,'
     '16,17],"b":[0,1,2,3,5,6,7,4,8,9,10,12,13,11,14,15,17,16]},"kind":"perm"},'
@@ -1011,10 +1031,10 @@ FOREIGN_HEAD_TAIL = (
 
 
 def test_a_tail_head_cannot_declare_its_own_partition(tmp_path):
-    # a head is read in the tail's partition, so a head partition field is
-    # refused by its path before anything is read in it
+    # a head is a quotient read in the tail's partition: it has no partition field
     path = tmp_path / "foreign.json"
     path.write_text(FOREIGN_HEAD_TAIL)
     result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path), timeout=5)
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == "error: certificate.head_certificates[0].partition: unknown field\n"
+    assert result.stderr == ("error: certificate.head_certificates[0].kind: expected "
+                             "'partial' or 'abelian', got None\n")

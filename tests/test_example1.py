@@ -1,6 +1,7 @@
 """The factorial family: residue target, tail certificates, not-closed witnesses."""
 
 import copy
+import json
 import math
 import random
 import sys
@@ -41,10 +42,12 @@ from proficert.quotients import (
     make_abelian_quotient,
     make_permutation_quotient,
 )
-from proficert.words import Word, identity, multiply, parse_word
+from proficert.separation import PartialAction, _completed
+from proficert.words import Word, exponent_sum, identity, multiply, parse_word
 
 from fixtures import indented_digest, trivial_quotient
 from test_acceptance import quotient_family
+from test_perfbench import load
 
 
 def abelian(n):
@@ -58,6 +61,11 @@ def perm(images_a, images_b):
 
 def word(text):
     return parse_word(text, EX1_PARTITION)
+
+
+# a and b both fix point 0: every word fixes the basepoint
+FIXED_POINT = PartialAction(EX1_PARTITION, 1, {GEN_A: (0,), GEN_B: (0,)},
+                            {GEN_A: (0,), GEN_B: (0,)})
 
 
 # --- the residue target ------------------------------------------------------------
@@ -414,6 +422,13 @@ def test_verify_ex1_detects_lowered_head_bound():
     assert any("head bound" in r for r in result.reasons)
 
 
+def test_verify_ex1_reads_the_head_bound_as_an_exact_int():
+    # True was read as 1: "modulus 2 exceeds head bound True"
+    cert = separate_from_S(WORD_B)
+    assert verify_ex1(cert._replace(head_bound=True)).reasons == (
+        "head_bound: expected an integer >= 1, got True",)
+
+
 def test_verify_ex1_detects_corrupted_modulus():
     cert = separate_from_S(WORD_B)
     bad = cert._replace(modulus=4)
@@ -423,12 +438,10 @@ def test_verify_ex1_detects_corrupted_modulus():
 
 
 def test_verify_ex1_detects_corrupted_head():
+    # head 1 of the identity's tail, for s_1 = a, as an action every word fixes
     cert = separate_from_S(identity())
-    head = cert.head_certificates[0]._replace(excluded=word("b^7"))
-    bad = cert._replace(head_certificates=(head,) + cert.head_certificates[1:])
-    result = verify_ex1(bad)
-    assert not result
-    assert any("head 1" in r for r in result.reasons)
+    bad = cert._replace(head_certificates=(FIXED_POINT,) + cert.head_certificates[1:])
+    assert verify_ex1(bad).reasons == ("head 1: excluded word fixes the basepoint",)
 
 
 def test_verify_ex1_detects_useless_composite():
@@ -441,21 +454,24 @@ def test_verify_ex1_detects_useless_composite():
 
 def _tampered_tail(tamper):
     """The tail of a^3 b^-2 at head bound 8 (heads mod 3, then six mod 2)
-    with one named edit."""
+    with one named edit.  Head j's word a^3 b^-2 s_j^-1 has exponent sums
+    (2, -2) at j = 1 and (1, -2) at j = 2, and both are multiples of 3 from
+    j = 3 on, so mod 3 sees heads 1 and 2 only and mod 2 all but head 1."""
     cert = separate_from_S(word("a^3 b^-2"), head_margin=8)
     heads = cert.head_certificates
     blind = perm((1, 2, 0), (0, 1, 2))
-    edited = heads[4]._replace(excluded=word("a^3 b^-2 a^-1"))
+    edited = abelian(3)
     edits = {
         "dropped head": lambda: cert._replace(head_certificates=heads[:3] + heads[4:]),
         "swapped heads": lambda: cert._replace(
-            head_certificates=heads[:2] + (heads[3], heads[2]) + heads[4:]),
-        "edited excluded": lambda: cert._replace(
+            head_certificates=(heads[2], heads[1], heads[0]) + heads[3:]),
+        "edited head quotient": lambda: cert._replace(
             head_certificates=heads[:4] + (edited,) + heads[5:]),
+        "fixed-point head": lambda: cert._replace(
+            head_certificates=heads[:6] + (FIXED_POINT,)),
         "head mod 4": lambda: cert._replace(head_certificates=(
-            heads[0], heads[1]._replace(quotient=abelian(4))) + heads[2:]),
-        "head mod 2": lambda: cert._replace(head_certificates=(
-            heads[0]._replace(quotient=abelian(2)),) + heads[1:]),
+            heads[0], abelian(4)) + heads[2:]),
+        "head mod 2": lambda: cert._replace(head_certificates=(abelian(2),) + heads[1:]),
         "blind composite": lambda: cert._replace(composite_quotient=blind),
         "modulus above head bound": lambda: cert._replace(modulus=9),
         "target s_3": lambda: cert._replace(target_word=s_element(3)),
@@ -470,20 +486,20 @@ def _blind(*js):
     return tuple(f"composite quotient cannot tell the target from s_{j}" for j in js)
 
 
-# recorded before verify_ex1 checked its clauses in one walk of the family
+# recorded before verify_ex1 checked its clauses in one walk of the family;
+# the edits of head quotients since heads are bare quotients
 TAMPERED_TAIL_REASONS = {
     "dropped head": ("expected 7 head certificates, found 6",),
-    "swapped heads": ("head 3: excluded word is not target*s_3^-1",
-                      "head 4: excluded word is not target*s_4^-1"),
-    "edited excluded": ("head 5: excluded word is not target*s_5^-1",
-                        "head 5: excluded word lies in the kernel"),
+    "swapped heads": ("head 1: excluded word lies in the kernel",
+                      "head 3: excluded word lies in the kernel"),
+    "edited head quotient": ("head 5: excluded word lies in the kernel",),
+    "fixed-point head": ("head 7: excluded word fixes the basepoint",),
     "head mod 4": (),  # mod 4 still separates that head
     "head mod 2": ("head 1: excluded word lies in the kernel",),
     "blind composite": _blind(3, 4, 5, 6, 7),
     "modulus above head bound": ("modulus 9 exceeds head bound 8",),
     "target s_3": ("expected 6 head certificates, found 7",) + _blind(3),
     "all at once": ("modulus 9 exceeds head bound 8",
-                    "head 5: excluded word is not target*s_5^-1",
                     "head 5: excluded word lies in the kernel") + _blind(3, 4, 5, 6, 7),
 }
 
@@ -491,6 +507,55 @@ TAMPERED_TAIL_REASONS = {
 @pytest.mark.parametrize("tamper", TAMPERED_TAIL_REASONS)
 def test_verify_ex1_reasons_pinned_on_tampered_tails(tamper):
     assert verify_ex1(_tampered_tail(tamper)).reasons == TAMPERED_TAIL_REASONS[tamper]
+
+
+def head_tells_apart(q, w, s):
+    """Whether the head quotient ``q`` tells ``w`` from ``s``, read without
+    verify_separation: exponent sums mod n for an abelian quotient, the
+    images of point 0 under the completed permutations for a partial one."""
+    if q.kind == "abelian":
+        return any((exponent_sum(w, g) - exponent_sum(s, g)) % q.modulus for g in (GEN_A, GEN_B))
+    completed = _completed(q)
+    return completed.image(w)(0) != completed.image(s)(0)
+
+
+def test_verify_ex1_agrees_with_a_head_oracle_on_a_bench_round():
+    # every tail of a seed-1010 `factorial` round, as loaded: each head tells
+    # the target from its s_j, and verify_ex1 accepts; then in each tail one
+    # head (at a seeded index) is swapped for each candidate quotient, and
+    # verify_ex1 rejects, naming that head alone, exactly when the oracle
+    # says the candidate cannot tell the target from that s_j
+    cases, tracing = load("cases"), load("tracing")
+    tails = [ex1_tail_from_obj(json.loads(emit_certificate(op.build(tracing.NullTracer()))))
+             for op in cases.make_cases("factorial", 1010)
+             if isinstance(op, cases.RoundTrip) and op.verify[1] == "verify_ex1"]
+    assert len(tails) == 162
+    # total actions, so that no walk leaves them and the completion is the action
+    rotation = PartialAction(EX1_PARTITION, 3, {GEN_A: (0, 1, 2), GEN_B: (0, 1, 2)},
+                             {GEN_A: (1, 2, 0), GEN_B: (0, 2, 1)})
+    candidates = [abelian(n) for n in (2, 3, 4, 6)] + [FIXED_POINT, rotation]
+    rng = random.Random(1010)
+    heads, kinds, rejected = 0, set(), 0
+    for cert in tails:
+        w = cert.target_word
+        family = [(j, s) for j, s in s_family(cert.head_bound) if s != w]  # head i: family[i]
+        assert len(family) == len(cert.head_certificates)
+        for q, (j, s) in zip(cert.head_certificates, family):
+            assert head_tells_apart(q, w, s), (w, j)
+        assert verify_ex1(cert).ok
+        heads += len(family)
+        kinds |= {q.kind for q in cert.head_certificates}
+        i = rng.randrange(len(family))
+        j, s = family[i]
+        for q in candidates:
+            tampered = cert._replace(head_certificates=(
+                cert.head_certificates[:i] + (q,) + cert.head_certificates[i + 1:]))
+            result = verify_ex1(tampered)
+            assert result.ok == head_tells_apart(q, w, s), (w, j, q)
+            assert all(r.startswith(f"head {j}: ") for r in result.reasons), result.reasons
+            rejected += not result.ok
+    assert (heads, kinds) == (1196, {"abelian", "partial"})
+    assert rejected == 319  # of 972 swaps, 162 of them the fixed point
 
 
 def per_index_composite_reasons(cert):
@@ -512,7 +577,7 @@ def test_grouped_composite_clause_matches_per_index_loop(target, head_bound):
     swaps = {
         "abelian": abelian(cert.modulus),
         "trivial": trivial_quotient(EX1_PARTITION),
-        "head": cert.head_certificates[len(cert.head_certificates) // 2].quotient,
+        "head": cert.head_certificates[len(cert.head_certificates) // 2],
         # a 3-cycle with b trivial: s_j collides with the target exactly when
         # 3 divides j! minus its a-exponent sum
         "mixed": perm((1, 2, 0), (0, 1, 2)),
@@ -589,6 +654,15 @@ def test_verify_ex1_witness_refuses_a_huge_k_by_its_digit_count():
         verify_ex1_witness(w._replace(k=DEFAULT_HEAD_CAP + 1))
 
 
+@pytest.mark.parametrize("k", [-3, 0, 4.0, True])
+def test_verify_ex1_witness_reads_k_as_an_exact_int(k):
+    # in process, -3 raised ValueError from math.factorial and 4.0 TypeError,
+    # while 0 and True passed: 0! = True! = 1, which the order 1 divides
+    w = not_closed_witness(trivial_quotient(EX1_PARTITION))
+    assert verify_ex1_witness(w._replace(k=k)).reasons == (
+        f"k: expected an integer >= 1, got {k!r}",)
+
+
 def test_witness_clause_is_the_kernel_clause():
     # the one clause, that the order of image(a) divides k!, against the
     # kernel clause it replaced: s_k b^(-m_k) lies in the kernel
@@ -628,25 +702,17 @@ def test_tail_certificate_round_trip():
     assert verify_ex1(loaded)
 
 
-def test_tail_writer_refuses_a_head_with_subgroup_generators():
-    # a head separates w s_j^-1 from the identity and is written as its
-    # quotient and excluded word alone, which would drop any generators
-    cert = separate_from_S(word("b^3"))
-    head = cert.head_certificates[0]._replace(subgroup_gens=(word("a^2"),))
-    with pytest.raises(ValueError, match="no subgroup generators"):
-        ex1_tail_to_obj(cert._replace(head_certificates=(head, *cert.head_certificates[1:])))
-
-
 def test_tail_certificate_bytes_pinned():
     # the composite is mod 64 times the heads' one quotient mod 2, 132
     # points stored as bytes; the test below covers storage past 256 points.
     # Digests here were recorded in the indented layout (indented_digest),
-    # again when heads stopped naming their witness kind, and again when a
-    # head came to be its quotient and excluded word alone
+    # again when heads stopped naming their witness kind, again when a head
+    # came to be its quotient and excluded word alone, and again when it
+    # came to be its bare quotient
     cert = separate_from_S(word("b^33"))
     assert cert.composite_quotient.degree == 132
     assert indented_digest(emit_certificate(cert)) == (
-        "3265eda9079b1faa097884f299cfc2ae6f8e17caa286217321b0ee411b988759")
+        "967ebd4b64f75fa75af767ccc4b28bf5fadc082f202cbe9a8e0bfcae77107a48")
 
 
 def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
@@ -654,12 +720,13 @@ def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
     # the 256 at which permutations stop being stored as bytes; the verdict
     # digest was recorded before the family was walked in one pass and the
     # composite clause grouped by residue pair; the certificate digest was
-    # recorded again when a head came to be its quotient and excluded word
+    # recorded again when a head came to be its quotient and excluded word,
+    # and again when it came to be its bare quotient
     cert = separate_from_S(word("b^267"))
     assert (cert.head_bound, cert.composite_quotient.degree) == (512, 1028)
     text = emit_certificate(cert)
     assert indented_digest(text) == (
-        "765a7d57856a5fa80ec7589e9ff513b3a61603d4086a8aa88f55bfd10f1968e0")
+        "50e0773e6c7c06d8ccb7ce97ebbb5c71f8763bb867d8b46db92442593c12e344")
     path = tmp_path / "tail.json"
     path.write_text(text)
     assert main(["ex1-verify", str(path)]) == 0
@@ -673,9 +740,7 @@ def test_commutator_heads_are_partial_and_the_composite_keeps_its_bytes():
     # the composite's direct product, whose text was recorded when heads
     # like it were written completed
     cert = separate_from_S(word("b a b^-1"))
-    head = cert.head_certificates[0]
-    assert head.excluded == word("b a b^-1 a^-1")
-    assert head.quotient.kind == "partial"
+    assert cert.head_certificates[0].kind == "partial"
     assert verify_ex1(cert).ok
     composite = canonical_json(ex1_tail_to_obj(cert)["composite_quotient"])
     assert indented_digest(composite) == (
@@ -693,7 +758,7 @@ def test_composite_takes_each_distinct_factor_once():
     # abelian quotient mod n = 3 itself
     cert = separate_from_S(word("a b a^-1 b^-1"))
     assert cert.modulus == 3
-    assert [h.quotient.modulus for h in cert.head_certificates] == [2, 3]
+    assert [h.modulus for h in cert.head_certificates] == [2, 3]
     assert cert.composite_quotient.degree == 6 + 4
     assert verify_ex1(cert)
 
@@ -705,15 +770,15 @@ def test_loaded_heads_share_one_quotient_each_and_keep_their_own():
     # accept both
     obj = ex1_tail_to_obj(separate_from_S(word("b^267")))
     loaded = ex1_tail_from_obj(obj)
-    assert len({id(h.quotient) for h in loaded.head_certificates}) == 1
+    assert len(set(map(id, loaded.head_certificates))) == 1
     for modulus, reasons in ((3, ()), (7, ("head 101: excluded word lies in the kernel",))):
         edited = copy.deepcopy(obj)
-        edited["head_certificates"][100]["quotient"] = {"kind": "abelian", "modulus": modulus}
+        edited["head_certificates"][100] = {"kind": "abelian", "modulus": modulus}
         cert = ex1_tail_from_obj(edited)
         heads = cert.head_certificates
-        assert heads[100].quotient.modulus == modulus
-        others = {id(h.quotient) for i, h in enumerate(heads) if i != 100}
-        assert len(others) == 1 and id(heads[100].quotient) not in others
+        assert heads[100].modulus == modulus
+        others = {id(h) for i, h in enumerate(heads) if i != 100}
+        assert len(others) == 1 and id(heads[100]) not in others
         assert verify_ex1(cert).reasons == reasons
 
 

@@ -44,7 +44,7 @@ from proficert.words import (
 )
 
 from closure_oracle import letter_runs, letters_of, product_closure, runs_word
-from fixtures import adjoin_word_path, indented_digest
+from fixtures import adjoin_word_path, indented_digest, tail_heads
 from test_cli import run_process
 from test_perfbench import load
 
@@ -753,7 +753,7 @@ def test_rounds_verify_without_reading_a_permutation_image(monkeypatch):
         for op in cases.make_cases(workload, 1):
             if isinstance(op, cases.RoundTrip) and op.verify[1] != "verify_ex1_witness":
                 cert = op.build(tracing.NullTracer())
-                for c in getattr(cert, "head_certificates", (cert,)):
+                for c in tail_heads(cert) if hasattr(cert, "head_certificates") else (cert,):
                     certs.append(separation_from_obj(json.loads(emit_certificate(c))))
     kinds = {c.quotient.kind for c in certs}
     assert len(certs) > 1000 and kinds == {"partial", "abelian"}
@@ -784,7 +784,7 @@ def test_the_writer_emits_only_what_the_loader_accepts():
         P22, parse_word("a b a^-1 b^-1 c d c^-1 d^-1", P22)))
     for w in words:
         if w not in (parse_word("a", P11), parse_word("a^2", P11)):  # s_1 and s_2
-            certs += separate_from_S(w).head_certificates
+            certs += tail_heads(separate_from_S(w))
     assert {c.quotient.kind for c in certs} == {"partial", "abelian"}
     for cert in certs:
         text = emit_certificate(cert)
@@ -793,22 +793,22 @@ def test_the_writer_emits_only_what_the_loader_accepts():
         assert emit_certificate(loaded) == text
 
 
-def test_tail_heads_hold_only_their_quotient_and_excluded_word():
-    # a head is read in its tail's partition with no subgroup generators, so
-    # the writer emits only its quotient and excluded word; each tail loads,
-    # verifies and emits the same bytes again.  The head of s_1 = a in
-    # b a b^-1 is a partial action, the other heads here are abelian
+def test_tail_heads_are_bare_quotients():
+    # the verifier derives each head's word w s_j^-1, so the writer emits a
+    # head as its quotient alone, as a separation writes its quotient; each
+    # tail loads, verifies and emits the same bytes again.  The head of
+    # s_1 = a in b a b^-1 is a partial action, the other heads here are abelian
     kinds = set()
     for target in ("b^33", "a b a^-1 b^-1", "b a b^-1"):
         tail = separate_from_S(parse_word(target, P11))
         text = emit_certificate(tail)
         obj = json.loads(text)
-        assert [set(h) for h in obj["head_certificates"]] == (
-            [{"excluded", "quotient"}] * len(tail.head_certificates))
+        assert obj["head_certificates"] == [
+            json.loads(emit_certificate(h))["quotient"] for h in tail_heads(tail)]
         loaded = ex1_tail_from_obj(obj)
         assert loaded == tail and verify_ex1(loaded).ok
         assert emit_certificate(loaded) == text
-        kinds |= {h.quotient.kind for h in loaded.head_certificates}
+        kinds |= {q.kind for q in loaded.head_certificates}
     assert kinds == {"partial", "abelian"}
 
 
@@ -1038,7 +1038,7 @@ def test_verify_refuses_actions_with_an_edge_redirected():
     ({"quotient": {"kind": "abelian", "modulus": 2}, "witness_kind": "image-differs"},
      "certificate.witness_kind: unknown field"),
     ({"tail_head": "b a b^-1"},
-     "head_certificates[0].quotient.kind: expected 'partial' or 'abelian', got 'perm'"),
+     "head_certificates[0].kind: expected 'partial' or 'abelian', got 'perm'"),
 ])
 def test_hostile_partial_files_are_refused_within_bounds(tmp_path, edit, message):
     # each file loads in a 512 MB address space and is refused as a schema
@@ -1058,8 +1058,8 @@ def test_hostile_partial_files_are_refused_within_bounds(tmp_path, edit, message
         # permutations, as tails were before such heads were partial
         tail = separate_from_S(parse_word(target, P11))
         obj = ex1_tail_to_obj(tail)
-        obj["head_certificates"][0]["quotient"] = quotients.quotient_to_obj(
-            separation._completed(tail.head_certificates[0].quotient))
+        obj["head_certificates"][0] = quotients.quotient_to_obj(
+            separation._completed(tail.head_certificates[0]))
     path = tmp_path / "partial.json"
     path.write_text(canonical_json(obj))
     result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
