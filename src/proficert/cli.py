@@ -55,7 +55,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the interpreter's digit limit
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -36,8 +36,6 @@ from .separation import (
     SeparationCertificate,
     _completed,
     abelian_image,
-    partition_from_obj,
-    partition_to_obj,
     separate_from_identity,
     verify_separation,
     witness_quotient_from_obj,
@@ -323,7 +321,6 @@ def ex1_tail_to_obj(cert: Ex1TailCertificate) -> dict:
     p = EX1_PARTITION
     return {
         "type": "ex1_tail",
-        "partition": partition_to_obj(p),
         "target_word": format_word(cert.target_word, p),
         "modulus": str(cert.modulus),
         "head_bound": str(cert.head_bound),
@@ -333,16 +330,14 @@ def ex1_tail_to_obj(cert: Ex1TailCertificate) -> dict:
 
 
 def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailCertificate:
-    """Parse a tail certificate.  Each head is a separating quotient, read in
-    the tail's partition."""
-    allowed = {"type", "partition", "target_word", "modulus", "head_bound",
-               "head_certificates", "composite_quotient"}
+    """Parse a tail certificate.  Its words and quotients, each head a
+    separating quotient, are read in the family's partition 1+1."""
+    allowed = {"type", "target_word", "modulus", "head_bound", "head_certificates",
+               "composite_quotient"}
     _check_keys(obj, allowed, path)
     if obj["type"] != "ex1_tail":
         raise SchemaError(f"{path}.type: expected 'ex1_tail', got {obj['type']!r}")
-    partition = partition_from_obj(obj["partition"], f"{path}.partition")
-    if partition != EX1_PARTITION:
-        raise SchemaError(f"{path}.partition: this family lives in the rank-2 split 1+1")
+    partition = EX1_PARTITION
     target = _parse_word_field(obj["target_word"], partition, f"{path}.target_word")
     modulus = _decimal_field(obj["modulus"], f"{path}.modulus")
     head_bound = _decimal_field(obj["head_bound"], f"{path}.head_bound")
@@ -362,21 +357,18 @@ def ex1_tail_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex1TailC
 def ex1_witness_to_obj(witness: Ex1NotClosedWitness) -> dict:
     return {
         "type": "ex1_not_closed",
-        "partition": partition_to_obj(EX1_PARTITION),
         "quotient": quotient_to_obj(witness.quotient),
         "k": witness.k,
     }
 
 
 def ex1_witness_from_obj(obj, path="witness", enumeration_cap=None) -> Ex1NotClosedWitness:
-    allowed = {"type", "partition", "quotient", "k"}
+    """Parse a not-closed witness; its quotient is read in the family's partition 1+1."""
+    allowed = {"type", "quotient", "k"}
     _check_keys(obj, allowed, path)
     if obj["type"] != "ex1_not_closed":
         raise SchemaError(f"{path}.type: expected 'ex1_not_closed', got {obj['type']!r}")
-    partition = partition_from_obj(obj["partition"], f"{path}.partition")
-    if partition != EX1_PARTITION:
-        raise SchemaError(f"{path}.partition: this family lives in the rank-2 split 1+1")
-    quotient = quotient_from_obj(obj["quotient"], partition, f"{path}.quotient",
+    quotient = quotient_from_obj(obj["quotient"], EX1_PARTITION, f"{path}.quotient",
                                  enumeration_cap=enumeration_cap)
     k = _int_field(obj["k"], f"{path}.k", minimum=1)
     return Ex1NotClosedWitness(quotient, k)

@@ -82,6 +82,8 @@ class MixedQuotientSource:
     kind = "mixed"
 
     def __init__(self, partition: FactorPartition, seed: int = 0, enumeration_cap=None):
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.partition = partition
         self.seed = seed
         self.enumeration_cap = enumeration_cap
@@ -165,11 +167,14 @@ def make_s(r: Word, q: FiniteQuotient):
 
 class Ex2Params(NamedTuple):
     partition: FactorPartition
-    steps: int
     f_values: tuple
     source: dict
     enumeration_cap: int
-    max_source_draws: int
+
+    @property
+    def steps(self) -> int:
+        """One step per f value."""
+        return len(self.f_values)
 
 
 class Ex2Step(NamedTuple):
@@ -215,7 +220,7 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
     ``source`` (default ``MixedQuotientSource(partition)``) yields factors of
     ``partition``; the certificate records its seed and its factors' cap.
     """
-    if not isinstance(steps, int) or steps < 1:
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if steps > max_source_draws:
         raise CapExceededError(max_source_draws, "quotient source draws",
@@ -272,8 +277,7 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
         built.append(Ex2Step(quotient, r_n, s_n, e_n, index))
         forbidden.append((quotient, r_n))
     # the cap of the source's factors, under which every K-index was computed
-    params = Ex2Params(partition, steps, f_values, source.describe(),
-                       quotient.enumeration_cap, max_source_draws)
+    params = Ex2Params(partition, f_values, source.describe(), quotient.enumeration_cap)
     return Ex2Certificate(params, tuple(built), recip)
 
 
@@ -320,16 +324,15 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     f_values = params.f_values
     k_words = _k_letter_words(p)
 
-    ok = (len(f_values) == n_steps and n_steps >= 1
-          and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                  for v in f_values)
+    ok = (n_steps >= 1 and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                               for v in f_values)
           and all(f_values[i] < f_values[i + 1] for i in range(len(f_values) - 1)))
     clauses.append(Ex2Clause("params-structure", None, None, ok,
                              f"{n_steps} steps, f values {list(f_values)}"))
     if len(cert.steps) != n_steps:
         clauses.append(Ex2Clause("params-structure", None, None, False,
                                  f"expected {n_steps} steps, found {len(cert.steps)}"))
-    if len(cert.steps) != n_steps or len(f_values) != n_steps:  # step m reads f_values[m - 1]
+    if len(cert.steps) != n_steps or not n_steps:  # step m reads f_values[m - 1]; step 1 must exist
         return Ex2Report(tuple(clauses))
 
     foreign = [m for m, st in enumerate(cert.steps, 1) if st.quotient.partition != p]
@@ -432,9 +435,10 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
 
 def _step(cert: Ex2Certificate, n: int) -> Ex2Step:
     """Step ``n`` (1-based) of the chain; ValueError for an index outside it,
-    or when the chain's steps or f values do not number ``params.steps``."""
-    if not len(cert.steps) == len(cert.params.f_values) == cert.params.steps:
-        raise ValueError(f"the chain does not have {cert.params.steps} steps and f values")
+    or when the chain does not have one step per f value."""
+    if len(cert.steps) != cert.params.steps:
+        raise ValueError(f"the chain has {len(cert.steps)} steps "
+                         f"but {cert.params.steps} f values")
     if not 1 <= n <= cert.params.steps:
         raise ValueError(f"step index must be in 1..{cert.params.steps}, got {n}")
     return cert.steps[n - 1]
@@ -498,11 +502,9 @@ def ex2_to_obj(cert: Ex2Certificate) -> dict:
         "type": "ex2",
         "params": {
             "partition": partition_to_obj(p),
-            "steps": cert.params.steps,
             "f_values": list(cert.params.f_values),
             "source": dict(cert.params.source),
             "enumeration_cap": cert.params.enumeration_cap,
-            "max_source_draws": cert.params.max_source_draws,
         },
         "steps": [
             {
@@ -525,14 +527,12 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
         raise SchemaError(f"{path}.type: expected 'ex2', got {obj['type']!r}")
 
     raw_params = obj["params"]
-    param_keys = {"partition", "steps", "f_values", "source",
-                  "enumeration_cap", "max_source_draws"}
-    _check_keys(raw_params, param_keys, f"{path}.params")
+    _check_keys(raw_params, {"partition", "f_values", "source", "enumeration_cap"},
+                f"{path}.params")
     partition = partition_from_obj(raw_params["partition"], f"{path}.params.partition")
-    n_steps = _int_field(raw_params["steps"], f"{path}.params.steps", minimum=1)
     raw_f = raw_params["f_values"]
-    if not isinstance(raw_f, list):
-        raise SchemaError(f"{path}.params.f_values: expected a list")
+    if not isinstance(raw_f, list) or not raw_f:  # one f value per step, and one step at least
+        raise SchemaError(f"{path}.params.f_values: expected a nonempty list")
     f_values = tuple(_int_field(v, f"{path}.params.f_values[{i}]", minimum=1)
                      for i, v in enumerate(raw_f))
     source = raw_params["source"]
@@ -542,8 +542,6 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
     _int_field(source["seed"], f"{path}.params.source.seed", minimum=None)
     cap = _int_field(raw_params["enumeration_cap"], f"{path}.params.enumeration_cap",
                      minimum=1)
-    draws = _int_field(raw_params["max_source_draws"], f"{path}.params.max_source_draws",
-                       minimum=1)
     # the file may lower the verifier's cap but never raise it
     effective_cap = min(cap, DEFAULT_ENUMERATION_CAP if enumeration_cap is None
                         else enumeration_cap)
@@ -574,7 +572,7 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{path}.reciprocal_sum: {exc}") from None
 
-    params = Ex2Params(partition, n_steps, f_values, dict(source), cap, draws)
+    params = Ex2Params(partition, f_values, dict(source), cap)
     return Ex2Certificate(params, tuple(steps), reciprocal_sum)
 
 

@@ -75,20 +75,22 @@ class CheckResult(NamedTuple):
 
 
 class PartialAction(NamedTuple):
-    """Partial injections of 0..degree-1: ``targets[g][i]`` is the image of
-    ``sources[g][i]`` under ``g`` (tuples, sources ascending).  Each extends
+    """Partial injections of points 0, 1, ...: ``targets[g][i]`` is the image
+    of ``sources[g][i]`` under ``g`` (tuples, sources ascending).  Each extends
     to a permutation, and a walk along the pairs ends as in any extension."""
 
     partition: FactorPartition
-    degree: int
     sources: dict
     targets: dict
     kind = PARTIAL
 
 
 def _completed(action: PartialAction) -> FiniteQuotient:
-    """``action`` completed to permutations by pairing its free points ascending."""
-    images, points = {}, range(action.degree)
+    """``action`` completed to permutations of 0 up to its largest point by
+    pairing its free points ascending."""
+    images = {}
+    points = range(1 + max(chain(*action.sources.values(), *action.targets.values()),
+                           default=0))
     for g in action.partition.generators():
         row = dict(zip(action.sources[g], action.targets[g]))
         free = iter(sorted(set(points).difference(row.values())))
@@ -427,7 +429,7 @@ def separate_from_subgroup(partition: FactorPartition, gens, w: Word) -> Separat
                for g, row in zip(partition.generators(), rows)}
     targets = {g: tuple([x for x in row if x is not None])
                for g, row in zip(partition.generators(), rows)}
-    action = PartialAction(partition, len(rows[0]), sources, targets)
+    action = PartialAction(partition, sources, targets)
     return SeparationCertificate(action, tuple(gens), w)
 
 
@@ -457,11 +459,10 @@ def separate_from_identity(partition: FactorPartition, w: Word) -> SeparationCer
     return separate_from_subgroup(partition, [], w)
 
 
-def _check_partial(triples, degree: int, prefix: str) -> None:
+def _check_partial(triples, prefix: str) -> None:
     """Refuse a file's ``(letter, sources, targets)`` triples as it loads unless
     each is a partial injection (two lists of one length, of ints >= 0, sources
-    strictly ascending, targets distinct) and ``degree`` is one past the largest point."""
-    top = 0
+    strictly ascending, targets distinct)."""
     for x, sources, targets in triples:
         for name, points in (("sources", sources), ("targets", targets)):
             if not isinstance(points, (list, tuple)) or points and not (
@@ -473,9 +474,6 @@ def _check_partial(triples, degree: int, prefix: str) -> None:
             raise SchemaError(f"{prefix}sources.{x}: not strictly ascending")
         if len(set(targets)) != len(targets):
             raise SchemaError(f"{prefix}targets.{x}: not injective (a point is hit twice)")
-        top = max(top, sources[-1], max(targets)) if sources else top
-    if degree != top + 1:
-        raise SchemaError(f"{prefix}degree: expected {top + 1}, one past the largest point")
 
 
 def verify_separation(cert: SeparationCertificate) -> CheckResult:
@@ -491,8 +489,11 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
     """
     reasons = []
     q = cert.quotient
+    kind = getattr(q, "kind", None)  # an in-process head may be anything
+    if kind not in (PARTIAL, ABELIAN):
+        return CheckResult(False, (f"quotient kind {kind!r}: expected 'partial' or 'abelian'",))
     p = q.partition
-    if q.kind == PARTIAL:
+    if kind == PARTIAL:
         letter_of, rank = _generator_table(p.k_size, p.l_size).letter_of, p.rank
         maps = [None] * (2 * rank)
         for i, g in enumerate(p.generators()):
@@ -505,14 +506,12 @@ def verify_separation(cert: SeparationCertificate) -> CheckResult:
                     reasons.append(f"sources.{x}, targets.{x}: expected lists of int points")
             except TypeError:
                 reasons.append(f"sources.{x}, targets.{x}: expected lists of hashable points")
-    elif q.kind != ABELIAN:
-        reasons.append(f"quotient kind {q.kind!r}: expected 'partial' or 'abelian'")
     elif not isinstance(q.modulus, int) or q.modulus < 2:
         reasons.append(f"modulus: expected an integer >= 2, got {q.modulus!r}")
     if reasons:
         return CheckResult(False, tuple(reasons))
 
-    if q.kind == PARTIAL:
+    if kind == PARTIAL:
         # sound because the pairs extend to a permutation action, whose
         # stabilizer of point 0 contains the subgroup but not the excluded word
         for i, gw in enumerate(cert.subgroup_gens):
@@ -556,28 +555,25 @@ def witness_quotient_to_obj(q) -> dict:
     if q.kind != PARTIAL:
         return quotient_to_obj(q)
     letters = {g: q.partition.letter(g) for g in q.partition.generators()}
-    return {"kind": PARTIAL, "degree": q.degree,
-            "sources": {x: list(q.sources[g]) for g, x in letters.items()},
+    return {"kind": PARTIAL, "sources": {x: list(q.sources[g]) for g, x in letters.items()},
             "targets": {x: list(q.targets[g]) for g, x in letters.items()}}
 
 
 def witness_quotient_from_obj(obj, partition: FactorPartition, path: str, enumeration_cap=None):
     """Parse a separating quotient in ``partition``; other kinds are refused unread.  A partial
-    action's pairs are checked once, here: nothing is sized by a degree they do not bear out."""
+    action's pairs are checked once, here."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == ABELIAN:
         return quotient_from_obj(obj, partition, path, enumeration_cap=enumeration_cap)
     if kind != PARTIAL:
         raise SchemaError(f"{path}.kind: expected 'partial' or 'abelian', got {kind!r}")
-    _check_keys(obj, {"kind", "degree", "sources", "targets"}, path)
-    degree = _int_field(obj["degree"], f"{path}.degree", minimum=1)
+    _check_keys(obj, {"kind", "sources", "targets"}, path)
     letters = {partition.letter(g): g for g in partition.generators()}
     for name in ("sources", "targets"):
         _check_keys(obj[name], set(letters), f"{path}.{name}")
-    _check_partial([(x, obj["sources"][x], obj["targets"][x]) for x in letters], degree,
-                   f"{path}.")
-    return PartialAction(partition, degree, *({g: tuple(obj[name][x]) for x, g in letters.items()}
-                                              for name in ("sources", "targets")))
+    _check_partial([(x, obj["sources"][x], obj["targets"][x]) for x in letters], f"{path}.")
+    return PartialAction(partition, *({g: tuple(obj[name][x]) for x, g in letters.items()}
+                                      for name in ("sources", "targets")))
 
 
 def separation_to_obj(cert: SeparationCertificate) -> dict:

@@ -37,6 +37,7 @@ from proficert.quotients import (
     make_permutation_quotient,
 )
 from proficert.separation import (
+    _completed,
     build_stallings,
     fold,
     membership,
@@ -216,8 +217,8 @@ def test_criterion_stallings_membership_equals_brute_force():
 
 
 def test_criterion_hall_separation_certificates():
-    """100 random (H, w) with w outside H: certificates verify, and the quotient
-    degree never exceeds the folded graph's vertex count."""
+    """100 random (H, w) with w outside H: certificates verify, and the completed
+    action's degree never exceeds the folded graph's vertex count."""
     rng = random.Random(4)
     done = 0
     while done < 100:
@@ -231,7 +232,7 @@ def test_criterion_hall_separation_certificates():
         result = verify_separation(cert)
         assert result.ok, result.reasons
         folded = fold(adjoin_word_path(graph, w))
-        assert cert.quotient.degree <= folded.num_vertices
+        assert _completed(cert.quotient).degree <= folded.num_vertices
         done += 1
 
 
@@ -323,11 +324,11 @@ def test_criterion_chain_witnesses_and_mutation_sweep(chain_cert):
 
     mutations = [
         ("type", lambda o: o.update(type="ex1_tail")),
-        ("params.steps", lambda o: o["params"].update(steps=3)),
+        ("params.f_values-short", lambda o: o["params"].update(f_values=[2, 3, 4])),
         ("params.f_values", lambda o: o["params"].update(f_values=[2, 3, 4, 4])),
         ("params.partition", lambda o: o["params"]["partition"].update(k_size=3)),
         ("params.enumeration_cap", lambda o: o["params"].update(enumeration_cap=1)),
-        ("params.max_source_draws", lambda o: o["params"].update(max_source_draws=0)),
+        ("params.source.seed", lambda o: o["params"]["source"].update(seed=True)),
         ("params.source.kind", lambda o: o["params"]["source"].update(kind=5)),
         ("reciprocal_sum", lambda o: o.update(reciprocal_sum="1/3")),
         ("reciprocal_sum-syntax", lambda o: o.update(reciprocal_sum="nonsense")),

@@ -250,7 +250,7 @@ def test_ex1_witness_and_verify(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["type"] == "ex1_not_closed"
     assert obj["k"] == 4
-    assert set(obj) == {"type", "partition", "quotient", "k"}
+    assert set(obj) == {"type", "quotient", "k"}
     path = tmp_path / "witness.json"
     path.write_text(out)
     code, out, _ = run(capsys, "ex1-verify", str(path))
@@ -370,11 +370,11 @@ def test_ex2_witness_errors(capsys, chain):
     assert "--word" in err
 
 
-@pytest.mark.parametrize("params", [{"steps": 3}, {"f_values": [2]}])
+@pytest.mark.parametrize("params", [{"f_values": [2, 3, 4]}, {"f_values": [2]}])
 def test_chain_with_fewer_steps_or_f_values_than_params_steps(capsys, chain, params):
     # a step reads its bound from params.f_values: with one f value for two
-    # steps ex2-verify indexed past the list, and with params.steps 3
-    # ex2-witness --step 3 indexed past the steps, each an IndexError
+    # steps ex2-verify indexed past the list, and with three ex2-witness
+    # --step 3 indexed past the steps, each an IndexError
     path, text = chain
     obj = json.loads(text)
     obj["params"].update(params)
@@ -382,11 +382,11 @@ def test_chain_with_fewer_steps_or_f_values_than_params_steps(capsys, chain, par
     code, out, _ = run(capsys, "ex2-verify", str(path))
     assert code == 1
     assert {c["clause"] for c in json.loads(out) if not c["pass"]} == {"params-structure"}
-    steps = obj["params"]["steps"]
-    for argv in (("--step", str(steps)), ("--step", "1", "--dot")):
+    f_count = len(obj["params"]["f_values"])
+    for argv in (("--step", str(f_count)), ("--step", "1", "--dot")):
         code, out, err = run(capsys, "ex2-witness", str(path), *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: the chain does not have {steps} steps and f values\n"
+        assert err == f"error: the chain has 2 steps but {f_count} f values\n"
 
 
 # --- error handling ---------------------------------------------------------------
@@ -409,6 +409,17 @@ def test_verify_invalid_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run(capsys, "ex2-verify", str(path))[0] == 2
+
+
+def test_verify_names_the_file_of_an_integer_past_the_digit_limit(capsys, tmp_path):
+    # json refuses more than 4,300 digits with a bare ValueError, which was
+    # printed without the file's name
+    path = tmp_path / "witness.json"
+    path.write_text('{"k":' + "9" * 5000 + ',"quotient":{"kind":"abelian","modulus":4},'
+                    '"type":"ex1_not_closed"}\n')
+    code, out, err = run(capsys, "ex1-verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not valid JSON: Exceeds the limit (4300 digits)")
 
 
 def test_verify_unknown_type(capsys, tmp_path):
@@ -586,9 +597,8 @@ def test_ex2_verify_refuses_a_symmetric_k_image(tmp_path):
                 "c": points, "d": points}},
             "r": "a^3", "s": "a^3 c", "e": 1, "k_index": 1}
     obj = {"type": "ex2", "params": {
-               "partition": {"k_size": 2, "l_size": 2}, "steps": 1, "f_values": [2],
-               "source": {"kind": "hand", "seed": 0}, "enumeration_cap": 10 ** 6,
-               "max_source_draws": 1},
+               "partition": {"k_size": 2, "l_size": 2}, "f_values": [2],
+               "source": {"kind": "hand", "seed": 0}, "enumeration_cap": 10 ** 6},
            "steps": [step], "reciprocal_sum": "1"}
     path = tmp_path / "symmetric.json"
     path.write_text(canonical_json(obj))
@@ -748,8 +758,13 @@ def test_installed_console_script():
 # each step's ``f_value`` deleted.  The two ``ex1-separate`` rows were
 # recorded again when a tail head came to be its quotient and excluded word
 # alone: each equals the earlier output with every head's ``type``,
-# ``partition`` and ``subgroup_gens`` deleted.  JSON outputs are compact
-# now, and their digests are of the indented layout they were recorded in
+# ``partition`` and ``subgroup_gens`` deleted.  The ``separate``,
+# ``ex1-separate``, ``ex1-witness`` and ``ex2-construct`` rows were recorded
+# again when certificates stopped writing what no verifier reads: each equals
+# the earlier output with the tail's and the witness's ``partition``, every
+# partial action's ``degree``, and the chain's ``params.steps`` and
+# ``params.max_source_draws`` deleted.  JSON outputs are compact now, and
+# their digests are of the indented layout they were recorded in
 # (``indented_digest``); any other output is hashed as printed.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
 
@@ -788,9 +803,9 @@ PINNED = (
     (None, ("stallings", "--gen", "a^2", "--gen", "b a b^-1", "--dot"), 0,
      "37f8d1849154801adce21109480dc49abf9a9d8b285c2d2557828e2ce047c8c4", None),
     ("sep", ("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), 0,
-     "b496f685c4c34d0aa62c3a7099eee399d54d73db8a895368daf0275dd2895765", None),
+     "df60add86985df6590123d38a6dda78b0241c319fe136ce9632c487e06147c33", None),
     ("sep_id", ("separate", "--word", "a b a^-1 b^-1"), 0,
-     "3a9ad57661ff13941d4bb6e0485ea76725951fe18e3b7754b104bb037b117ca9", None),
+     "b637c3a7de8e2555f07ba19048a4cb975c88284a0a7228a191581cd5975a03df", None),
     (None, ("ex1-elem", "5"), 0,
      "5c2f853beb8bccb625360d200db7c7cfcc76b709652f0de4f6bffba1eb8cfc9a", None),
     (None, ("ex1-elem", "4", "--kind", "a"), 0,
@@ -798,13 +813,13 @@ PINNED = (
     (None, ("ex1-elem", "5", "--kind", "m"), 0,
      "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017", None),
     ("tail", ("ex1-separate", "--word", "b"), 0,
-     "07d93a5ff5065b18ec0e7da5d86615401cf4c083f2efc5a4d23d26682cef26f8", None),
+     "075cbe98bd61e940a12dfd4a51e3e0e6aafd74077e4089cf7c7ed62eaf57d4f0", None),
     (None, ("ex1-separate", "--word", "b a^-1", "--head-margin", "3"), 0,
-     "9eb0505ffe73349f95138bc50f6bbba938860b9e0f67b803ee427223c95f31c0", None),
+     "71cd799430e703d034753fcd31d4feef337986b0ee81648ea21302ea215fd8ed", None),
     ("witness", ("ex1-witness", "--abelian", "4"), 0,
-     "96263c2c01bca907405e7439908633755ad7cd5da2976d9098fdd4856b95fe80", None),
+     "0a3373456fcaaae592f9f91d715d63961a4e16275f90e00fe21bd6e9894fde90", None),
     (None, ("ex1-witness", "--quotient", "{quotient}"), 0,
-     "6c6ee2d8078d4756165ebef47b147a7136d13f902aeaaabfbad84902363ca364", None),
+     "737d917b37124858a840fcbbf0123b58542142df95825fcaff68e5ba18b296f0", None),
     (None, ("ex1-verify", "{sep}"), 0,
      "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80", None),
     (None, ("ex1-verify", "{sep_id}"), 0,
@@ -816,9 +831,9 @@ PINNED = (
     (None, ("ex1-verify", "{witness}"), 0,
      "a49594fe41ece1f27dda9a3fab2100096786967cc04502afdc16160188653c80", None),
     ("chain", ("ex2-construct",), 0,
-     "bc7577ac5f92f3e32b3ad79349bd61fe7954fab5f35f53372dd4e46c5920d482", None),
+     "d38299bbbb592e5534d02f75d38e056d3ea325ed82262316ff6938eb432a5ed1", None),
     (None, ("ex2-construct", "--steps", "2", "--seed", "3", "--f", "2,4"), 0,
-     "6ff16b7a086d2cf87d31d92b8c8e05a4393165cf722e6a3e2728bdeb27883ef5", None),
+     "2dcfc282902e54b43467ac974a8584f8b50b17771e5dfd9f7692ad0faac52023", None),
     (None, ("ex2-construct", "--steps", "2", "--cap", "50"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     (None, ("ex2-verify", "{chain}"), 0,
@@ -923,7 +938,11 @@ def test_indented_files_still_load_and_verify(capsys, tmp_path, kind):
 # its quotient's kind names), a tail head was a whole separation and then its
 # quotient and excluded word (w s_j^-1, which the verifier derives), a
 # not-closed witness echoed s_k and b^(-m_k) (which k names), and each chain
-# step echoed its f value (which params.f_values holds).
+# step echoed its f value (which params.f_values holds).  The PARENT_* files
+# are what the version before this one wrote: a tail and a not-closed witness
+# named their partition (always 1+1), a partial action its degree (one past
+# its largest point), and chain params their step count (one per f value)
+# and the builder's source draw limit, which no verifier reads.
 OLD_SEPARATION = (
     '{"excluded":"a","partition":{"k_size":1,"l_size":1},"quotient":{"degree":2,'
     '"kind":"partial","sources":{"a":[0,1],"b":[0]},"targets":{"a":[1,0],"b":[0]}},'
@@ -955,6 +974,20 @@ OLD_CHAIN = (
     '"c":[7,6,1,5,3,4,2,0,8,9,10,11,13,12,14,15],'
     '"d":[2,0,3,7,6,1,4,5,8,9,10,11,12,13,15,14]},"kind":"perm"},'
     '"r":"a^3","s":"a^3 c^6"}],"type":"ex2"}\n')
+PARENT_SEPARATION = (
+    '{"excluded":"a","partition":{"k_size":1,"l_size":1},"quotient":{"degree":2,'
+    '"kind":"partial","sources":{"a":[0,1],"b":[0]},"targets":{"a":[1,0],"b":[0]}},'
+    '"subgroup_gens":["a^2","b"],"type":"separation"}\n')
+PARENT_TAIL = (
+    '{"composite_quotient":{"degree":9,"images":{"a":[1,0,2,3,4,6,5,8,7],'
+    '"b":[0,1,3,2,5,4,7,6,8]},"kind":"perm"},"head_bound":"2","head_certificates":'
+    '[{"degree":5,"kind":"partial","sources":{"a":[1,4],"b":[0,3]},"targets":{"a":[2,3],'
+    '"b":[1,2]}}],"modulus":"2","partition":{"k_size":1,"l_size":1},'
+    '"target_word":"b a b^-1","type":"ex1_tail"}\n')
+PARENT_WITNESS = (
+    '{"k":4,"partition":{"k_size":1,"l_size":1},"quotient":{"kind":"abelian","modulus":4},'
+    '"type":"ex1_not_closed"}\n')
+PARENT_CHAIN = OLD_CHAIN.replace('"f_value":2,', "")
 
 
 def deleted(root, *keys):
@@ -978,18 +1011,35 @@ HEADS_AS_QUOTIENTS = ("certificate.head_certificates[0].kind: expected 'partial'
 # name: (command that writes it now, its verify command, the file as written
 # before, and the error and edit of each restated field in the order the
 # loader meets them)
+TAIL_PARTITION = deleted("certificate", "partition")
+PARTIAL_DEGREE = deleted("certificate", "quotient", "degree")
+WITNESS_PARTITION = deleted("witness", "partition")
+CHAIN_PARAMS = [deleted("certificate", "params", "max_source_draws"),
+                deleted("certificate", "params", "steps")]
+
 RESTATED = {
     "separation": (("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), "ex1-verify",
-                   OLD_SEPARATION, [deleted("certificate", "witness_kind")]),
+                   OLD_SEPARATION, [deleted("certificate", "witness_kind"), PARTIAL_DEGREE]),
     "abelian separation": (("separate", "--word", "a"), "ex1-verify", OLD_ABELIAN_SEPARATION,
                            [deleted("certificate", "witness_kind")]),
-    "tail head": (("ex1-separate", "--word", "b"), "ex1-verify", OLD_TAIL, [HEADS_AS_QUOTIENTS]),
+    "tail head": (("ex1-separate", "--word", "b"), "ex1-verify", OLD_TAIL,
+                  [TAIL_PARTITION, HEADS_AS_QUOTIENTS]),
     "tail head with its excluded word": (("ex1-separate", "--word", "b"), "ex1-verify",
-                                         EXCLUDED_TAIL, [HEADS_AS_QUOTIENTS]),
+                                         EXCLUDED_TAIL, [TAIL_PARTITION, HEADS_AS_QUOTIENTS]),
     "witness": (("ex1-witness", "--abelian", "4"), "ex1-verify", OLD_WITNESS,
-                [deleted("witness", "cofactor"), deleted("witness", "s_element")]),
+                [deleted("witness", "cofactor"), WITNESS_PARTITION,
+                 deleted("witness", "s_element")]),
     "chain step": (("ex2-construct", "--steps", "1"), "ex2-verify", OLD_CHAIN,
-                   [deleted("certificate", "steps", 0, "f_value")]),
+                   [*CHAIN_PARAMS, deleted("certificate", "steps", 0, "f_value")]),
+    "partial degree": (("separate", "--word", "a", "--gen", "a^2", "--gen", "b"), "ex1-verify",
+                       PARENT_SEPARATION, [PARTIAL_DEGREE]),
+    "tail partition and head degree": (
+        ("ex1-separate", "--word", "b a b^-1"), "ex1-verify", PARENT_TAIL,
+        [TAIL_PARTITION, deleted("certificate", "head_certificates", 0, "degree")]),
+    "witness partition": (("ex1-witness", "--abelian", "4"), "ex1-verify", PARENT_WITNESS,
+                          [WITNESS_PARTITION]),
+    "chain params": (("ex2-construct", "--steps", "1"), "ex2-verify", PARENT_CHAIN,
+                     CHAIN_PARAMS),
 }
 
 
@@ -1031,10 +1081,17 @@ FOREIGN_HEAD_TAIL = (
 
 
 def test_a_tail_head_cannot_declare_its_own_partition(tmp_path):
-    # a head is a quotient read in the tail's partition: it has no partition field
+    # a head is a quotient read in the family's partition 1+1: neither it nor
+    # the tail has a partition field
     path = tmp_path / "foreign.json"
-    path.write_text(FOREIGN_HEAD_TAIL)
-    result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path), timeout=5)
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == ("error: certificate.head_certificates[0].kind: expected "
-                             "'partial' or 'abelian', got None\n")
+    obj = json.loads(FOREIGN_HEAD_TAIL)
+    del obj["partition"]
+    for text, error in (
+            (FOREIGN_HEAD_TAIL, "certificate.partition: unknown field"),
+            (canonical_json(obj), "certificate.head_certificates[0].kind: expected 'partial' "
+                                  "or 'abelian', got None")):
+        path.write_text(text)
+        result = run_process(sys.executable, "-m", "proficert", "ex1-verify", str(path),
+                             timeout=5)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {error}\n"

@@ -42,7 +42,7 @@ from proficert.quotients import (
     make_abelian_quotient,
     make_permutation_quotient,
 )
-from proficert.separation import PartialAction, _completed
+from proficert.separation import PartialAction, SeparationCertificate, _completed
 from proficert.words import Word, exponent_sum, identity, multiply, parse_word
 
 from fixtures import indented_digest, trivial_quotient
@@ -64,7 +64,7 @@ def word(text):
 
 
 # a and b both fix point 0: every word fixes the basepoint
-FIXED_POINT = PartialAction(EX1_PARTITION, 1, {GEN_A: (0,), GEN_B: (0,)},
+FIXED_POINT = PartialAction(EX1_PARTITION, {GEN_A: (0,), GEN_B: (0,)},
                             {GEN_A: (0,), GEN_B: (0,)})
 
 
@@ -429,6 +429,15 @@ def test_verify_ex1_reads_the_head_bound_as_an_exact_int():
         "head_bound: expected an integer >= 1, got True",)
 
 
+def test_verify_ex1_reads_a_head_that_is_not_a_quotient_as_a_reason():
+    # such a head raised AttributeError, read for its partition before its kind
+    cert = separate_from_S(WORD_B)
+    whole = SeparationCertificate(cert.head_certificates[0], (), WORD_B)
+    for head in (None, whole):
+        assert verify_ex1(cert._replace(head_certificates=(head,))).reasons == (
+            "head 1: quotient kind None: expected 'partial' or 'abelian'",)
+
+
 def test_verify_ex1_detects_corrupted_modulus():
     cert = separate_from_S(WORD_B)
     bad = cert._replace(modulus=4)
@@ -531,7 +540,7 @@ def test_verify_ex1_agrees_with_a_head_oracle_on_a_bench_round():
              if isinstance(op, cases.RoundTrip) and op.verify[1] == "verify_ex1"]
     assert len(tails) == 162
     # total actions, so that no walk leaves them and the completion is the action
-    rotation = PartialAction(EX1_PARTITION, 3, {GEN_A: (0, 1, 2), GEN_B: (0, 1, 2)},
+    rotation = PartialAction(EX1_PARTITION, {GEN_A: (0, 1, 2), GEN_B: (0, 1, 2)},
                              {GEN_A: (1, 2, 0), GEN_B: (0, 2, 1)})
     candidates = [abelian(n) for n in (2, 3, 4, 6)] + [FIXED_POINT, rotation]
     rng = random.Random(1010)
@@ -616,8 +625,7 @@ def test_not_closed_witness_examples():
     assert s_element(4) == word("a^24 b^4") and kernel_element(4) == word("a^24")
     assert verify_ex1_witness(w)
     assert ex1_witness_to_obj(w) == {
-        "type": "ex1_not_closed", "partition": {"k_size": 1, "l_size": 1},
-        "quotient": {"kind": "abelian", "modulus": 4}, "k": 4}
+        "type": "ex1_not_closed", "quotient": {"kind": "abelian", "modulus": 4}, "k": 4}
 
 
 def test_not_closed_witness_product_in_kernel():
@@ -707,12 +715,13 @@ def test_tail_certificate_bytes_pinned():
     # points stored as bytes; the test below covers storage past 256 points.
     # Digests here were recorded in the indented layout (indented_digest),
     # again when heads stopped naming their witness kind, again when a head
-    # came to be its quotient and excluded word alone, and again when it
-    # came to be its bare quotient
+    # came to be its quotient and excluded word alone, again when it came to
+    # be its bare quotient, and again when the tail stopped naming its
+    # partition
     cert = separate_from_S(word("b^33"))
     assert cert.composite_quotient.degree == 132
     assert indented_digest(emit_certificate(cert)) == (
-        "967ebd4b64f75fa75af767ccc4b28bf5fadc082f202cbe9a8e0bfcae77107a48")
+        "6ee57d0b209c2820ae544560d02226ed4cba00c68db72c222b9331bbb5bc1ee8")
 
 
 def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
@@ -721,12 +730,13 @@ def test_tail_certificate_bytes_pinned_at_head_bound_512(capsys, tmp_path):
     # digest was recorded before the family was walked in one pass and the
     # composite clause grouped by residue pair; the certificate digest was
     # recorded again when a head came to be its quotient and excluded word,
-    # and again when it came to be its bare quotient
+    # again when it came to be its bare quotient, and again when the tail
+    # stopped naming its partition
     cert = separate_from_S(word("b^267"))
     assert (cert.head_bound, cert.composite_quotient.degree) == (512, 1028)
     text = emit_certificate(cert)
     assert indented_digest(text) == (
-        "50e0773e6c7c06d8ccb7ce97ebbb5c71f8763bb867d8b46db92442593c12e344")
+        "42ae0c76b24d0db64d4ffe41a88954fda2ab63e9966877bbb10744b4d815918d")
     path = tmp_path / "tail.json"
     path.write_text(text)
     assert main(["ex1-verify", str(path)]) == 0
@@ -811,8 +821,8 @@ def test_tail_schema_rejections():
     with pytest.raises(SchemaError, match="type"):
         ex1_tail_from_obj(dict(obj, type="separation"))
 
-    with pytest.raises(SchemaError, match="partition"):
-        ex1_tail_from_obj(dict(obj, partition={"k_size": 2, "l_size": 1}))
+    with pytest.raises(SchemaError, match=r"^certificate\.partition: unknown field$"):
+        ex1_tail_from_obj(dict(obj, partition={"k_size": 1, "l_size": 1}))
 
     with pytest.raises(SchemaError, match="head_certificates"):
         ex1_tail_from_obj(dict(obj, head_certificates="nope"))
@@ -849,3 +859,6 @@ def test_witness_schema_rejections():
     del missing["k"]
     with pytest.raises(SchemaError, match=r"^witness\.k: missing field$"):
         ex1_witness_from_obj(missing)
+
+    with pytest.raises(SchemaError, match=r"^witness\.partition: unknown field$"):
+        ex1_witness_from_obj(dict(obj, partition={"k_size": 1, "l_size": 1}))

@@ -277,6 +277,29 @@ def test_construct_other_shapes():
     assert verify_ex2(cert)
 
 
+@pytest.mark.parametrize("steps, seed", [(True, 0), (1, True), (1, False), (1, 3), (2, -1)])
+def test_construct_refuses_what_its_loader_refuses(steps, seed):
+    # a bool steps or seed was written as true or false, which the loader
+    # refuses as not an integer; every chain that is built loads back
+    if isinstance(steps, bool) or isinstance(seed, bool):
+        with pytest.raises(ValueError, match="^(steps|seed) must be .*, got (True|False)$"):
+            construct_ex2(steps=steps, source=MixedQuotientSource(P22, seed))
+    else:
+        cert = construct_ex2(steps=steps, source=MixedQuotientSource(P22, seed))
+        assert ex2_from_obj(ex2_to_obj(cert)) == cert
+
+
+def test_verify_ex2_reads_an_empty_chain_as_a_failed_clause():
+    # no f values and no steps raised IndexError at the first step's K-index
+    cert = construct_ex2(steps=1)
+    empty = cert._replace(params=cert.params._replace(f_values=()), steps=())
+    assert [(c.clause, c.ok, c.detail) for c in verify_ex2(empty).clauses] == [
+        ("params-structure", False, "0 steps, f values []")]
+    obj = ex2_to_obj(empty)
+    with pytest.raises(SchemaError, match=r"^certificate\.params\.f_values: expected a nonempty"):
+        ex2_from_obj(obj)
+
+
 def test_construct_rejects_bad_f():
     with pytest.raises(ValueError):
         construct_ex2(steps=2, f=(2, 2))
@@ -438,7 +461,7 @@ def flat_k_chain():
     for q, r in ((q1, r1), (q2, r2)):
         s, e = make_s(r, q)
         steps.append(Ex2Step(q, r, s, e, 24))
-    params = Ex2Params(P22, 2, (1, 2), {"kind": "hand", "seed": 0}, 10 ** 6, 1)
+    params = Ex2Params(P22, (1, 2), {"kind": "hand", "seed": 0}, 10 ** 6)
     return Ex2Certificate(params, tuple(steps), Fraction(1, 12))
 
 
@@ -481,7 +504,6 @@ def test_hostile_chain_fails_without_a_kernel_scan():
     images = step7["quotient"]["images"]
     images["c"], images["d"] = images["d"], images["c"]
     obj["steps"].append(step7)
-    obj["params"]["steps"] = 7
     obj["params"]["f_values"].append(8)
     cert = ex2_from_obj(obj)
     started = time.perf_counter()
@@ -503,8 +525,9 @@ def test_chain_past_f6_constructs_and_verifies():
 
 
 def certificate_digest(cert):
-    # recorded in the indented layout certificates were written in then, and
-    # again when steps stopped echoing their f value
+    # recorded in the indented layout certificates were written in then,
+    # again when steps stopped echoing their f value, and again when params
+    # stopped writing ``steps`` and ``max_source_draws``
     return indented_digest(emit_certificate(cert))
 
 
@@ -517,7 +540,7 @@ def test_seven_step_default_chain_pinned():
     assert time.perf_counter() - started < 1
     assert [st.k_index for st in cert.steps][-2:] == [176_400, 529_200]
     assert certificate_digest(cert) == (
-        "c46c8d6dcdcccd4c8fe2ec0f5c4a66a705e299faa94c00d9436b38fd2976a968")
+        "dbc0fbcc2ec2be32ff18ff4a21b2d8d6fa099f6b7eb997e0e0aca7158277430a")
 
 
 def test_ten_step_default_chain_constructs_and_verifies():
@@ -530,7 +553,7 @@ def test_ten_step_default_chain_constructs_and_verifies():
     assert report.ok, report.failures()
     assert [st.k_index for st in cert.steps][7:] == [64_033_200, 192_099_600, 32_464_832_400]
     assert certificate_digest(cert) == (
-        "6200ae469305294d265531d33545d2ee09fe800eacd75f69ba7e8d617f2024e2")
+        "9ad879521dd5b4914fdae7057208bffb1b37eeeb560bf34ed659f7b844e03b18")
 
 
 def symmetric_k_factor(degree):
@@ -667,7 +690,7 @@ def test_round_trip(default_cert):
 def test_default_certificate_bytes_pinned(default_cert):
     # any change to the permutation kernel must leave certificate bytes alone
     assert certificate_digest(default_cert) == (
-        "bc7577ac5f92f3e32b3ad79349bd61fe7954fab5f35f53372dd4e46c5920d482")
+        "d38299bbbb592e5534d02f75d38e056d3ea325ed82262316ff6938eb432a5ed1")
 
 
 def test_loading_is_not_verification(default_cert):
@@ -692,9 +715,8 @@ def test_schema_rejections(default_cert):
     with pytest.raises(SchemaError, match="reciprocal_sum"):
         ex2_from_obj(dict(obj, reciprocal_sum="1/0"))
 
-    with pytest.raises(SchemaError, match="steps"):
-        bad = dict(obj, params=dict(obj["params"], steps=True))
-        ex2_from_obj(bad)
+    with pytest.raises(SchemaError, match=r"params\.f_values: expected a nonempty list"):
+        ex2_from_obj(dict(obj, params=dict(obj["params"], f_values=[]), steps=[]))
 
     with pytest.raises(SchemaError, match="f_values"):
         ex2_from_obj(dict(obj, params=dict(obj["params"], f_values="2,3")))

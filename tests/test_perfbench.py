@@ -43,9 +43,9 @@ def test_benchmark_binds_to_the_package():
 # that alters certificate bytes on purpose re-pins these and names the old
 # and new values in CHANGES.md.
 ROUND_DIGESTS = {
-    "chain": "0b9e9b4e4518849f78ea43273e3090ecc9a07847a3c7f74bbba5ac50fcf90967",
-    "factorial": "d658f8ab4b2f44718b01ef20752d061dd22738b1e7f7a09f16691057952a5d7b",
-    "hall": "35aa1f0fa90e601853aa51dbec0e72825a32e8b5e28b617885dad1c9c6afa12d",
+    "chain": "2d4725818677a498c8cc3bcd48830476bf0684297ab6e3632c8d70a254028bbd",
+    "factorial": "7aeca4b13ecc48f0fa4a46c1bf61109551dde48256c4161336030849c58ecca3",
+    "hall": "bc8c818ab1c243eb1d892e9ff741ead0b017f65c7fc9692ad53d0f2ab6ae1006",
 }
 
 

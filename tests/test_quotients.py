@@ -864,7 +864,7 @@ def test_basepoint_walk_matches_the_image(degree):
             runs.append((g, rng.choice((1, -1)) * rng.choice(exponents[g])))
         words.append(reduce(runs))
     gens = P22.generators()
-    action = PartialAction(P22, q.degree, {g: tuple(range(q.degree)) for g in gens},
+    action = PartialAction(P22, {g: tuple(range(q.degree)) for g in gens},
                            {g: tuple(q.images[g].mapping) for g in gens})
     maps = separation._label_maps([(action.sources[g], action.targets[g]) for g in gens])
     for w in words:

@@ -378,7 +378,7 @@ def test_separate_from_subgroup_examples():
     # <a> against b: an a-loop at 0 and one b-edge 0 -> 1
     cert = separate_from_subgroup(P11, [parse_word("a", P11)], parse_word("b", P11))
     q = cert.quotient
-    assert (q.kind, q.degree) == ("partial", 2)
+    assert (q.kind, separation._completed(q).degree) == ("partial", 2)
     assert (q.sources, q.targets) == ({A: (0,), B11: (0,)}, {A: (0,), B11: (1,)})
     assert verify_separation(cert)
 
@@ -396,7 +396,7 @@ def action_graph(action):
     gens = action.partition.generators()
     edges = frozenset((s, i, t) for i, g in enumerate(gens)
                       for s, t in zip(action.sources[g], action.targets[g]))
-    return StallingsGraph(action.partition, action.degree, edges, True)
+    return StallingsGraph(action.partition, separation._completed(action).degree, edges, True)
 
 
 def test_separate_from_subgroup_random_round_trip():
@@ -578,7 +578,7 @@ def test_fold_engine_on_long_merges():
         gens = [parse_word(f"a^{n}", P22), parse_word(f"a^{n - 1}", P22)]
         assert build_stallings(P22, gens) == StallingsGraph(P22, 1, frozenset({(0, 0, 0)}), True)
         cert = separate_from_subgroup(P22, gens, parse_word("b", P22))
-        assert cert.quotient.degree == 2
+        assert separation._completed(cert.quotient).degree == 2
         assert verify_separation(cert)
 
 
@@ -615,9 +615,9 @@ def test_each_image_is_checked_once_where_it_enters(monkeypatch):
         checked.append(where)
         return check(values, degree, where)
 
-    def counting_partial(triples, degree, prefix):
+    def counting_partial(triples, prefix):
         checked.append((prefix, [x for x, _, _ in triples]))
-        return check_partial(triples, degree, prefix)
+        return check_partial(triples, prefix)
 
     def counting_verify(cert):
         checked.append("verify")
@@ -883,13 +883,13 @@ def test_verify_rejects_tampered_partial_actions():
     text = emit_certificate(separate_from_subgroup(
         P11, [parse_word("a^2", P11), parse_word("b", P11)], parse_word("a", P11)))
     assert json.loads(text)["quotient"] == {
-        "kind": "partial", "degree": 2, "sources": {"a": [0, 1], "b": [0]},
+        "kind": "partial", "sources": {"a": [0, 1], "b": [0]},
         "targets": {"a": [1, 0], "b": [0]}}
     edits = [
         # b's edge retargeted: generator 1 misses 0
         ({"targets": {"a": [1, 0], "b": [1]}}, ["subgroup generator 1 moves the basepoint"]),
         # a's edges retargeted into a loop at 0: the excluded word ends at 0
-        ({"sources": {"a": [0], "b": [0]}, "targets": {"a": [0], "b": [0]}, "degree": 1},
+        ({"sources": {"a": [0], "b": [0]}, "targets": {"a": [0], "b": [0]}},
          ["excluded word fixes the basepoint"]),
         # a's edge out of 0 dropped: a^2 and the excluded word fall off the maps
         ({"sources": {"a": [1], "b": [0]}, "targets": {"a": [0], "b": [0]}},
@@ -950,8 +950,6 @@ def test_verify_refuses_in_process_actions_that_are_not_partial_injections():
             sources={g: p for g, p in {**action.sources, A: sources}.items() if p is not None},
             targets={g: p for g, p in {**action.targets, A: targets}.items() if p is not None})
         assert verify_separation(cert._replace(quotient=edited)).reasons == reasons, edited
-    # the degree is checked where a file loads; the walks do not read it
-    assert verify_separation(cert._replace(quotient=action._replace(degree=10 ** 12)))
 
 
 class _EqualsAll:
@@ -965,7 +963,7 @@ class _EqualsAll:
 
 def partial_certificate(sources, targets, gens, excluded):
     """An in-process Hall certificate on ``P11`` with the given pairs."""
-    action = separation.PartialAction(P11, 2, {A: sources[0], B11: sources[1]},
+    action = separation.PartialAction(P11, {A: sources[0], B11: sources[1]},
                                       {A: targets[0], B11: targets[1]})
     return SeparationCertificate(action, tuple(parse_word(g, P11) for g in gens),
                                  parse_word(excluded, P11))
@@ -1017,12 +1015,13 @@ def test_verify_refuses_actions_with_an_edge_redirected():
 
 
 @pytest.mark.parametrize("edit, message", [
+    # a partial action's points are its pairs': a degree, as earlier versions wrote, is refused
     ({"degree": 10 ** 12, "sources": {"a": [], "b": []}, "targets": {"a": [], "b": []}},
-     "quotient.degree: expected 1, one past the largest point"),
+     "quotient.degree: unknown field"),
     ({"targets": {"a": [1, 1], "b": [0]}}, "quotient.targets.a: not injective"),
     ({"sources": {"a": [1, 0], "b": [0]}}, "quotient.sources.a: not strictly ascending"),
     ({"sources": {"a": [0, 0], "b": [0]}}, "quotient.sources.a: not strictly ascending"),
-    ({"targets": {"a": [1, 2], "b": [0]}}, "quotient.degree: expected 3"),
+    ({"targets": {"a": [[1], 0], "b": [0]}}, "quotient.targets.a: expected a list of points"),
     ({"targets": {"a": [1, -1], "b": [0]}}, "quotient.targets.a: expected a list of points"),
     ({"targets": {"a": [True, 0], "b": [0]}}, "quotient.targets.a: expected a list of points"),
     ({"targets": {"a": [1.0, 0], "b": [0]}}, "quotient.targets.a: expected a list of points"),
@@ -1042,7 +1041,7 @@ def test_verify_refuses_actions_with_an_edge_redirected():
 ])
 def test_hostile_partial_files_are_refused_within_bounds(tmp_path, edit, message):
     # each file loads in a 512 MB address space and is refused as a schema
-    # error: nothing is sized by the declared degree
+    # error: nothing is sized by a declared degree
     text = emit_certificate(separate_from_subgroup(
         P11, [parse_word("a^2", P11), parse_word("b", P11)], parse_word("a", P11)))
     kind = edit.pop("witness_kind", None)
