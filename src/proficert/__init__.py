@@ -73,12 +73,9 @@ from .example2 import (
     NoAdmissibleElementError,
     choose_r,
     construct_ex2,
-    discreteness_witness,
     ex2_from_obj,
     ex2_to_obj,
-    finite_intersection_witness,
     make_s,
-    not_closed_witness2,
     verify_ex2,
 )
 

@@ -43,11 +43,9 @@ from .words import (
     L,
     Word,
     format_word,
-    invert,
     multiply,
     power,
     syllables,
-    word_length,
 )
 
 DEFAULT_MAX_SOURCE_DRAWS = 96
@@ -218,7 +216,8 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
     ``f``, the distance requirements f(1) .. f(steps), is None for
     :func:`default_f` or a sequence of strictly increasing positive ints.
     ``source`` (default ``MixedQuotientSource(partition)``) yields factors of
-    ``partition``; the certificate records its seed and its factors' cap.
+    ``partition``; the certificate records its description, refused with
+    ``SchemaError`` when the loader would refuse it, and its factors' cap.
     """
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -228,6 +227,8 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
     f_values = _materialize_f(f, steps)
     if source is None:
         source = MixedQuotientSource(partition)
+    # recorded as the loader reads it back, so checked before any draw
+    described = _source_from_obj(source.describe(), "params.source")
     stream = source.stream()
     k_words = _k_letter_words(partition)
     kk = partition.k_size
@@ -277,7 +278,7 @@ def construct_ex2(partition: FactorPartition = FactorPartition(2, 2), steps: int
         built.append(Ex2Step(quotient, r_n, s_n, e_n, index))
         forbidden.append((quotient, r_n))
     # the cap of the source's factors, under which every K-index was computed
-    params = Ex2Params(partition, f_values, source.describe(), quotient.enumeration_cap)
+    params = Ex2Params(partition, f_values, described, quotient.enumeration_cap)
     return Ex2Certificate(params, tuple(built), recip)
 
 
@@ -316,6 +317,15 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     without enumerating the image.  Given chain-containment, restriction
     maps the K-image of Q_{n+1} onto that of Q_n with kernel H_n / H_{n+1},
     so chain-descent is K-index growth.
+
+    The clauses are the whole claim: the paper's two conclusions follow
+    from them, so the report restates neither.  For m > n, condition 2
+    at m and chain-containment give s_m = r_m in Q_n; condition 4 gives
+    r_m != r_n and condition 2 at n gives s_n = r_n there.  So no later
+    s_m shares the Q_n-coset of s_n.  And s_n r_n^-1, in S<K-subgroup>
+    since r_n is a K-word, lies in ker Q_n (condition 2), while the
+    identity is not in S<K-subgroup>, since every s_n ends in the L
+    factor (condition 3).
     """
     clauses = []
     params = cert.params
@@ -324,15 +334,16 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     f_values = params.f_values
     k_words = _k_letter_words(p)
 
-    ok = (n_steps >= 1 and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                               for v in f_values)
+    f_ints = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in f_values)
+    ok = (n_steps >= 1 and f_ints
           and all(f_values[i] < f_values[i + 1] for i in range(len(f_values) - 1)))
     clauses.append(Ex2Clause("params-structure", None, None, ok,
                              f"{n_steps} steps, f values {list(f_values)}"))
     if len(cert.steps) != n_steps:
         clauses.append(Ex2Clause("params-structure", None, None, False,
                                  f"expected {n_steps} steps, found {len(cert.steps)}"))
-    if len(cert.steps) != n_steps or not n_steps:  # step m reads f_values[m - 1]; step 1 must exist
+    # step m reads f_values[m - 1] as a radius; step 1 must exist
+    if len(cert.steps) != n_steps or not n_steps or not f_ints:
         return Ex2Report(tuple(clauses))
 
     foreign = [m for m, st in enumerate(cert.steps, 1) if st.quotient.partition != p]
@@ -431,69 +442,6 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     return Ex2Report(tuple(clauses))
 
 
-# --- witnesses ----------------------------------------------------------------
-
-def _step(cert: Ex2Certificate, n: int) -> Ex2Step:
-    """Step ``n`` (1-based) of the chain; ValueError for an index outside it,
-    or when the chain does not have one step per f value."""
-    if len(cert.steps) != cert.params.steps:
-        raise ValueError(f"the chain has {len(cert.steps)} steps "
-                         f"but {cert.params.steps} f values")
-    if not 1 <= n <= cert.params.steps:
-        raise ValueError(f"step index must be in 1..{cert.params.steps}, got {n}")
-    return cert.steps[n - 1]
-
-
-def discreteness_witness(cert: Ex2Certificate, n: int) -> frozenset:
-    """Indices m with s_m in the Q_n-coset of s_n.  For a valid certificate
-    this is a subset of {1..n} containing n: the family has no repeated
-    accumulation inside any single coset, which is what discreteness needs."""
-    step = _step(cert, n)
-    return frozenset(m for m in range(1, cert.params.steps + 1)
-                     if step.quotient.coset_equal(cert.steps[m - 1].s, step.s))
-
-
-class FiniteIntersectionWitness(NamedTuple):
-    """How the family meets the Q_n-coset of a word x, with the distance
-    bookkeeping that keeps the intersection finite."""
-
-    x: Word
-    n: int
-    members: frozenset
-    distance: object
-    length: int
-    records: tuple
-
-
-def finite_intersection_witness(cert: Ex2Certificate, x: Word, n: int) -> FiniteIntersectionWitness:
-    """Which s_m fall in the Q_n-coset of x, plus per-member comparison of
-    the step's distance requirement against the length of x."""
-    q = _step(cert, n).quotient
-    members = frozenset(m for m in range(1, cert.params.steps + 1)
-                        if q.coset_equal(cert.steps[m - 1].s, x))
-    length = word_length(x)
-    distance = q.cayley_distance(x, max_radius=length)
-    f = cert.params.f_values
-    records = tuple({"m": m, "f_value": f[m - 1], "f_below_length": f[m - 1] < length}
-                    for m in sorted(members))
-    return FiniteIntersectionWitness(x, n, members, distance, length, records)
-
-
-def not_closed_witness2(cert: Ex2Certificate, n: int):
-    """(s_n, r_n^-1): their product is in ker Q_n even though s_n r_n^-1
-    never lies in the family times the K-subgroup at bounded length —
-    the pattern that puts a limit point outside S<K-subgroup>."""
-    step = _step(cert, n)
-    if not step.quotient.in_kernel(multiply(step.s, invert(step.r))):
-        raise RuntimeError("the witness product escaped the kernel")
-    p = cert.params.partition
-    for m in range(1, cert.params.steps + 1):
-        syl = syllables(cert.steps[m - 1].s, p)
-        if not syl or syl[-1][0] != L:
-            raise RuntimeError(f"s_{m} does not end in the L factor")
-    return step.s, invert(step.r)
-
-
 # --- serialization ------------------------------------------------------------
 
 def ex2_to_obj(cert: Ex2Certificate) -> dict:
@@ -520,6 +468,15 @@ def ex2_to_obj(cert: Ex2Certificate) -> dict:
     }
 
 
+def _source_from_obj(source, path: str) -> dict:
+    """A quotient source's description: a string kind and an integer seed."""
+    _check_keys(source, {"kind", "seed"}, path)
+    if not isinstance(source["kind"], str):
+        raise SchemaError(f"{path}.kind: expected a string")
+    _int_field(source["seed"], f"{path}.seed", minimum=None)
+    return dict(source)
+
+
 def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificate:
     allowed = {"type", "params", "steps", "reciprocal_sum"}
     _check_keys(obj, allowed, path)
@@ -535,11 +492,7 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
         raise SchemaError(f"{path}.params.f_values: expected a nonempty list")
     f_values = tuple(_int_field(v, f"{path}.params.f_values[{i}]", minimum=1)
                      for i, v in enumerate(raw_f))
-    source = raw_params["source"]
-    _check_keys(source, {"kind", "seed"}, f"{path}.params.source")
-    if not isinstance(source["kind"], str):
-        raise SchemaError(f"{path}.params.source.kind: expected a string")
-    _int_field(source["seed"], f"{path}.params.source.seed", minimum=None)
+    source = _source_from_obj(raw_params["source"], f"{path}.params.source")
     cap = _int_field(raw_params["enumeration_cap"], f"{path}.params.enumeration_cap",
                      minimum=1)
     # the file may lower the verifier's cap but never raise it
@@ -572,7 +525,7 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{path}.reciprocal_sum: {exc}") from None
 
-    params = Ex2Params(partition, f_values, dict(source), cap)
+    params = Ex2Params(partition, f_values, source, cap)
     return Ex2Certificate(params, tuple(steps), reciprocal_sum)
 
 
@@ -580,8 +533,15 @@ def ex2_from_obj(obj, path="certificate", enumeration_cap=None) -> Ex2Certificat
 
 def ex2_ball_dot(cert: Ex2Certificate, n: int) -> str:
     """Graphviz rendering of the Cayley ball of Q_n out to f(n) + 1, with
-    the image of r_n highlighted when it lies inside."""
-    step = _step(cert, n)
+    the image of r_n highlighted when it lies inside; ValueError for a step
+    index outside the chain, or when the chain does not have one step per
+    f value."""
+    if len(cert.steps) != cert.params.steps:
+        raise ValueError(f"the chain has {len(cert.steps)} steps "
+                         f"but {cert.params.steps} f values")
+    if not 1 <= n <= cert.params.steps:
+        raise ValueError(f"step index must be in 1..{cert.params.steps}, got {n}")
+    step = cert.steps[n - 1]
     q = step.quotient
     p = cert.params.partition
     ball = q.ball(cert.params.f_values[n - 1] + 1)

@@ -284,9 +284,6 @@ class FiniteQuotient:
                 acc = _times_power(acc, step, e, compose)
         return _wrap(acc)
 
-    def in_kernel(self, w: Word) -> bool:
-        return self.image(w).mapping == self._identity
-
     def coset_equal(self, u: Word, v: Word) -> bool:
         return self.image(u).mapping == self.image(v).mapping
 

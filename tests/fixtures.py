@@ -8,13 +8,18 @@ from proficert.cli import canonical_json
 from proficert.example1 import s_family
 from proficert.quotients import FiniteQuotient, Permutation
 from proficert.separation import SeparationCertificate, StallingsGraph
-from proficert.words import invert, multiply
+from proficert.words import Word, invert, multiply
 
 
 def trivial_quotient(partition):
     """Degree-1 permutation quotient (everything in the kernel)."""
     return FiniteQuotient(partition, {g: Permutation.identity(1)
                                       for g in partition.generators()})
+
+
+def in_kernel(q, w):
+    """Whether ``w`` maps to the identity of ``q``."""
+    return q.coset_equal(w, Word(()))
 
 
 def tail_heads(cert):

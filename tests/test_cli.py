@@ -336,25 +336,7 @@ def test_separations_take_no_cap(capsys, argv):
 
 
 def test_ex2_witness_kinds(capsys, chain):
-    path, out = chain
-    code, body, _ = run(capsys, "ex2-witness", str(path), "--step", "1")
-    assert code == 0
-    assert json.loads(body) == {"members": [1], "step": 1}
-
-    s2 = json.loads(out)["steps"][1]["s"]
-    code, body, _ = run(capsys, "ex2-witness", str(path), "--step", "2",
-                        "--kind", "intersection", "--word", s2)
-    assert code == 0
-    witness = json.loads(body)
-    assert 2 in witness["members"]
-    assert witness["word"] == s2
-
-    code, body, _ = run(capsys, "ex2-witness", str(path), "--step", "2",
-                        "--kind", "not-closed")
-    assert code == 0
-    parts = json.loads(body)
-    assert set(parts) == {"step", "u", "v"}
-
+    path, _ = chain
     code, body, _ = run(capsys, "ex2-witness", str(path), "--step", "1", "--dot")
     assert code == 0
     assert body.startswith("digraph")
@@ -362,12 +344,13 @@ def test_ex2_witness_kinds(capsys, chain):
 
 def test_ex2_witness_errors(capsys, chain):
     path, _ = chain
-    code, _, err = run(capsys, "ex2-witness", str(path), "--step", "9")
-    assert code == 2
-    code, _, err = run(capsys, "ex2-witness", str(path), "--step", "1",
-                       "--kind", "intersection")
-    assert code == 2
-    assert "--word" in err
+    code, out, err = run(capsys, "ex2-witness", str(path), "--step", "9", "--dot")
+    assert (code, out) == (2, "")
+    assert err == "error: step index must be in 1..2, got 9\n"
+    # the JSON witnesses are gone: without --dot there is nothing to write
+    code, out, err = run(capsys, "ex2-witness", str(path), "--step", "1")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --dot" in err
 
 
 @pytest.mark.parametrize("params", [{"f_values": [2, 3, 4]}, {"f_values": [2]}])
@@ -383,7 +366,7 @@ def test_chain_with_fewer_steps_or_f_values_than_params_steps(capsys, chain, par
     assert code == 1
     assert {c["clause"] for c in json.loads(out) if not c["pass"]} == {"params-structure"}
     f_count = len(obj["params"]["f_values"])
-    for argv in (("--step", str(f_count)), ("--step", "1", "--dot")):
+    for argv in (("--step", str(f_count), "--dot"), ("--step", "1", "--dot")):
         code, out, err = run(capsys, "ex2-witness", str(path), *argv)
         assert (code, out) == (2, "")
         assert err == f"error: the chain has 2 steps but {f_count} f values\n"
@@ -440,7 +423,7 @@ def test_verify_wrong_type_for_subcommand(capsys, tmp_path, chain):
     tail = tmp_path / "tail.json"
     tail.write_text(out)
     assert run(capsys, "ex2-verify", str(tail))[0] == 2
-    assert run(capsys, "ex2-witness", str(tail), "--step", "1")[0] == 2
+    assert run(capsys, "ex2-witness", str(tail), "--step", "1", "--dot")[0] == 2
 
 
 def test_schema_error_reports_field_path(capsys, tmp_path, chain):
@@ -765,7 +748,9 @@ def test_installed_console_script():
 # partial action's ``degree``, and the chain's ``params.steps`` and
 # ``params.max_source_draws`` deleted.  JSON outputs are compact now, and
 # their digests are of the indented layout they were recorded in
-# (``indented_digest``); any other output is hashed as printed.
+# (``indented_digest``); any other output is hashed as printed.  The JSON
+# rows of ``ex2-witness`` went with the Example 2 witness helpers, whose
+# facts ``verify_ex2``'s clauses imply; its drawing needs ``--dot`` now.
 PINNED_QUOTIENT = {"degree": 3, "images": {"a": [1, 2, 0], "b": [0, 2, 1]}, "kind": "perm"}
 
 
@@ -840,19 +825,14 @@ PINNED = (
      "b21d3ca763ed1fc660604a4999a8c08ab1bbabeb3051895eb095d488ee44ebda", None),
     (None, ("ex2-verify", "{bad_chain}"), 1,
      "e0619388dea1cf5d530d54f443d647415430df243f4acce7265dbe91db11d4a3", None),
-    (None, ("ex2-witness", "{chain}", "--step", "3"), 0,
-     "fc4caa327b7382067d613201df946dd0867b2bbeb93f7d58f81e0d408870d27b", None),
-    (None, ("ex2-witness", "{chain}", "--step", "2", "--kind", "intersection",
-            "--word", "a^4 c^6"), 0,
-     "97cafc061ceef028a189ab25d5b5542e29cdd17de59e6014cf3168b455f9d0dd", None),
-    (None, ("ex2-witness", "{chain}", "--step", "2", "--kind", "not-closed"), 0,
-     "785408cf35066c12a6e8dd264176af6c24f5ec7a2f58c61b7daecfa6432d4da2", None),
     (None, ("ex2-witness", "{chain}", "--step", "1", "--dot"), 0,
      "df1dd72731ec1227f0d6da81fe7f3efff3f02360ccce2130ca6294f42b92dac1", None),
+    (None, ("ex2-witness", "{chain}", "--step", "1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     (None, ("ex2-verify", "{tail}"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: ex2-verify expects an ex2 certificate\n"),
-    (None, ("ex2-witness", "{tail}", "--step", "1"), 2,
+    (None, ("ex2-witness", "{tail}", "--step", "1", "--dot"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: ex2-witness expects an ex2 certificate\n"),
     (None, ("ex1-verify", "{chain}"), 2,

@@ -1,4 +1,4 @@
-"""Chain certificates in a free product: construction, verification, witnesses."""
+"""Chain certificates in a free product: construction, verification, serialization."""
 
 import json
 import random
@@ -19,13 +19,10 @@ from proficert.example2 import (
     choose_r,
     construct_ex2,
     default_f,
-    discreteness_witness,
     ex2_ball_dot,
     ex2_from_obj,
     ex2_to_obj,
-    finite_intersection_witness,
     make_s,
-    not_closed_witness2,
     verify_ex2,
 )
 from proficert.quotients import (
@@ -48,14 +45,11 @@ from proficert.words import (
     Generator,
     Word,
     format_word,
-    invert,
-    multiply,
     parse_word,
     power,
-    word_length,
 )
 
-from fixtures import indented_digest, trivial_quotient
+from fixtures import in_kernel, indented_digest, trivial_quotient
 
 P11 = FactorPartition(1, 1)
 P22 = FactorPartition(2, 2)
@@ -300,6 +294,36 @@ def test_verify_ex2_reads_an_empty_chain_as_a_failed_clause():
         ex2_from_obj(obj)
 
 
+@pytest.mark.parametrize("f_values, stops", [
+    ((2, "x"), True), ((-1, 3), True), ((True, 3), True), ((3, 2), False)],
+    ids=["str", "negative", "bool", "out of order"])
+def test_verify_ex2_stops_at_an_f_value_that_is_not_a_positive_int(f_values, stops):
+    # every later clause reads f as a radius: "x" raised TypeError and -1
+    # ValueError ("max_radius must be nonnegative"); int f values out of
+    # order still reach the later clauses
+    cert = construct_ex2(steps=2)
+    report = verify_ex2(cert._replace(params=cert.params._replace(f_values=f_values)))
+    assert report.failures()[0].clause == "params-structure"
+    assert (len(report.clauses) == 1) == stops
+
+
+@pytest.mark.parametrize("described, error", [
+    ({"kind": "mixed", "seed": True}, r"^params\.source\.seed: expected an integer$"),
+    ({"kind": "mixed", "seed": 0, "extra": 1}, r"^params\.source\.extra: unknown field$"),
+], ids=["bool seed", "extra field"])
+def test_construct_checks_the_source_description_it_records(described, error):
+    # such a chain was built, and its own loader refused it
+    class Described(MixedQuotientSource):
+        def describe(self):
+            return described
+
+        def stream(self):
+            raise AssertionError("a factor was drawn before the description was checked")
+
+    with pytest.raises(SchemaError, match=error):
+        construct_ex2(steps=1, source=Described(P22))
+
+
 def test_construct_rejects_bad_f():
     with pytest.raises(ValueError):
         construct_ex2(steps=2, f=(2, 2))
@@ -428,7 +452,7 @@ def test_verify_rejects_spliced_chain(default_cert):
     q2 = cert.steps[1].quotient
     ac = parse_word("a c", P22)
     probe = power(ac, q2.element_order(ac))
-    assert q2.in_kernel(probe) and not q1.in_kernel(probe)
+    assert in_kernel(q2, probe) and not in_kernel(q1, probe)
 
     # the K-indices still grow, but without containment their ratio proves
     # no descent, so chain-descent fails with it
@@ -477,7 +501,7 @@ def scan_witness(q_this, q_next):
     in ker Q_n, found by imaging every word in Q_n; None when there is none."""
     table = k_table(q_next)
     return next((w for w in (table_word(table, x) for x in table)
-                 if not w.is_identity() and q_this.in_kernel(w)), None)
+                 if not w.is_identity() and in_kernel(q_this, w)), None)
 
 
 def test_chain_descent_restriction_finds_the_scan_witness(default_cert):
@@ -636,43 +660,6 @@ def test_huge_f_is_rejected_quickly(default_cert):
     assert ("step1-index-bound", 1) in failing_clauses(report)
 
 
-# --- witnesses ---------------------------------------------------------------------
-
-
-def test_discreteness_witness(default_cert):
-    for n in range(1, 5):
-        members = discreteness_witness(default_cert, n)
-        assert n in members
-        assert members <= set(range(1, n + 1))
-    with pytest.raises(ValueError):
-        discreteness_witness(default_cert, 5)
-    with pytest.raises(ValueError):
-        discreteness_witness(default_cert, 0)
-
-
-def test_finite_intersection_witness(default_cert):
-    x = default_cert.steps[1].s
-    w = finite_intersection_witness(default_cert, x, 2)
-    assert 2 in w.members
-    assert w.length == word_length(x)
-    assert isinstance(w.distance, int) and w.distance <= w.length
-    for record in w.records:
-        assert set(record) == {"m", "f_value", "f_below_length"}
-        assert record["f_below_length"] == (record["f_value"] < w.length)
-    with pytest.raises(ValueError):
-        finite_intersection_witness(default_cert, x, 9)
-
-
-def test_not_closed_witness2(default_cert):
-    for n in range(1, 5):
-        s, r_inv = not_closed_witness2(default_cert, n)
-        step = default_cert.steps[n - 1]
-        assert s == step.s and r_inv == invert(step.r)
-        assert step.quotient.in_kernel(multiply(s, r_inv))
-    with pytest.raises(ValueError):
-        not_closed_witness2(default_cert, 0)
-
-
 # --- serialization -------------------------------------------------------------------
 
 
@@ -746,5 +733,6 @@ def test_ball_dot(default_cert):
     for line in dot.splitlines():
         if "->" in line:
             assert "label=" in line
-    with pytest.raises(ValueError):
-        ex2_ball_dot(default_cert, 6)
+    for n in (0, 5, 6):
+        with pytest.raises(ValueError, match="step index must be in 1..4"):
+            ex2_ball_dot(default_cert, n)

@@ -9,7 +9,7 @@ import pytest
 
 from proficert import cli
 from proficert.example1 import EX1_PARTITION, not_closed_witness, separate_from_S
-from proficert.example2 import construct_ex2, finite_intersection_witness, verify_ex2
+from proficert.example2 import construct_ex2, verify_ex2
 from proficert.quotients import make_abelian_quotient
 from proficert.separation import (
     build_stallings,
@@ -24,7 +24,6 @@ RECORD_TYPES = (
     "Generator", "FactorPartition", "Word", "StallingsGraph", "CheckResult",
     "SeparationCertificate", "PartialAction", "Ex1TailCertificate", "Ex1NotClosedWitness",
     "Ex2Params", "Ex2Step", "Ex2Certificate", "Ex2Clause", "Ex2Report",
-    "FiniteIntersectionWitness",
 )
 
 
@@ -39,8 +38,7 @@ def records():
     report = verify_ex2(chain)
     found = [a.runs[0][0], p, a, build_stallings(p, [a]), verify_separation(separation),
              separation, separation.quotient, tail, not_closed_witness(make_abelian_quotient(p, 4)),
-             chain.params, chain.steps[0], chain, report.clauses[0], report,
-             finite_intersection_witness(chain, chain.steps[0].s, 1)]
+             chain.params, chain.steps[0], chain, report.clauses[0], report]
     return {type(r).__name__: r for r in found}
 
 
