@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, SchemaError
 from .quotients import (
+    ABELIAN,
     FiniteQuotient,
     check_point_budget,
     direct_product,
@@ -234,15 +235,30 @@ def _digit_count(n: int) -> int:
 
 def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
     """Recheck a tail certificate from scratch in one walk of :func:`s_family`:
-    head reasons come first, then the composite's, then the tail value's."""
+    head reasons come first, then the composite's, then the tail value's.
+
+    An abelian head mod n in the family's partition is checked on
+    (ta - j!, tb - m_j) mod n, with ta and tb the target's exponent sums and
+    j! and m_j read off the runs of s_j: exponent sums add and survive
+    reduction, so that pair is the abelian image of w s_j^-1.  Any other
+    head, a partial one or an in-process value of another form, is checked
+    by :func:`verify_separation` along w s_j^-1 and keeps its reasons.
+    """
     reasons = []
     w = cert.target_word
     n = cert.modulus
     head_bound = cert.head_bound
+    composite = cert.composite_quotient
     if type(n) is not int or n < 2:  # exact ints: a bool would read as 0 or 1
         reasons.append(f"modulus: expected an integer >= 2, got {n!r}")
     if type(head_bound) is not int or head_bound < 1:
         reasons.append(f"head_bound: expected an integer >= 1, got {head_bound!r}")
+    # an in-process field may be anything, and every clause below reads these
+    fields = (("target_word", w, Word, "a Word"),
+              ("head_certificates", cert.head_certificates, (tuple, list), "a sequence"),
+              ("composite_quotient", composite, FiniteQuotient, "a FiniteQuotient"))
+    reasons += [f"{name}: expected {what}, got {type(value).__name__}"
+                for name, value, expected, what in fields if not isinstance(value, expected)]
     if reasons:
         return CheckResult(False, tuple(reasons))
     if n > head_bound:
@@ -263,16 +279,25 @@ def verify_ex1(cert: Ex1TailCertificate) -> CheckResult:
     # words whose runs agree modulo the orders of the composite's generator
     # images have one image (image() reduces each run so), so each such key
     # is imaged once: j! and m_j take few residue pairs below the head bound
-    composite = cert.composite_quotient
     target = composite.image(w).mapping
     orders = [composite._generator_steps(g)[0] for g in (GEN_A, GEN_B)]
+    ta, tb = exponent_sum(w, GEN_A), exponent_sum(w, GEN_B)
     same = {}
     blind = []
     for j, s in s_family(head_bound):
         if heads is not None and j != skip:
-            sub = verify_separation(SeparationCertificate(next(heads), (), multiply(w, invert(s))))
-            if not sub:
-                reasons.extend(f"head {j}: {r}" for r in sub.reasons)
+            q = next(heads)
+            mod = getattr(q, "modulus", None)
+            if (type(mod) is int and mod >= 2 and getattr(q, "kind", None) == ABELIAN
+                    and q.partition == EX1_PARTITION):
+                runs = s.runs  # a-run j!, then a b-run m_j unless m_j = 0
+                m_j = runs[1][1] if len(runs) > 1 else 0
+                if not ((ta - runs[0][1]) % mod or (tb - m_j) % mod):
+                    reasons.append(f"head {j}: excluded word lies in the kernel")
+            else:
+                sub = verify_separation(SeparationCertificate(q, (), multiply(w, invert(s))))
+                if not sub:
+                    reasons.extend(f"head {j}: {r}" for r in sub.reasons)
         key = tuple([e % o for (_, e), o in zip(s.runs, orders)])  # a-run, then any b-run
         if key not in same:
             same[key] = composite.image(s).mapping == target

@@ -330,8 +330,13 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     clauses = []
     params = cert.params
     p = params.partition
-    n_steps = params.steps
     f_values = params.f_values
+    # an in-process container may be anything; every clause below reads both
+    for name, value in (("f_values", f_values), ("steps", cert.steps)):
+        if not isinstance(value, (tuple, list)):
+            return Ex2Report((Ex2Clause("params-structure", None, None, False,
+                                        f"{name}: expected a sequence, got {type(value).__name__}"),))
+    n_steps = params.steps
     k_words = _k_letter_words(p)
 
     f_ints = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in f_values)
@@ -346,11 +351,16 @@ def verify_ex2(cert: Ex2Certificate) -> Ex2Report:
     if len(cert.steps) != n_steps or not n_steps or not f_ints:
         return Ex2Report(tuple(clauses))
 
-    foreign = [m for m, st in enumerate(cert.steps, 1) if st.quotient.partition != p]
-    if foreign:  # a quotient of another group: nothing below applies
-        return Ex2Report(tuple(clauses) + tuple(
-            Ex2Clause("step-structure", m, None, False, f"quotient partition is not {p}")
-            for m in foreign))
+    foreign = []  # no quotient, or one of another group: nothing below applies
+    for m, st in enumerate(cert.steps, 1):
+        q = getattr(st, "quotient", None)
+        if not isinstance(q, FiniteQuotient):
+            foreign.append(Ex2Clause("step-structure", m, None, False, "step has no quotient"))
+        elif q.partition != p:
+            foreign.append(Ex2Clause("step-structure", m, None, False,
+                                     f"quotient partition is not {p}"))
+    if foreign:
+        return Ex2Report(tuple(clauses) + tuple(foreign))
 
     indices = []  # K-index of each step: the order of its K-image
     for m in range(1, n_steps + 1):

@@ -37,6 +37,7 @@ from proficert.example1 import (
     verify_ex1_witness,
 )
 from proficert.quotients import (
+    FiniteQuotient,
     Permutation,
     element_to_obj,
     make_abelian_quotient,
@@ -520,10 +521,15 @@ def test_verify_ex1_reasons_pinned_on_tampered_tails(tamper):
 
 def head_tells_apart(q, w, s):
     """Whether the head quotient ``q`` tells ``w`` from ``s``, read without
-    verify_separation: exponent sums mod n for an abelian quotient, the
-    images of point 0 under the completed permutations for a partial one."""
-    if q.kind == "abelian":
-        return any((exponent_sum(w, g) - exponent_sum(s, g)) % q.modulus for g in (GEN_A, GEN_B))
+    verify_separation: exponent sums mod n for an abelian quotient (none
+    mod a modulus below 2), the images of point 0 under the completed
+    permutations for a partial one, and nothing for a head of no kind."""
+    kind = getattr(q, "kind", None)
+    if kind is None:
+        return False
+    if kind == "abelian":
+        return q.modulus >= 2 and any(
+            (exponent_sum(w, g) - exponent_sum(s, g)) % q.modulus for g in (GEN_A, GEN_B))
     completed = _completed(q)
     return completed.image(w)(0) != completed.image(s)(0)
 
@@ -542,7 +548,15 @@ def test_verify_ex1_agrees_with_a_head_oracle_on_a_bench_round():
     # total actions, so that no walk leaves them and the completion is the action
     rotation = PartialAction(EX1_PARTITION, {GEN_A: (0, 1, 2), GEN_B: (0, 1, 2)},
                              {GEN_A: (1, 2, 0), GEN_B: (0, 2, 1)})
-    candidates = [abelian(n) for n in (2, 3, 4, 6)] + [FIXED_POINT, rotation]
+    # in-process heads that the exponent-sum read leaves to verify_separation,
+    # each with the one reason it gives
+    fallback = [(FiniteQuotient(EX1_PARTITION, abelian(2).images, modulus=True),
+                 "modulus: expected an integer >= 2, got True"),
+                (FiniteQuotient(EX1_PARTITION, abelian(2).images, modulus=1),
+                 "modulus: expected an integer >= 2, got 1"),
+                (None, "quotient kind None: expected 'partial' or 'abelian'")]
+    candidates = [(q, None) for q in [abelian(n) for n in (2, 3, 4, 6)] + [FIXED_POINT, rotation]]
+    candidates += fallback
     rng = random.Random(1010)
     heads, kinds, rejected = 0, set(), 0
     for cert in tails:
@@ -556,15 +570,52 @@ def test_verify_ex1_agrees_with_a_head_oracle_on_a_bench_round():
         kinds |= {q.kind for q in cert.head_certificates}
         i = rng.randrange(len(family))
         j, s = family[i]
-        for q in candidates:
+        for q, reason in candidates:
             tampered = cert._replace(head_certificates=(
                 cert.head_certificates[:i] + (q,) + cert.head_certificates[i + 1:]))
             result = verify_ex1(tampered)
             assert result.ok == head_tells_apart(q, w, s), (w, j, q)
             assert all(r.startswith(f"head {j}: ") for r in result.reasons), result.reasons
+            if reason:
+                assert result.reasons == (f"head {j}: {reason}",)
             rejected += not result.ok
     assert (heads, kinds) == (1196, {"abelian", "partial"})
-    assert rejected == 319  # of 972 swaps, 162 of them the fixed point
+    assert rejected == 805  # of 1,458 swaps, 162 each of the fixed point and the fallbacks
+
+
+def test_verify_ex1_builds_a_word_for_partial_heads_alone(monkeypatch):
+    # an abelian head is read off exponent sums; only a partial one is
+    # walked along w s_j^-1, which takes one inverse and one product
+    calls = {"multiply": 0, "invert": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(example1, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(example1, name, counted)
+    # the builder makes one of each per head, so the count starts after it
+    loaded = ex1_tail_from_obj(json.loads(emit_certificate(separate_from_S(word("b^267")))))
+    # each target's sums are (j!, m_j) at one j: (2, 0) at s_2 = a^2, (6, 4) at s_3 = a^6 b^4
+    mixed = [separate_from_S(word(t)) for t in ("b a^2 b^-1", "b^-1 a^6 b^5")]
+    calls.update(dict.fromkeys(calls, 0))
+    assert len(loaded.head_certificates) == 511
+    assert verify_ex1(loaded).ok and calls == {"multiply": 0, "invert": 0}
+    for cert in mixed:
+        partial = sum(q.kind == "partial" for q in cert.head_certificates)
+        calls.update(dict.fromkeys(calls, 0))
+        assert partial == 1 and verify_ex1(cert).ok
+        assert calls == {"multiply": partial, "invert": partial}
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("head_certificates", None, "head_certificates: expected a sequence, got NoneType"),
+    ("head_certificates", 5, "head_certificates: expected a sequence, got int"),
+    ("composite_quotient", None, "composite_quotient: expected a FiniteQuotient, got NoneType"),
+    ("target_word", None, "target_word: expected a Word, got NoneType"),
+])
+def test_verify_ex1_reads_a_container_of_the_wrong_type_as_a_reason(field, value, reason):
+    # these raised TypeError (len of None or 5) and AttributeError (no image, no runs)
+    cert = separate_from_S(word("b^5"))
+    assert verify_ex1(cert._replace(**{field: value})).reasons == (reason,)
 
 
 def per_index_composite_reasons(cert):

@@ -307,6 +307,22 @@ def test_verify_ex2_stops_at_an_f_value_that_is_not_a_positive_int(f_values, sto
     assert (len(report.clauses) == 1) == stops
 
 
+@pytest.mark.parametrize("field, value, clause", [
+    ("f_values", None, ("params-structure", None, "f_values: expected a sequence, got NoneType")),
+    ("f_values", 5, ("params-structure", None, "f_values: expected a sequence, got int")),
+    ("steps", (None,), ("step-structure", 1, "step has no quotient")),
+    ("steps", None, ("params-structure", None, "steps: expected a sequence, got NoneType")),
+])
+def test_verify_ex2_reads_a_container_of_the_wrong_type_as_a_failed_clause(field, value, clause):
+    # these raised TypeError (len of None or 5) and AttributeError (no quotient)
+    cert = construct_ex2(steps=1)
+    if field == "f_values":
+        cert = cert._replace(params=cert.params._replace(f_values=value))
+    else:
+        cert = cert._replace(steps=value)
+    assert [(c.clause, c.m, c.detail) for c in verify_ex2(cert).failures()] == [clause]
+
+
 @pytest.mark.parametrize("described, error", [
     ({"kind": "mixed", "seed": True}, r"^params\.source\.seed: expected an integer$"),
     ({"kind": "mixed", "seed": 0, "extra": 1}, r"^params\.source\.extra: unknown field$"),
